@@ -3,8 +3,9 @@
 Verbs: validate, integrate, hom, factor, lift, extract, roundtrip,
 trees, export-dot.  Operads come from builtins ("nat:M", "trees:N",
 "terminal:N") or JSON files.  Exit codes: 0 all checks pass, 1 a check
-failed with a located witness, 2 usage or input error, 3 a search hit
-its cap and was inconclusive.  OPINT_CAP overrides the default cap.
+failed with a located witness (an operad failing validation included),
+2 usage or input error, 3 a search hit its cap and was inconclusive.
+OPINT_CAP overrides the default cap.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ import sys
 
 from . import dot, jsonio
 from .fincat import terminal_object
-from .integration import ZeroCell, check_factorization, check_projection, \
-    check_two_category_laws, integrate
+from .integration import InvalidOperad, ZeroCell, check_factorization, \
+    check_projection, check_two_category_laws, integrate
 from .operads import TruncatedOperad, check_associativity, check_unitality, \
     nat_operad, terminal_operad, tree_operad, validate_operad
 from .operadic import canonical_fibration, check_all_lifts_cartesian, \
@@ -204,7 +205,9 @@ def cmd_extract(args) -> int:
 def cmd_roundtrip(args) -> int:
     P = load_operad(args.operad)
     cert1 = roundtrip_operad(P, cap=args.cap)
-    cert2 = roundtrip_2cat(canonical_fibration(integrate(P)), cap=args.cap)
+    # roundtrip_operad has validated P already
+    cert2 = roundtrip_2cat(canonical_fibration(integrate(P, validate=False)),
+                           cap=args.cap)
     lines = [cert1.line(), cert2.line()]
     payload = {"operad": jsonio.certificate_to_json(cert1),
                "two_category": jsonio.certificate_to_json(cert2)}
@@ -359,6 +362,9 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
+    except InvalidOperad as exc:
+        print("error: invalid operad: %s" % exc, file=sys.stderr)
+        return EXIT_FAIL
     except OSError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE

@@ -222,14 +222,6 @@ def identity_functor(C: FinCat) -> Functor:
                    {m: m for m in C.morphism_ids()})
 
 
-def compose_functors(G: Functor, F: Functor) -> Functor:
-    if F.target is not G.source and F.target.counts() != G.source.counts():
-        raise ValueError("functors are not composable")
-    return Functor(F.source, G.target,
-                   {x: G.obj_map[y] for x, y in F.obj_map.items()},
-                   {m: G.mor_map[n] for m, n in F.mor_map.items()})
-
-
 def validate_functor(F: Functor, name: str = "functor") -> Report:
     problems = []
     checked = 0

@@ -21,9 +21,9 @@ from typing import Any
 from .fincat import FinCat, terminal_object
 from .operads import OperadMorphism, TruncatedOperad, validate_operad, \
     validate_operad_morphism
-from .report import CAPPED, DEFAULT_CAP, FAIL, PASS, Budget, Report
-from .surjections import CompositionError, Surjection, block_cut, compose, \
-    identity_surjection, induced_map
+from .report import DEFAULT_CAP, FAIL, PASS, Budget, Report
+from .surjections import CompositionError, Surjection, all_surjections_up_to, \
+    block_cut, compose, identity_surjection, induced_map
 
 
 class InvalidOperad(ValueError):
@@ -134,6 +134,7 @@ class Integration:
                 raise InvalidOperad("; ".join(r.line() for r in bad))
         self.P = P
         self._homs: dict = {}
+        self._out: dict = {}
         self._hcomp: dict = {}
         self._hcomp2: dict = {}
         self._vcomp: dict = {}
@@ -318,13 +319,15 @@ class Integration:
 
     def all_one_cells(self):
         for x in self._zero:
-            for y in self._zero:
-                yield from self.hom(x, y).objects
+            yield from self.one_cells_from(x)
 
-    def cells_into(self, x: ZeroCell):
-        for z in self._zero:
-            for cell in self.hom(z, x).objects:
-                yield cell
+    def one_cells_from(self, x: ZeroCell) -> tuple:
+        """The 1-cells out of x, in the order of ``all_one_cells``."""
+        cells = self._out.get(x)
+        if cells is None:
+            cells = self._out[x] = tuple(c for y in self._zero
+                                         for c in self.hom(x, y).objects)
+        return cells
 
     # -- factorization, fibers, lifts --------------------------------------
 
@@ -367,21 +370,6 @@ class Integration:
         if filler.src != composite or filler.dst != d1:
             raise ValueError("filler does not run from the composite to d1")
         return LaxTriangle(d2, d1, d0, filler)
-
-    def triangles_onto(self, phi: OneCell, d2_pi: Surjection | None = None):
-        """All lax triangles with right face ``phi``, optionally with the
-        top surjection pinned."""
-        y, x = phi.src, phi.dst
-        for z in self._zero:
-            hom_zy = self.hom(z, y)
-            hom_zx = self.hom(z, x)
-            for psi in hom_zy.objects:
-                if d2_pi is not None and psi.f != d2_pi:
-                    continue
-                composite = self.h_compose(phi, psi)
-                for theta in hom_zx.objects:
-                    for filler in hom_zx.hom(composite, theta):
-                        yield LaxTriangle(psi, theta, phi, filler)
 
     def fibers_of_lax_triangle(self, tri: LaxTriangle) -> tuple[OneCell, ...]:
         """The induced 1-cells between the fibers of d1 and d0."""
@@ -436,6 +424,23 @@ def integrate(P: TruncatedOperad, validate: bool = True) -> Integration:
 # generic helpers over 2-category presentations
 
 
+def lift_instances(zero_cells, card, bound: int):
+    """Every lift problem (g, c, bs): a surjection g: k -> n with k <= bound,
+    a 0-cell c of cardinality n and a tuple bs of 0-cells whose
+    cardinalities are the fiber sizes of g, in a fixed order."""
+    by_card = {n: [x for x in zero_cells if card(x) == n]
+               for n in range(1, bound + 1)}
+    for g in all_surjections_up_to(bound):
+        slots = [by_card[s] for s in g.fiber_sizes()]
+        for c in by_card[g.cod]:
+            for bs in itertools.product(*slots):
+                yield g, c, bs
+
+
+def _arity(x: ZeroCell) -> int:
+    return x.arity
+
+
 def two_cat_components(tc) -> list[tuple]:
     """Connected components of the 0-cells, via hom non-emptiness."""
     cells = list(tc.zero_cells())
@@ -486,108 +491,76 @@ def lali_terminals(tc) -> dict:
 
 
 def check_two_category_laws(I: Integration, cap: int | None = DEFAULT_CAP) -> list[Report]:
-    """Horizontal associativity and units, hom-category laws, interchange."""
-    from .fincat import validate_category
-    reports = []
-    budget = Budget(cap)
+    """Horizontal associativity and units, hom-category laws, interchange.
 
+    The two capped laws share one budget."""
+    budget = Budget(cap)
+    return [_check_hom_categories(I), _check_horizontal_units(I),
+            _check_horizontal_associativity(I, budget), _check_interchange(I, budget)]
+
+
+def _check_hom_categories(I: Integration) -> Report:
+    from .fincat import validate_category
     r = Report("hom categories", PASS, 0)
     for x in I.zero_cells():
         for y in I.zero_cells():
             sub = validate_category(I.hom(x, y))
             r.checked += sub.checked
             if not sub.ok:
-                r.status = FAIL
-                r.witness = (str(x), str(y), sub.witness)
-                break
-        if r.status == FAIL:
-            break
-    reports.append(r)
+                return Report(r.name, FAIL, r.checked, witness=(str(x), str(y), sub.witness))
+    return r
 
+
+def _check_horizontal_units(I: Integration) -> Report:
     r = Report("horizontal units", PASS, 0)
     for cell in I.all_one_cells():
         r.checked += 1
         if I.h_compose(cell, I.identity_one_cell(cell.src)) != cell or \
            I.h_compose(I.identity_one_cell(cell.dst), cell) != cell:
-            r.status = FAIL
-            r.witness = str(cell)
-            break
-    reports.append(r)
+            return Report(r.name, FAIL, r.checked, witness=str(cell))
+    return r
 
+
+def _check_horizontal_associativity(I: Integration, budget: Budget) -> Report:
     r = Report("horizontal associativity", PASS, 0)
-    cells_by_src: dict = {}
-    for cell in I.all_one_cells():
-        cells_by_src.setdefault(cell.src, []).append(cell)
-    done = False
     for f in I.all_one_cells():
-        if done:
-            break
-        for g in cells_by_src.get(f.dst, ()):
-            if done:
-                break
+        for g in I.one_cells_from(f.dst):
             gf = I.h_compose(g, f)
-            for h in cells_by_src.get(g.dst, ()):
-                r.checked += 1
-                if not budget.spend():
-                    r.status = CAPPED
-                    r.notes.append("cap %r reached" % cap)
-                    done = True
-                    break
+            for h in I.one_cells_from(g.dst):
+                if not budget.charge(r):
+                    return r
                 if I.h_compose(h, gf) != I.h_compose(I.h_compose(h, g), f):
-                    r.status = FAIL
-                    r.witness = (str(f), str(g), str(h))
-                    done = True
-                    break
-    reports.append(r)
+                    return Report(r.name, FAIL, r.checked,
+                                  witness=(str(f), str(g), str(h)))
+    return r
 
+
+def _check_interchange(I: Integration, budget: Budget) -> Report:
     r = Report("interchange", PASS, 0)
     twos_by_hom: dict = {}
     for x in I.zero_cells():
         for y in I.zero_cells():
             H = I.hom(x, y)
-            chains = []
-            for t1, _, _ in H.morphisms():
-                for t2, _, _ in H.morphisms():
-                    if t1.dst == t2.src:
-                        chains.append((t2, t1))
-            twos_by_hom[(x, y)] = chains
-    done = False
+            twos_by_hom[(x, y)] = [(t2, t1) for t1, _, _ in H.morphisms()
+                                   for t2, _, _ in H.morphisms() if t1.dst == t2.src]
     for x in I.zero_cells():
-        if done:
-            break
         for y in I.zero_cells():
-            if done:
-                break
             inner = twos_by_hom[(x, y)]
             if not inner:
                 continue
             for z in I.zero_cells():
-                outer = twos_by_hom[(y, z)]
-                if not outer:
-                    continue
-                for e2, e1 in outer:
+                for e2, e1 in twos_by_hom[(y, z)]:
                     for d2, d1 in inner:
-                        r.checked += 1
-                        if not budget.spend():
-                            r.status = CAPPED
-                            r.notes.append("cap %r reached" % cap)
-                            done = True
-                            break
+                        if not budget.charge(r):
+                            return r
                         lhs = I.h_compose_2cells(I.v_compose(e2, e1),
                                                  I.v_compose(d2, d1))
                         rhs = I.v_compose(I.h_compose_2cells(e2, d2),
                                           I.h_compose_2cells(e1, d1))
                         if lhs != rhs:
-                            r.status = FAIL
-                            r.witness = (str(e2), str(e1), str(d2), str(d1))
-                            done = True
-                            break
-                    if done:
-                        break
-                if done:
-                    break
-    reports.append(r)
-    return reports
+                            return Report(r.name, FAIL, r.checked,
+                                          witness=(str(e2), str(e1), str(d2), str(d1)))
+    return r
 
 
 def check_projection(I: Integration, cap: int | None = DEFAULT_CAP) -> Report:
@@ -598,14 +571,9 @@ def check_projection(I: Integration, cap: int | None = DEFAULT_CAP) -> Report:
         r.checked += 1
         if I.identity_one_cell(x).f != identity_surjection(x.arity):
             return Report("projection", FAIL, r.checked, witness=str(x))
-    cells_by_src: dict = {}
-    for cell in I.all_one_cells():
-        cells_by_src.setdefault(cell.src, []).append(cell)
     for f_cell in I.all_one_cells():
-        for g_cell in cells_by_src.get(f_cell.dst, ()):
-            r.checked += 1
-            if not budget.spend():
-                r.status = CAPPED
+        for g_cell in I.one_cells_from(f_cell.dst):
+            if not budget.charge(r):
                 return r
             if I.h_compose(g_cell, f_cell).f != compose(f_cell.f, g_cell.f):
                 return Report("projection", FAIL, r.checked,
@@ -635,10 +603,7 @@ def check_factorization(I: Integration, cap: int | None = DEFAULT_CAP) -> Report
                 if not I.in_e_subcategory(e_cand):
                     continue
                 for m_cand in I.hom(w, phi.dst).objects:
-                    r.checked += 1
-                    if not budget.spend():
-                        r.status = CAPPED
-                        r.notes.append("cap %r reached" % cap)
+                    if not budget.charge(r):
                         return r
                     if I.in_m_subcategory(m_cand) and \
                        I.h_compose(m_cand, e_cand) == phi:
@@ -696,9 +661,6 @@ def check_integration_map(im: IntegrationMap, cap: int | None = DEFAULT_CAP) -> 
         r.checked += 1
         if im.on1(I.identity_one_cell(x)) != J.identity_one_cell(im.on0(x)):
             return Report(r.name, FAIL, r.checked, witness=("identity", str(x)))
-    cells_by_src: dict = {}
-    for cell in I.all_one_cells():
-        cells_by_src.setdefault(cell.src, []).append(cell)
     for f_cell in I.all_one_cells():
         r.checked += 1
         if im.on1(f_cell).f != f_cell.f:
@@ -706,31 +668,20 @@ def check_integration_map(im: IntegrationMap, cap: int | None = DEFAULT_CAP) -> 
         if tuple(im.on0(c) for c in I.fibers_of_1cell(f_cell)) != \
            J.fibers_of_1cell(im.on1(f_cell)):
             return Report(r.name, FAIL, r.checked, witness=("fibers", str(f_cell)))
-        for g_cell in cells_by_src.get(f_cell.dst, ()):
-            r.checked += 1
-            if not budget.spend():
-                r.status = CAPPED
+        for g_cell in I.one_cells_from(f_cell.dst):
+            if not budget.charge(r):
                 return r
             if im.on1(I.h_compose(g_cell, f_cell)) != \
                J.h_compose(im.on1(g_cell), im.on1(f_cell)):
                 return Report(r.name, FAIL, r.checked,
                               witness=("composition", str(f_cell), str(g_cell)))
     # chosen lifts
-    from .surjections import all_surjections_up_to
-    P = I.P
-    for g in all_surjections_up_to(P.bound):
-        sizes = g.fiber_sizes()
-        for c in P.component(g.cod).objects:
-            for bs in itertools.product(*[P.component(s).objects for s in sizes]):
-                r.checked += 1
-                if not budget.spend():
-                    r.status = CAPPED
-                    return r
-                fibers = tuple(ZeroCell(s, b) for s, b in zip(sizes, bs))
-                lift = I.cartesian_lift(g, ZeroCell(g.cod, c), fibers)
-                expected = J.cartesian_lift(g, im.on0(ZeroCell(g.cod, c)),
-                                            tuple(im.on0(fc) for fc in fibers))
-                if im.on1(lift) != expected:
-                    return Report(r.name, FAIL, r.checked,
-                                  witness=("lift", str(g), c, bs))
+    for g, c, fibers in lift_instances(I.zero_cells(), _arity, I.P.bound):
+        if not budget.charge(r):
+            return r
+        lift = I.cartesian_lift(g, c, fibers)
+        expected = J.cartesian_lift(g, im.on0(c), tuple(im.on0(fc) for fc in fibers))
+        if im.on1(lift) != expected:
+            return Report(r.name, FAIL, r.checked,
+                          witness=("lift", str(g), c.obj, tuple(fc.obj for fc in fibers)))
     return r

@@ -17,14 +17,14 @@ from typing import Any, Callable
 
 from .fincat import FinCat, Functor, product, terminal_object
 from .integration import (
-    Integration, LaxTriangle, OneCell, SliceTwoCell, ZeroCell, integrate,
-    two_cat_components,
+    Integration, LaxTriangle, OneCell, SliceTwoCell, ZeroCell, _arity, integrate,
+    lift_instances, two_cat_components,
 )
-from .operads import TruncatedOperad, validate_operad
+from .operads import TruncatedOperad, _composable_pairs, validate_operad
 from .report import CAPPED, DEFAULT_CAP, FAIL, PASS, Budget, Report
 from .surjections import (
-    Surjection, bang, block_cut, compose, enumerate_surjections, identity_surjection,
-    induced_map, ordinal_sum,
+    Surjection, all_surjections_up_to, bang, block_cut, compose, enumerate_surjections,
+    identity_surjection, induced_map, ordinal_sum,
 )
 
 
@@ -74,15 +74,13 @@ class OperadicTwoCat:
         for z in self.tc.zero_cells():
             yield from self.tc.hom(z, x).objects
 
-    def triangles_onto(self, phi, d2_pi: Surjection | None = None):
-        """Lax triangles with right face ``phi``; optionally pin the top map."""
+    def triangles_onto(self, phi):
+        """All lax triangles with right face ``phi``."""
         y, x = self.src0(phi), self.dst0(phi)
         for z in self.tc.zero_cells():
             hom_zy = self.tc.hom(z, y)
             hom_zx = self.tc.hom(z, x)
             for psi in hom_zy.objects:
-                if d2_pi is not None and self.card1(psi) != d2_pi:
-                    continue
                 composite = self.tc.compose1(phi, psi)
                 for theta in hom_zx.objects:
                     for filler in hom_zx.hom(composite, theta):
@@ -260,9 +258,7 @@ def _check_axiom_cardinality(O, budget) -> Report:
                 return Report(r.name, FAIL, r.checked,
                               witness=("fiber cardinalities", str(phi)))
             for tri in O.triangles_onto_cached(phi):
-                r.checked += 1
-                if not budget.spend():
-                    r.status = CAPPED
+                if not budget.charge(r):
                     return r
                 fib1s = O.fib1_cached(x, tri)
                 f, g = O.card1(tri.d2), O.card1(tri.d0)
@@ -308,9 +304,7 @@ def _check_axiom_terminal_fibers(O, budget) -> Report:
     for x in O.tc.zero_cells():
         ident = O.tc.identity1(x)
         for phi in O.one_cells_into(x):
-            r.checked += 1
-            if not budget.spend():
-                r.status = CAPPED
+            if not budget.charge(r):
                 return r
             if O.tc.compose1(ident, phi) != phi:
                 return Report(r.name, FAIL, r.checked,
@@ -338,9 +332,7 @@ def _check_fiber_axiom(O, budget) -> Report:
             g = O.card1(phi)
             fibs_phi = O.fib0(x, phi)
             for tri in O.triangles_onto_cached(phi):
-                r.checked += 1
-                if not budget.spend():
-                    r.status = CAPPED
+                if not budget.charge(r):
                     return r
                 route_a = block_cut(O.fib0(y, tri.d2), g)
                 fib1s = O.fib1_cached(x, tri)
@@ -366,23 +358,20 @@ def _check_fiber_axiom_one_cells(O, budget) -> Report:
             g = O.card1(phi)
             fibs_phi = O.fib0(x, phi)
             triangles = O.triangles_onto_cached(phi)
-            sub = _fiber_axiom_on_one_cells(O, x, phi, g, fibs_phi, triangles,
-                                            budget, r)
-            if sub is not None:
-                return sub
-            if r.status == CAPPED:
-                r.notes.append("cap %r reached" % budget.cap)
+            if not _fiber_axiom_on_one_cells(O, x, phi, g, fibs_phi, triangles,
+                                             budget, r):
                 return r
     return r
 
 
-def _fiber_axiom_on_one_cells(O, x, phi, g, fibs_phi, triangles, budget, r):
+def _fiber_axiom_on_one_cells(O, x, phi, g, fibs_phi, triangles, budget, r) -> bool:
     """The square on the 1-cells of the double slice over ``phi``.
 
     A 1-cell from the triangle ``a1`` to the triangle ``a2`` is a
     connecting triangle ``sigma`` between their left faces plus a slice
     2-cell from ``a2 o sigma`` to ``a1``; both routes around the square
-    must then send it to the same blocks of fiber data.
+    must then send it to the same blocks of fiber data.  Counts on ``r``
+    and returns False once ``r`` holds its verdict (capped or failed).
     """
     y = O.src0(phi)
     by_d1: dict = {}
@@ -408,10 +397,8 @@ def _fiber_axiom_on_one_cells(O, x, phi, g, fibs_phi, triangles, budget, r):
             composed_f = tuple(O.tc.compose1(a2_f[i], sig_f[i])
                                for i in range(n_fib))
             for a1, gamma in candidates:       # a1: source object of the 1-cell
-                r.checked += 1
-                if not budget.spend():
-                    r.status = CAPPED
-                    return None
+                if not budget.charge(r):
+                    return False
                 lhs = O.tc.vcompose2(a1.filler, O.tc.hcompose2(id2_phi, gamma))
                 if lhs != comp_slice.filler:
                     continue
@@ -422,13 +409,13 @@ def _fiber_axiom_on_one_cells(O, x, phi, g, fibs_phi, triangles, budget, r):
                 xi_f = O.fib2(x, xi)
                 for i in range(n_fib):
                     if O.src2(xi_f[i]) != composed_f[i]:
-                        return Report(r.name, FAIL, r.checked,
-                                      witness=("fiber functoriality", i, str(phi)))
+                        r.status, r.witness = FAIL, ("fiber functoriality", i, str(phi))
+                        return False
                     tri_b = LaxTriangle(sig_f[i], a1_f[i], a2_f[i], xi_f[i])
                     if O.fib1_cached(fibs_phi[i], tri_b) != route_a[i]:
-                        return Report(r.name, FAIL, r.checked,
-                                      witness=("one-cells", i, str(phi)))
-    return None
+                        r.status, r.witness = FAIL, ("one-cells", i, str(phi))
+                        return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +432,6 @@ def is_operadic_cartesian(O: OperadicTwoCat, phi,
     """
     budget = Budget(cap)
     t = O.dst0(phi)
-    s = O.src0(phi)
     g = O.card1(phi)
     fibs_phi = O.fib0(t, phi)
     r = Report("operadic cartesian", PASS, 0)
@@ -453,30 +439,33 @@ def is_operadic_cartesian(O: OperadicTwoCat, phi,
         fibs_theta = O.fib0(t, theta)
         slots = [O.tc.hom(a, b).objects for a, b in zip(fibs_theta, fibs_phi)]
         for psis in itertools.product(*slots):
-            r.checked += 1
-            if not budget.spend():
-                r.status = CAPPED
+            if not budget.charge(r):
                 return r
             base = ordinal_sum([O.card1(p) for p in psis])
             if compose(base, g) != O.card1(theta):
                 continue  # no base triangle has these induced maps
-            z = O.src0(theta)
-            hom_zt = O.tc.hom(z, t)
-            matches = 0
-            for d2 in O.tc.hom(z, s).objects:
-                if O.card1(d2) != base:
-                    continue
-                composite = O.tc.compose1(phi, d2)
-                for filler in hom_zt.hom(composite, theta):
-                    tri = LaxTriangle(d2, theta, phi, filler)
-                    if O.fib1(t, tri) == psis:
-                        matches += 1
+            matches = sum(1 for _ in _fillers(O, phi, theta, psis, base))
             if matches != 1:
                 return Report(r.name, FAIL, r.checked,
                               witness=(str(phi), str(theta),
                                        tuple(map(str, psis)),
                                        "%d fillers" % matches))
     return r
+
+
+def _fillers(O, phi, theta, psis, base):
+    """The lax triangles onto ``phi`` with left face ``theta``, top map
+    over the surjection ``base`` and fiber maps ``psis``."""
+    z, t = O.src0(theta), O.dst0(phi)
+    hom_zt = O.tc.hom(z, t)
+    for d2 in O.tc.hom(z, O.src0(phi)).objects:
+        if O.card1(d2) != base:
+            continue
+        composite = O.tc.compose1(phi, d2)
+        for filler in hom_zt.hom(composite, theta):
+            tri = LaxTriangle(d2, theta, phi, filler)
+            if O.fib1(t, tri) == psis:
+                yield tri
 
 
 @dataclass
@@ -519,44 +508,28 @@ def check_splitting(S: SplitFibrationData, cap: int | None = DEFAULT_CAP) -> Rep
                 return Report(r.name, FAIL, r.checked, witness=("identity lift", str(c)))
             if S.lift(bang(n), u, (c,)) != O.eps(c):
                 return Report(r.name, FAIL, r.checked, witness=("terminal lift", str(c)))
-    for m in range(1, S.bound + 1):
-        for k in range(1, m + 1):
-            for f in enumerate_surjections(m, k):
-                for n in range(1, k + 1):
-                    for g in enumerate_surjections(k, n):
-                        sub = _splitting_composites(S, f, g, budget, r)
-                        if sub is not None:
-                            return sub
-                        if r.status == CAPPED:
-                            return r
+    for f, g in _composable_pairs(S.bound):
+        gf = compose(f, g)
+        c_cells = _cells_of_card(O, g.cod)
+        b_slots = [_cells_of_card(O, s) for s in g.fiber_sizes()]
+        a_slots = [_cells_of_card(O, s) for s in f.fiber_sizes()]
+        for c in c_cells:
+            for bs in itertools.product(*b_slots):
+                outer = S.lift(g, c, bs)
+                mid = O.src0(outer)
+                for as_ in itertools.product(*a_slots):
+                    if not budget.charge(r):
+                        return r
+                    lhs = O.tc.compose1(outer, S.lift(f, mid, as_))
+                    blocks = block_cut(as_, g)
+                    inner_sources = tuple(
+                        S.lift_source(induced_map(f, g, i), bs[i - 1], blocks[i - 1])
+                        for i in range(1, g.cod + 1))
+                    rhs = S.lift(gf, c, inner_sources)
+                    if lhs != rhs:
+                        return Report(r.name, FAIL, r.checked,
+                                      witness=(str(f), str(g), str(c)))
     return r
-
-
-def _splitting_composites(S, f, g, budget, r):
-    O = S.operadic
-    gf = compose(f, g)
-    c_cells = _cells_of_card(O, g.cod)
-    b_slots = [_cells_of_card(O, s) for s in g.fiber_sizes()]
-    a_slots = [_cells_of_card(O, s) for s in f.fiber_sizes()]
-    for c in c_cells:
-        for bs in itertools.product(*b_slots):
-            outer = S.lift(g, c, bs)
-            mid = O.src0(outer)
-            for as_ in itertools.product(*a_slots):
-                r.checked += 1
-                if not budget.spend():
-                    r.status = CAPPED
-                    return None
-                lhs = O.tc.compose1(outer, S.lift(f, mid, as_))
-                blocks = block_cut(as_, g)
-                inner_sources = tuple(
-                    S.lift_source(induced_map(f, g, i), bs[i - 1], blocks[i - 1])
-                    for i in range(1, g.cod + 1))
-                rhs = S.lift(gf, c, inner_sources)
-                if lhs != rhs:
-                    return Report(r.name, FAIL, r.checked,
-                                  witness=(str(f), str(g), str(c)))
-    return None
 
 
 def check_all_lifts_cartesian(S: SplitFibrationData,
@@ -565,24 +538,18 @@ def check_all_lifts_cartesian(S: SplitFibrationData,
     O = S.operadic
     budget = Budget(cap)
     r = Report("cartesian lifts", PASS, 0)
-    for k in range(1, S.bound + 1):
-        for n in range(1, k + 1):
-            for g in enumerate_surjections(k, n):
-                for c in _cells_of_card(O, n):
-                    slots = [_cells_of_card(O, s) for s in g.fiber_sizes()]
-                    for bs in itertools.product(*slots):
-                        sub = is_operadic_cartesian(
-                            O, S.lift(g, c, bs),
-                            cap=None if budget.cap is None else
-                            max(budget.cap - budget.used, 1))
-                        r.checked += sub.checked
-                        budget.spend(sub.checked)
-                        if sub.status == FAIL:
-                            return Report(r.name, FAIL, r.checked,
-                                          witness=(str(g), str(c), sub.witness))
-                        if sub.status == CAPPED or budget.exhausted:
-                            r.status = CAPPED
-                            return r
+    for g, c, bs in lift_instances(O.tc.zero_cells(), O.card0, S.bound):
+        sub = is_operadic_cartesian(
+            O, S.lift(g, c, bs),
+            cap=None if budget.cap is None else max(budget.cap - budget.used, 1))
+        # a capped sub-search has spent the rest of the budget, so charging
+        # its count caps r too
+        within = budget.charge(r, sub.checked)
+        if sub.status == FAIL:
+            return Report(r.name, FAIL, r.checked,
+                          witness=(str(g), str(c), sub.witness))
+        if not within:
+            return r
     return r
 
 
@@ -659,9 +626,7 @@ def check_trivial_subcategory(O: OperadicTwoCat,
         for t2 in trivial:
             if O.src0(t2) != O.dst0(t1):
                 continue
-            r.checked += 1
-            if not budget.spend():
-                r.status = CAPPED
+            if not budget.charge(r):
                 return r
             if not is_trivial(O, O.tc.compose1(t2, t1)):
                 return Report(r.name, FAIL, r.checked,
@@ -669,9 +634,7 @@ def check_trivial_subcategory(O: OperadicTwoCat,
     for t in trivial:
         x, y = O.dst0(t), O.src0(t)
         for psi in O.one_cells_into(y):
-            r.checked += 1
-            if not budget.spend():
-                r.status = CAPPED
+            if not budget.charge(r):
                 return r
             if O.fib0(x, O.tc.compose1(t, psi)) != O.fib0(y, psi):
                 return Report(r.name, FAIL, r.checked,
@@ -681,18 +644,7 @@ def check_trivial_subcategory(O: OperadicTwoCat,
 
 def _unique_filler(O, cartesian, theta, psis, base):
     """The unique triangle onto ``cartesian`` with the prescribed fibers."""
-    z = O.src0(theta)
-    t = O.dst0(cartesian)
-    hom_zt = O.tc.hom(z, t)
-    found = []
-    for d2 in O.tc.hom(z, O.src0(cartesian)).objects:
-        if O.card1(d2) != base:
-            continue
-        composite = O.tc.compose1(cartesian, d2)
-        for filler in hom_zt.hom(composite, theta):
-            tri = LaxTriangle(d2, theta, cartesian, filler)
-            if O.fib1(t, tri) == psis:
-                found.append(tri)
+    found = list(_fillers(O, cartesian, theta, psis, base))
     if len(found) != 1:
         raise ExtractionError("expected a unique filler, found %d" % len(found))
     return found[0]
@@ -720,11 +672,7 @@ def extract_operad(S: SplitFibrationData) -> TruncatedOperad:
         raise ExtractionError("expected a single chosen unit, got %r" % units)
     unit = units.pop()
 
-    mu = {}
-    for k in range(1, bound + 1):
-        for n in range(1, k + 1):
-            for g in enumerate_surjections(k, n):
-                mu[g] = _extracted_mu(S, g, components)
+    mu = {g: _extracted_mu(S, g, components) for g in all_surjections_up_to(bound)}
     return TruncatedOperad(bound, components, unit, mu,
                            name="extracted(%s)" % O.label)
 
@@ -858,7 +806,7 @@ def roundtrip_2cat(S: SplitFibrationData, cap: int | None = DEFAULT_CAP) -> Cert
     if bad:
         return Certificate("roundtrip 2-category", FAIL,
                            witness=("extracted operad invalid", bad[0].line()))
-    J = integrate(P2)
+    J = integrate(P2, validate=False)
     details = {"zero_cells": 0, "one_cells": 0, "two_cells": 0}
     budget = Budget(cap)
 
@@ -899,17 +847,12 @@ def roundtrip_2cat(S: SplitFibrationData, cap: int | None = DEFAULT_CAP) -> Cert
                 return Certificate("roundtrip 2-category", FAIL, details,
                                    witness=("2-cell bijection", str(xj), str(yj)))
     # functoriality on composable pairs
-    cells_by_src: dict = {}
-    for xj in J.zero_cells():
-        for yj in J.zero_cells():
-            for c in J.hom(xj, yj).objects:
-                cells_by_src.setdefault(c.src, []).append(c)
-    for f_cell in list(itertools.chain.from_iterable(cells_by_src.values())):
+    for f_cell in J.all_one_cells():
         if J.identity_one_cell(f_cell.src) == f_cell and \
            g1(f_cell) != O.tc.identity1(g0(f_cell.src)):
             return Certificate("roundtrip 2-category", FAIL, details,
                                witness=("identity", str(f_cell)))
-        for g_cell in cells_by_src.get(f_cell.dst, ()):
+        for g_cell in J.one_cells_from(f_cell.dst):
             if not budget.spend():
                 return Certificate("roundtrip 2-category", CAPPED, details)
             if g1(J.h_compose(g_cell, f_cell)) != \
@@ -917,7 +860,7 @@ def roundtrip_2cat(S: SplitFibrationData, cap: int | None = DEFAULT_CAP) -> Cert
                 return Certificate("roundtrip 2-category", FAIL, details,
                                    witness=("composition", str(f_cell), str(g_cell)))
     # cardinality, fibers, unit and lift preservation
-    for f_cell in list(itertools.chain.from_iterable(cells_by_src.values())):
+    for f_cell in J.all_one_cells():
         if O.card1(g1(f_cell)) != f_cell.f:
             return Certificate("roundtrip 2-category", FAIL, details,
                                witness=("cardinality", str(f_cell)))
@@ -925,20 +868,14 @@ def roundtrip_2cat(S: SplitFibrationData, cap: int | None = DEFAULT_CAP) -> Cert
            tuple(g0(c) for c in J.fibers_of_1cell(f_cell)):
             return Certificate("roundtrip 2-category", FAIL, details,
                                witness=("fibers", str(f_cell)))
-    for k in range(1, S.bound + 1):
-        for n in range(1, k + 1):
-            for g in enumerate_surjections(k, n):
-                for c in _cells_of_card(O, n):
-                    slots = [_cells_of_card(O, s) for s in g.fiber_sizes()]
-                    for bs in itertools.product(*slots):
-                        if not budget.spend():
-                            return Certificate("roundtrip 2-category", CAPPED, details)
-                        jl = J.cartesian_lift(g, ZeroCell(n, c),
-                                              tuple(ZeroCell(s, b) for s, b in
-                                                    zip(g.fiber_sizes(), bs)))
-                        if g1(jl) != S.lift(g, c, bs):
-                            return Certificate("roundtrip 2-category", FAIL, details,
-                                               witness=("lift", str(g), str(c)))
+    for g, c, bs in lift_instances(O.tc.zero_cells(), O.card0, S.bound):
+        if not budget.spend():
+            return Certificate("roundtrip 2-category", CAPPED, details)
+        jl = J.cartesian_lift(g, ZeroCell(g.cod, c),
+                              tuple(ZeroCell(s, b) for s, b in zip(g.fiber_sizes(), bs)))
+        if g1(jl) != S.lift(g, c, bs):
+            return Certificate("roundtrip 2-category", FAIL, details,
+                               witness=("lift", str(g), str(c)))
     zero_map = {x: g0(x) for x in J.zero_cells()}
     return Certificate("roundtrip 2-category", PASS, details,
                        maps={"zero": zero_map, "two": two_maps})
@@ -1070,12 +1007,11 @@ def _forced_extension_valid(IP: Integration, IQ: Integration, maps) -> bool:
     # every 1-cell must have an image, identities to identities
     images = {}
     for x in IP.zero_cells():
-        for y in IP.zero_cells():
-            for cell in IP.hom(x, y).objects:
-                img = h1(cell)
-                if img is None:
-                    return False
-                images[cell] = img
+        for cell in IP.one_cells_from(x):
+            img = h1(cell)
+            if img is None:
+                return False
+            images[cell] = img
         if images.get(IP.identity_one_cell(x)) != IQ.identity_one_cell(h0(x)):
             return False
     # 2-cells must have images
@@ -1086,26 +1022,17 @@ def _forced_extension_valid(IP: Integration, IQ: Integration, maps) -> bool:
                 if not Hq.hom(images[s], images[d]):
                     return False
     # composition must be preserved
-    for x in IP.zero_cells():
-        for y in IP.zero_cells():
-            for f_cell in IP.hom(x, y).objects:
-                for z in IP.zero_cells():
-                    for g_cell in IP.hom(y, z).objects:
-                        if images[IP.h_compose(g_cell, f_cell)] != \
-                           IQ.h_compose(images[g_cell], images[f_cell]):
-                            return False
+    for f_cell in IP.all_one_cells():
+        for g_cell in IP.one_cells_from(f_cell.dst):
+            if images[IP.h_compose(g_cell, f_cell)] != \
+               IQ.h_compose(images[g_cell], images[f_cell]):
+                return False
     # chosen lifts must be preserved
-    from .surjections import all_surjections_up_to
-    for g in all_surjections_up_to(P.bound):
-        sizes = g.fiber_sizes()
-        for c in P.component(g.cod).objects:
-            for bs in itertools.product(*[P.component(s).objects for s in sizes]):
-                fibers = tuple(ZeroCell(s, b) for s, b in zip(sizes, bs))
-                lift = IP.cartesian_lift(g, ZeroCell(g.cod, c), fibers)
-                target_fibers = tuple(h0(fc) for fc in fibers)
-                expected = IQ.cartesian_lift(g, h0(ZeroCell(g.cod, c)), target_fibers)
-                if images[lift] != expected:
-                    return False
+    for g, c, fibers in lift_instances(IP.zero_cells(), _arity, P.bound):
+        lift = IP.cartesian_lift(g, c, fibers)
+        expected = IQ.cartesian_lift(g, h0(c), tuple(h0(fc) for fc in fibers))
+        if images[lift] != expected:
+            return False
     return True
 
 

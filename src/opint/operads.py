@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from . import trees as T
 from .fincat import FinCat, Functor, poset_category, product, terminal_category, \
     validate_category, validate_functor
-from .report import CAPPED, DEFAULT_CAP, FAIL, PASS, Budget, Report
+from .report import DEFAULT_CAP, FAIL, PASS, Budget, Report
 from .surjections import Surjection, all_surjections_up_to, bang, block_cut, compose, \
     enumerate_surjections, identity_surjection, induced_map
 
@@ -173,6 +173,29 @@ def _assoc_instance(P, f, g, c, bs, as_, on_morphisms):
     return lhs, rhs
 
 
+def _assoc_arities(P, f, g):
+    """The arities of the arguments (c, b_1..b_n, a_1..a_m) of a pair."""
+    return P.arg_arities(g) + f.fiber_sizes()
+
+
+def _assoc_sweep(P, f, g, tuples, on_morphisms, r: Report) -> bool:
+    """Check the pair (f, g) on each tuple, counting on ``r``; False at
+    the first failure, which ``r`` then records."""
+    nb = g.cod
+    for tup in tuples:
+        r.checked += 1
+        c, bs, as_ = tup[0], tup[1:1 + nb], tup[1 + nb:]
+        lhs, rhs = _assoc_instance(P, f, g, c, bs, as_, on_morphisms)
+        if lhs != rhs:
+            r.status, r.witness = FAIL, (str(f), str(g), tup, lhs, rhs)
+            return False
+    return True
+
+
+def _object_tuples(P, f, g):
+    return itertools.product(*[P.component(a).objects for a in _assoc_arities(P, f, g)])
+
+
 def check_associativity(P: TruncatedOperad, cap: int | None = DEFAULT_CAP,
                         name: str = "associativity", seed: int = 0) -> Report:
     """Elementwise associativity over all composable surjection pairs.
@@ -181,48 +204,35 @@ def check_associativity(P: TruncatedOperad, cap: int | None = DEFAULT_CAP,
     exhaustively while the total stays within the cap and on a
     deterministic sample of 10000 tuples per surjection pair otherwise.
     """
-    checked = 0
+    r = Report(name, PASS, 0)
     sampled = False
     for f, g in _composable_pairs(P.bound):
-        obj_slots = [P.component(g.cod).objects] + \
-            [P.component(s).objects for s in g.fiber_sizes()] + \
-            [P.component(s).objects for s in f.fiber_sizes()]
-        mor_slots = [P.component(g.cod).morphism_ids()] + \
-            [P.component(s).morphism_ids() for s in g.fiber_sizes()] + \
-            [P.component(s).morphism_ids() for s in f.fiber_sizes()]
-        nb = g.cod
-        for tup in itertools.product(*obj_slots):
-            checked += 1
-            c, bs, as_ = tup[0], tup[1:1 + nb], tup[1 + nb:]
-            lhs, rhs = _assoc_instance(P, f, g, c, bs, as_, on_morphisms=False)
-            if lhs != rhs:
-                return Report(name, FAIL, checked,
-                              witness=(str(f), str(g), tup, lhs, rhs))
+        if not _assoc_sweep(P, f, g, _object_tuples(P, f, g), False, r):
+            return r
+        mor_slots = [P.component(a).morphism_ids() for a in _assoc_arities(P, f, g)]
         total = 1
         for s in mor_slots:
             total *= len(s)
         radix = [len(s) for s in mor_slots]
-        if cap is not None and checked + total > cap:
+        if cap is not None and r.checked + total > cap:
             rng = random.Random(seed)
             sampled = True
             picks = sorted(rng.randrange(total) for _ in range(min(total, 10_000)))
         else:
             picks = range(total)
-        for idx in picks:
-            checked += 1
+
+        def decode(idx):
             tup = []
-            rem = idx
-            for r, slot in zip(reversed(radix), reversed(mor_slots)):
-                tup.append(slot[rem % r])
-                rem //= r
-            tup = tuple(reversed(tup))
-            c, bs, as_ = tup[0], tup[1:1 + nb], tup[1 + nb:]
-            lhs, rhs = _assoc_instance(P, f, g, c, bs, as_, on_morphisms=True)
-            if lhs != rhs:
-                return Report(name, FAIL, checked,
-                              witness=(str(f), str(g), tup, lhs, rhs))
-    notes = ["morphism tuples sampled"] if sampled else []
-    return Report(name, PASS, checked, notes=notes)
+            for n, slot in zip(reversed(radix), reversed(mor_slots)):
+                tup.append(slot[idx % n])
+                idx //= n
+            return tuple(reversed(tup))
+
+        if not _assoc_sweep(P, f, g, map(decode, picks), True, r):
+            return r
+    if sampled:
+        r.notes.append("morphism tuples sampled")
+    return r
 
 
 def validate_operad(P: TruncatedOperad, deep: bool = False,
@@ -266,26 +276,12 @@ def validate_operad(P: TruncatedOperad, deep: bool = False,
             for g in all_surjections_up_to(P.bound):
                 reports.append(validate_functor(P.mu[g], "mu functor %s" % g))
         else:
-            obj_only = _object_level_associativity(P)
+            obj_only = Report("associativity (objects)", PASS, 0)
+            for f, g in _composable_pairs(P.bound):
+                if not _assoc_sweep(P, f, g, _object_tuples(P, f, g), False, obj_only):
+                    break
             reports.append(obj_only)
     return reports
-
-
-def _object_level_associativity(P) -> Report:
-    checked = 0
-    for f, g in _composable_pairs(P.bound):
-        slots = [P.component(g.cod).objects] + \
-            [P.component(s).objects for s in g.fiber_sizes()] + \
-            [P.component(s).objects for s in f.fiber_sizes()]
-        nb = g.cod
-        for tup in itertools.product(*slots):
-            checked += 1
-            c, bs, as_ = tup[0], tup[1:1 + nb], tup[1 + nb:]
-            lhs, rhs = _assoc_instance(P, f, g, c, bs, as_, on_morphisms=False)
-            if lhs != rhs:
-                return Report("associativity (objects)", FAIL, checked,
-                              witness=(str(f), str(g), tup, lhs, rhs))
-    return Report("associativity (objects)", PASS, checked)
 
 
 # ---------------------------------------------------------------------------
@@ -314,37 +310,35 @@ def validate_operad_morphism(F: OperadMorphism, cap: int | None = DEFAULT_CAP,
     P, Q = F.source, F.target
     if P.bound != Q.bound:
         return Report(name, FAIL, 0, witness="bounds differ")
-    checked = 0
+    r = Report(name, PASS, 0)
     for n in range(1, P.bound + 1):
         sub = validate_functor(F.functors[n], "component %d" % n)
-        checked += sub.checked
+        r.checked += sub.checked
         if not sub.ok:
-            return Report(name, FAIL, checked, witness=sub.witness)
+            return Report(name, FAIL, r.checked, witness=sub.witness)
     if F.on_obj(1, P.unit) != Q.unit:
-        return Report(name, FAIL, checked, witness=("unit not preserved",
-                                                    F.on_obj(1, P.unit)))
+        return Report(name, FAIL, r.checked, witness=("unit not preserved",
+                                                      F.on_obj(1, P.unit)))
     budget = Budget(cap)
     for g in all_surjections_up_to(P.bound):
         arities = P.arg_arities(g)
         obj_slots = [P.component(a).objects for a in arities]
         for tup in itertools.product(*obj_slots):
-            checked += 1
+            r.checked += 1
             budget.spend()
             lhs = F.on_obj(g.dom, P.apply_obj(g, tup))
             rhs = Q.apply_obj(g, tuple(F.on_obj(n, a) for n, a in zip(arities, tup)))
             if lhs != rhs:
-                return Report(name, FAIL, checked, witness=(str(g), tup, lhs, rhs))
+                return Report(name, FAIL, r.checked, witness=(str(g), tup, lhs, rhs))
         mor_slots = [P.component(a).morphism_ids() for a in arities]
         for tup in itertools.product(*mor_slots):
-            checked += 1
-            if not budget.spend():
-                return Report(name, CAPPED, checked,
-                              notes=["cap %r reached" % budget.cap])
+            if not budget.charge(r):
+                return r
             lhs = F.on_mor(g.dom, P.apply_mor(g, tup))
             rhs = Q.apply_mor(g, tuple(F.on_mor(n, m) for n, m in zip(arities, tup)))
             if lhs != rhs:
-                return Report(name, FAIL, checked, witness=(str(g), tup, lhs, rhs))
-    return Report(name, PASS, checked)
+                return Report(name, FAIL, r.checked, witness=(str(g), tup, lhs, rhs))
+    return r
 
 
 def identity_operad_morphism(P: TruncatedOperad) -> OperadMorphism:

@@ -56,6 +56,16 @@ class Budget:
             return False
         return True
 
+    def charge(self, r: Report, k: int = 1) -> bool:
+        """Count k instances on ``r`` and spend them; once the cap is
+        reached, mark ``r`` capped with a note and return False."""
+        r.checked += k
+        if self.spend(k):
+            return True
+        r.status = CAPPED
+        r.notes.append("cap %r reached" % self.cap)
+        return False
+
 
 def summarize(reports) -> str:
     """Worst status across reports: fail beats capped beats pass."""

@@ -1,4 +1,7 @@
 import json
+import pathlib
+
+import pytest
 
 from opint import jsonio
 from opint.cli import main
@@ -122,6 +125,31 @@ def test_check_verb_small(capsys):
 def test_capped_exit_code(capsys):
     code, out, _ = run(capsys, "check", "--operad", "nat:3", "--cap", "50")
     assert code == 3
+
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("spec", ["terminal:3", "trees:3"])
+def test_check_json_matches_golden(capsys, spec):
+    # the files hold the verbatim output of an earlier release; any change
+    # to a verdict, an instance count, a witness or the report order shows
+    code, out, _ = run(capsys, "check", "--operad", spec, "--json")
+    assert code == 0
+    assert out == (GOLDEN / ("check_%s.json" % spec.replace(":", ""))).read_text()
+
+
+@pytest.mark.parametrize("verb", ["check", "integrate", "extract", "roundtrip"])
+def test_invalid_operad_exits_with_report(tmp_path, capsys, verb):
+    # unit 2 breaks both unit laws of the saturating chain
+    data = jsonio.operad_to_json(nat_operad(2))
+    data["unit"] = 2
+    path = tmp_path / "bad_unit.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run(capsys, verb, "--operad", str(path))
+    assert code == 1
+    assert err.startswith("error: ") and "unitality: fail" in err
+    assert "Traceback" not in err
 
 
 def test_failed_check_exit_code(tmp_path, capsys):

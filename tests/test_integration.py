@@ -7,6 +7,7 @@ from opint.integration import (
     check_integration_map, check_projection, check_two_category_laws, integrate,
     integrate_morphism, lali_terminals,
 )
+from opint.operadic import OperadicTwoCat
 from opint.operads import (
     identity_operad_morphism, morphism_to_terminal, nat_operad, terminal_operad,
     tree_operad,
@@ -187,9 +188,10 @@ def test_identity_triangle_fibers_are_terminal_maps():
 
 def test_triangle_fiber_endpoints_match_block_cut():
     I = integrate(nat_operad(4))
+    O = OperadicTwoCat.from_integration(I)
     x = ZeroCell(1, 1)
-    for phi in I.cells_into(x):
-        for tri in I.triangles_onto(phi):
+    for phi in O.one_cells_into(x):
+        for tri in O.triangles_onto(phi):
             fibers = I.fibers_of_lax_triangle(tri)
             assert tuple(c.dst for c in fibers) == I.fibers_of_1cell(tri.d0)
             assert tuple(c.src for c in fibers) == I.fibers_of_1cell(tri.d1)
@@ -257,10 +259,11 @@ def test_cartesian_lift_arity_errors():
 
 def test_slice_two_cell_fibers_partition_by_blocks():
     I = integrate(nat_operad(3))
+    O = OperadicTwoCat.from_integration(I)
     x = ZeroCell(1, 0)
     count = 0
-    for phi in I.cells_into(x):
-        triangles = list(I.triangles_onto(phi))
+    for phi in O.one_cells_into(x):
+        triangles = list(O.triangles_onto(phi))
         for t1 in triangles:
             for t2 in triangles:
                 if t1.d1 != t2.d1:

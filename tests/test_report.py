@@ -1,0 +1,89 @@
+import importlib
+import importlib.util
+import pathlib
+
+import pytest
+
+from opint.integration import (
+    ZeroCell, check_factorization, check_integration_map, check_projection,
+    check_two_category_laws, integrate, integrate_morphism,
+)
+from opint.operadic import (
+    canonical_fibration, check_all_lifts_cartesian, check_operadic_axioms,
+    check_splitting, check_trivial_subcategory, is_operadic_cartesian,
+)
+from opint.operads import identity_operad_morphism, tree_operad, \
+    validate_operad_morphism
+from opint.report import CAPPED, Budget, Report
+from opint.trees import LEAF
+
+P = tree_operad(3)
+I = integrate(P)
+S = canonical_fibration(I)
+O = S.operadic
+UNIT = ZeroCell(1, LEAF)
+
+# each capping checker on trees:3 with cap=1, and the reports it caps;
+# the axioms and the two-category laws share one budget among their checks
+CAPPING = {
+    "two-category laws": (lambda: check_two_category_laws(I, cap=1),
+                          {"horizontal associativity", "interchange"}),
+    "projection": (lambda: [check_projection(I, cap=1)], {"projection"}),
+    "factorization": (lambda: [check_factorization(I, cap=1)],
+                      {"strict factorization"}),
+    "integration map": (lambda: [check_integration_map(
+        integrate_morphism(identity_operad_morphism(P), I, I), cap=1)],
+        {"integration 2-functor"}),
+    "operadic axioms": (lambda: check_operadic_axioms(O, cap=1),
+                        {"axiom (i)", "axiom (iv)", "axiom (v)",
+                         "axiom (v) one-cells"}),
+    "operadic cartesian": (lambda: [is_operadic_cartesian(
+        O, I.identity_one_cell(UNIT), cap=1)], {"operadic cartesian"}),
+    "splitting": (lambda: [check_splitting(S, cap=1)], {"splitting"}),
+    "cartesian lifts": (lambda: [check_all_lifts_cartesian(S, cap=1)],
+                        {"cartesian lifts"}),
+    "trivial subcategory": (lambda: [check_trivial_subcategory(O, cap=1)],
+                            {"trivial subcategory"}),
+    "operad morphism": (lambda: [validate_operad_morphism(
+        identity_operad_morphism(P), cap=1, name="operad morphism")],
+        {"operad morphism"}),
+}
+
+
+@pytest.mark.parametrize("checker", sorted(CAPPING))
+def test_capped_reports_carry_the_cap_note(checker):
+    run, expected = CAPPING[checker]
+    reports = run()
+    assert {r.name for r in reports if r.status == CAPPED} == expected
+    for r in reports:
+        if r.status == CAPPED:
+            assert r.notes == ["cap 1 reached"], r.line()
+        else:
+            assert r.ok, r.line()
+
+
+def test_charge_counts_before_capping():
+    budget = Budget(2)
+    r = Report("r")
+    assert budget.charge(r) and budget.charge(r)
+    assert not budget.charge(r)
+    assert (r.checked, r.status, r.notes) == (3, CAPPED, ["cap 2 reached"])
+    unbounded = Report("u")
+    assert Budget(None).charge(unbounded, 10 ** 9) and unbounded.checked == 10 ** 9
+
+
+def test_bench_trace_targets_resolve():
+    # bench/tracing.py wraps these by name and raises KeyError on a missing
+    # one, so a rename in opint must show up here first
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("opint_bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.TARGETS
+    for _, module, attr in tracing.TARGETS:
+        owner = importlib.import_module("opint." + module)
+        if "." in attr:
+            cls_name, attr = attr.split(".")
+            owner = getattr(owner, cls_name)
+        assert attr in vars(owner), (module, attr)
+        assert callable(vars(owner)[attr])
