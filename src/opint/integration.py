@@ -10,118 +10,106 @@ delta_i: a'_i -> a''_i subject to  alpha'' o mu_f(1, delta) = alpha'.
 Every hom is materialized on demand as a finite category of 1-cells and
 2-cells; the projection to the surjection calculus is carried on the
 cells themselves (the ``f`` field), never recomputed.
+
+Cells are hash-consed: building a cell whose fields equal those of a
+live cell returns that very cell, so two cells are equal exactly when
+they are identical.  The checkers compare and hash cells millions of
+times; identity makes each O(1), not a deep structural walk.  The
+tables hold cells weakly, so a dropped integration's cells are freed.
 """
 
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass
-from typing import Any
+from functools import partial
 
-from .fincat import FinCat, terminal_object
+from .fincat import FinCat, terminal_object, validate_category
 from .operads import OperadMorphism, TruncatedOperad, validate_operad, \
     validate_operad_morphism
 from .report import DEFAULT_CAP, FAIL, PASS, Budget, Report
 from .surjections import CompositionError, Surjection, all_surjections_up_to, \
-    block_cut, compose, identity_surjection, induced_map
+    block_cut, compose, enumerate_surjections, identity_surjection, induced_map
 
 
 class InvalidOperad(ValueError):
     """The operad handed to ``integrate`` failed structural validation."""
 
 
-@dataclass(frozen=True)
-class ZeroCell:
-    arity: int
-    obj: Any
+class _HashConsed:
+    """An immutable record, hash-consed on its fields (one table per class)."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.arity, self.obj)))
+    __slots__ = ("__weakref__",)
 
-    def __hash__(self):
-        return self._hash
+    def __init_subclass__(cls):
+        cls._live = {}   # fields -> weak reference to the live cell
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
+    def __new__(cls, *fields):
+        ref = cls._live.get(fields)
+        cell = ref() if ref is not None else None
+        if cell is None:
+            cell = object.__new__(cls)
+            for set_field, value in zip(cls._setters, fields, strict=True):
+                set_field(cell, value)
+            cls._live[fields] = weakref.ref(cell, partial(cls._forget, fields))
+        return cell
+
+    @classmethod
+    def _forget(cls, fields, ref):
+        # the entry may already hold a newer cell, built after ref died
+        if cls._live.get(fields) is ref:
+            del cls._live[fields]
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cells are immutable")
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, ", ".join(
+            "%s=%r" % (name, getattr(self, name)) for name in self.__slots__))
+
+
+class ZeroCell(_HashConsed):
+    __slots__ = ("arity", "obj")
 
     def __str__(self):
         return "[%d,%s]" % (self.arity, self.obj)
 
 
-@dataclass(frozen=True)
-class OneCell:
-    f: Surjection
-    args: tuple
-    alpha: Any
-    src: ZeroCell
-    dst: ZeroCell
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "_hash",
-            hash((self.f, self.args, self.alpha, self.src, self.dst)))
-
-    def __hash__(self):
-        return self._hash
+class OneCell(_HashConsed):
+    __slots__ = ("f", "args", "alpha", "src", "dst")
 
     def __str__(self):
         return "[%s; %s; %s]: %s -> %s" % (
             self.f, ",".join(map(str, self.args)), self.alpha, self.src, self.dst)
 
 
-@dataclass(frozen=True)
-class TwoCell:
-    src: OneCell
-    dst: OneCell
-    deltas: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.src, self.dst, self.deltas)))
-
-    def __hash__(self):
-        return self._hash
+class TwoCell(_HashConsed):
+    __slots__ = ("src", "dst", "deltas")
 
     def __str__(self):
         return "(%s) => (%s) via %s" % (self.src, self.dst, list(self.deltas))
 
 
-@dataclass(frozen=True)
-class LaxTriangle:
+class LaxTriangle(_HashConsed):
     """A triangle d0 o d2 => d1 with the given filler 2-cell.
 
     ``d2`` is the top map z -> y, ``d0`` the right face y -> x, ``d1``
     the left face z -> x; the filler runs from the composite to d1.
     """
 
-    d2: Any
-    d1: Any
-    d0: Any
-    filler: Any
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "_hash", hash((self.d2, self.d1, self.d0, self.filler)))
-
-    def __hash__(self):
-        return self._hash
+    __slots__ = ("d2", "d1", "d0", "filler")
 
 
-@dataclass(frozen=True)
-class SliceTwoCell:
+class SliceTwoCell(_HashConsed):
     """A 2-cell of the lax slice between two parallel triangles onto d0.
 
     ``gamma`` is a 2-cell d2(src) => d2(dst) whiskering compatibly with
     the fillers; ``src`` and ``dst`` share both faces d0 and d1.
     """
 
-    d0: Any
-    src: LaxTriangle
-    dst: LaxTriangle
-    gamma: Any
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "_hash", hash((self.d0, self.src, self.dst, self.gamma)))
-
-    def __hash__(self):
-        return self._hash
+    __slots__ = ("d0", "src", "dst", "gamma")
 
 
 class Integration:
@@ -141,6 +129,7 @@ class Integration:
         self._id1: dict = {}
         self._id2: dict = {}
         self._fibtri: dict = {}
+        self._hits = dict.fromkeys(("hcomp", "hcomp2", "vcomp", "fibtri"), 0)
         self._zero = tuple(ZeroCell(n, a)
                            for n in range(1, P.bound + 1)
                            for a in P.component(n).objects)
@@ -185,6 +174,11 @@ class Integration:
     def two_cell(self, src: OneCell, dst: OneCell, deltas) -> TwoCell:
         """Build a validated 2-cell; raises if the compatibility fails."""
         deltas = tuple(deltas)
+        cell = TwoCell(src, dst, deltas)
+        # a built hom holds exactly the 2-cells that pass the checks below
+        built = self._homs.get((src.src, src.dst))
+        if built is not None and built.has_morphism(cell):
+            return cell
         if src.f != dst.f or src.src != dst.src or src.dst != dst.dst:
             raise ValueError("no 2-cells between %s and %s" % (src, dst))
         P = self.P
@@ -195,7 +189,7 @@ class Integration:
         whisker = P.apply_mixed(src.f, (dst.dst.obj,) + deltas)
         if P.compose_in(src.f.dom, dst.alpha, whisker) != src.alpha:
             raise ValueError("2-cell condition fails for %s => %s" % (src, dst))
-        return TwoCell(src, dst, deltas)
+        return cell
 
     def identity_two_cell(self, cell: OneCell) -> TwoCell:
         if cell not in self._id2:
@@ -209,8 +203,10 @@ class Integration:
     def h_compose(self, second: OneCell, first: OneCell) -> OneCell:
         """Horizontal composite: ``first`` then ``second``."""
         key = (second, first)
-        if key in self._hcomp:
-            return self._hcomp[key]
+        out = self._hcomp.get(key)
+        if out is not None:
+            self._hits["hcomp"] += 1
+            return out
         if first.dst != second.src:
             raise CompositionError("cells %s and %s do not meet" % (first, second))
         P = self.P
@@ -229,6 +225,7 @@ class Integration:
         key = (second, first)
         out = self._vcomp.get(key)
         if out is not None:
+            self._hits["vcomp"] += 1
             return out
         if first.dst != second.src:
             raise CompositionError("2-cells do not meet")
@@ -247,8 +244,10 @@ class Integration:
         mu_{f^i}(eps_i, block of deltas), f the inner surjection.
         """
         key = (second, first)
-        if key in self._hcomp2:
-            return self._hcomp2[key]
+        out = self._hcomp2.get(key)
+        if out is not None:
+            self._hits["hcomp2"] += 1
+            return out
         P = self.P
         f, g = first.src.f, second.src.f
         blocks = block_cut(first.deltas, g)
@@ -261,6 +260,14 @@ class Integration:
         self._hcomp2[key] = out
         return out
 
+    def stats(self) -> dict:
+        """Live cells per class (process-wide) and, per composition memo
+        of this integration, its size and its hit count."""
+        return {"live_cells": {cls.__name__: len(cls._live)
+                               for cls in _HashConsed.__subclasses__()},
+                "memos": {name: {"size": len(getattr(self, "_" + name)), "hits": hits}
+                          for name, hits in self._hits.items()}}
+
     # protocol aliases used by the operadic layer
     compose1 = h_compose
     identity1 = identity_one_cell
@@ -272,7 +279,6 @@ class Integration:
 
     def one_cells(self, x: ZeroCell, y: ZeroCell):
         """All 1-cells x -> y, in deterministic order."""
-        from .surjections import enumerate_surjections
         P = self.P
         out = []
         Cm = P.component(x.arity)
@@ -305,15 +311,8 @@ class Integration:
                         whisker = P.apply_mixed(f, (y.obj,) + deltas)
                         if P.compose_in(f.dom, dst.alpha, whisker) == src.alpha:
                             twos.append(TwoCell(src, dst, deltas))
-        by_src: dict = {}
-        for t in twos:
-            by_src.setdefault(t.src, []).append(t)
-        comp = {}
-        for t1 in twos:
-            for t2 in by_src.get(t1.dst, ()):
-                comp[(t2, t1)] = self.v_compose(t2, t1)
         identity = {c: self.identity_two_cell(c) for c in cells}
-        cat = FinCat(cells, [(t, t.src, t.dst) for t in twos], identity, comp)
+        cat = FinCat(cells, [(t, t.src, t.dst) for t in twos], identity, self.v_compose)
         self._homs[key] = cat
         return cat
 
@@ -375,6 +374,7 @@ class Integration:
         """The induced 1-cells between the fibers of d1 and d0."""
         cached = self._fibtri.get(tri)
         if cached is not None:
+            self._hits["fibtri"] += 1
             return cached
         psi, phi, theta = tri.d2, tri.d0, tri.d1
         f, g = psi.f, phi.f
@@ -500,7 +500,6 @@ def check_two_category_laws(I: Integration, cap: int | None = DEFAULT_CAP) -> li
 
 
 def _check_hom_categories(I: Integration) -> Report:
-    from .fincat import validate_category
     r = Report("hom categories", PASS, 0)
     for x in I.zero_cells():
         for y in I.zero_cells():

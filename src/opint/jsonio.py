@@ -191,6 +191,8 @@ def certificate_to_json(cert) -> dict:
                 for k, v in cert.details.items()})
     if cert.witness is not None:
         out["witness"] = str(cert.witness)
+    if cert.notes:
+        out.update(checked=cert.checked, notes=cert.notes)
     return out
 
 

@@ -15,12 +15,12 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from .fincat import FinCat, Functor, product, terminal_object
+from .fincat import FinCat, Functor, product, terminal_object, validate_functor
 from .integration import (
     Integration, LaxTriangle, OneCell, SliceTwoCell, ZeroCell, _arity, integrate,
     lift_instances, two_cat_components,
 )
-from .operads import TruncatedOperad, _composable_pairs, validate_operad
+from .operads import OperadMorphism, TruncatedOperad, _composable_pairs, validate_operad
 from .report import CAPPED, DEFAULT_CAP, FAIL, PASS, Budget, Report
 from .surjections import (
     Surjection, all_surjections_up_to, bang, block_cut, compose, enumerate_surjections,
@@ -58,9 +58,6 @@ class OperadicTwoCat:
     _tri_cache: dict = field(default_factory=dict, repr=False)
     _fib1_cache: dict = field(default_factory=dict, repr=False)
 
-    def components(self):
-        return list(self.lali)
-
     def component_of(self, x):
         for comp in self.lali:
             if x in comp:
@@ -92,10 +89,10 @@ class OperadicTwoCat:
         return self._tri_cache[phi]
 
     def fib1_cached(self, x, tri):
-        key = (x, tri)
-        if key not in self._fib1_cache:
-            self._fib1_cache[key] = self.fib1(x, tri)
-        return self._fib1_cache[key]
+        out = self._fib1_cache.get((x, tri))
+        if out is None:
+            out = self._fib1_cache[(x, tri)] = self.fib1(x, tri)
+        return out
 
     def slice_compose(self, second: LaxTriangle, first: LaxTriangle) -> LaxTriangle:
         """Composition of lax-slice morphisms over a common vertex."""
@@ -598,8 +595,7 @@ def trivial_subcategory(O: OperadicTwoCat, n: int) -> FinCat:
     identity = {x: O.tc.identity1(x) for x in objects}
 
     def comp(t2, t1):
-        out = O.tc.compose1(t1, t2)
-        return out
+        return O.tc.compose1(t1, t2)
 
     return FinCat(objects, morphisms, identity, comp)
 
@@ -717,6 +713,8 @@ class Certificate:
     details: dict = field(default_factory=dict)
     witness: object = None
     maps: dict = field(default_factory=dict, repr=False)  # replayable functor data
+    checked: int = 0        # instances charged to the budget
+    notes: list = field(default_factory=list)
 
     @property
     def ok(self):
@@ -726,6 +724,8 @@ class Certificate:
         msg = "%s: %s" % (self.name, self.status)
         if self.witness is not None:
             msg += " witness=%s" % (self.witness,)
+        if self.notes:
+            msg += " (%d instances) [%s]" % (self.checked, "; ".join(self.notes))
         return msg
 
 
@@ -761,7 +761,6 @@ def roundtrip_operad(P: TruncatedOperad, cap: int | None = DEFAULT_CAP) -> Certi
             return Certificate("roundtrip operad", FAIL, details,
                                witness=("morphism bijection", n))
         F = Functor(C, D, obj_map, mor_map)
-        from .fincat import validate_functor
         if not validate_functor(F).ok:
             return Certificate("roundtrip operad", FAIL, details,
                                witness=("functoriality", n))
@@ -773,11 +772,13 @@ def roundtrip_operad(P: TruncatedOperad, cap: int | None = DEFAULT_CAP) -> Certi
     if obj_maps[1][P.unit] != P2.unit:
         return Certificate("roundtrip operad", FAIL, details, witness="unit")
     budget = Budget(cap)
+    capped = Certificate("roundtrip operad", CAPPED, details)
     for g in P.mu:
         arities = P.arg_arities(g)
         for tup in itertools.product(*[P.component(a).objects for a in arities]):
             details["mu_checked"] += 1
-            budget.spend()
+            if not budget.charge(capped):
+                return capped
             lhs = obj_maps[g.dom][P.apply_obj(g, tup)]
             rhs = P2.apply_obj(g, tuple(obj_maps[a][v] for a, v in zip(arities, tup)))
             if lhs != rhs:
@@ -786,8 +787,8 @@ def roundtrip_operad(P: TruncatedOperad, cap: int | None = DEFAULT_CAP) -> Certi
         for tup in itertools.product(*[P.component(a).morphism_ids()
                                        for a in arities]):
             details["mu_checked"] += 1
-            if not budget.spend():
-                return Certificate("roundtrip operad", CAPPED, details)
+            if not budget.charge(capped):
+                return capped
             lhs = mor_maps[g.dom][P.apply_mor(g, tup)]
             rhs = P2.apply_mor(g, tuple(mor_maps[a][v] for a, v in zip(arities, tup)))
             if lhs != rhs:
@@ -809,6 +810,7 @@ def roundtrip_2cat(S: SplitFibrationData, cap: int | None = DEFAULT_CAP) -> Cert
     J = integrate(P2, validate=False)
     details = {"zero_cells": 0, "one_cells": 0, "two_cells": 0}
     budget = Budget(cap)
+    capped = Certificate("roundtrip 2-category", CAPPED, details)
 
     def g0(x: ZeroCell):
         return x.obj
@@ -834,7 +836,8 @@ def roundtrip_2cat(S: SplitFibrationData, cap: int | None = DEFAULT_CAP) -> Cert
                                    witness=("1-cell bijection", str(xj), str(yj)))
             details["one_cells"] += len(images)
             for t, s, d in Hj.morphisms():
-                budget.spend()
+                if not budget.charge(capped):
+                    return capped
                 image = _image_two_cell(O, g1(s), g1(d), t.deltas)
                 if image is None:
                     return Certificate("roundtrip 2-category", FAIL, details,
@@ -853,8 +856,8 @@ def roundtrip_2cat(S: SplitFibrationData, cap: int | None = DEFAULT_CAP) -> Cert
             return Certificate("roundtrip 2-category", FAIL, details,
                                witness=("identity", str(f_cell)))
         for g_cell in J.one_cells_from(f_cell.dst):
-            if not budget.spend():
-                return Certificate("roundtrip 2-category", CAPPED, details)
+            if not budget.charge(capped):
+                return capped
             if g1(J.h_compose(g_cell, f_cell)) != \
                O.tc.compose1(g1(g_cell), g1(f_cell)):
                 return Certificate("roundtrip 2-category", FAIL, details,
@@ -869,8 +872,8 @@ def roundtrip_2cat(S: SplitFibrationData, cap: int | None = DEFAULT_CAP) -> Cert
             return Certificate("roundtrip 2-category", FAIL, details,
                                witness=("fibers", str(f_cell)))
     for g, c, bs in lift_instances(O.tc.zero_cells(), O.card0, S.bound):
-        if not budget.spend():
-            return Certificate("roundtrip 2-category", CAPPED, details)
+        if not budget.charge(capped):
+            return capped
         jl = J.cartesian_lift(g, ZeroCell(g.cod, c),
                               tuple(ZeroCell(s, b) for s, b in zip(g.fiber_sizes(), bs)))
         if g1(jl) != S.lift(g, c, bs):
@@ -921,7 +924,6 @@ def enumerate_operad_morphisms(P: TruncatedOperad, Q: TruncatedOperad) -> list:
     if not (_is_poset_operad(P) and _is_poset_operad(Q)) or P.bound != Q.bound:
         raise ValueError("enumeration implemented for poset-valued operads "
                          "of equal bound")
-    from .operads import OperadMorphism
     per_arity = []
     for n in range(1, P.bound + 1):
         C, D = P.component(n), Q.component(n)

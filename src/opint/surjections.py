@@ -180,11 +180,8 @@ def block_cut(seq, g: Surjection) -> tuple[tuple, ...]:
     seq = tuple(seq)
     if len(seq) != g.dom:
         raise ValueError("sequence of length %d cannot be cut along %s" % (len(seq), g))
-    return _block_cut(seq, g)
-
-
-@lru_cache(maxsize=None)
-def _block_cut(seq: tuple, g: Surjection) -> tuple[tuple, ...]:
+    # not memoized: a process-wide cache on seq would keep every cell cut
+    # here alive
     blocks = []
     pos = 0
     for size in g.fiber_sizes():

@@ -1,0 +1,133 @@
+"""Hash-consed cells, the known-2-cell path of ``two_cell`` and the
+integration's cache statistics."""
+
+import gc
+import weakref
+
+import pytest
+
+from opint import jsonio
+from opint.integration import (
+    LaxTriangle, OneCell, SliceTwoCell, TwoCell, ZeroCell, check_two_category_laws,
+    integrate,
+)
+from opint.operadic import OperadicTwoCat, check_operadic_axioms
+from opint.operads import nat_operad, tree_operad
+from opint.surjections import Surjection
+from opint.trees import corolla
+
+
+def z2_operad(obj):
+    """Arity 1 only: one object ``obj`` whose morphisms form the group
+    Z/2 = {e, s}, composed by mu as by the group law.  Its hom has
+    parallel morphisms, so the 2-cell condition can fail on well-typed
+    components."""
+    def law(g, f):
+        return "e" if g == f else "s"
+
+    return jsonio.operad_from_json({
+        "bound": 1, "unit": obj, "name": "Z/2",
+        "components": [{
+            "objects": [obj],
+            "morphisms": [{"id": m, "src": obj, "dst": obj} for m in "es"],
+            "identities": {obj: "e"},
+            "comp": [[g, f, law(g, f)] for g in "es" for f in "es"]}],
+        "mu": [{"g": {"dom": 1, "cod": 1, "values": [1]},
+                "graph": [[[obj, obj], obj]],
+                "mor_graph": [[[g, f], law(g, f)] for g in "es" for f in "es"]}]})
+
+
+def test_cells_built_twice_are_identical():
+    I = integrate(nat_operad(3))
+    x, y = ZeroCell(1, 3), ZeroCell(1, 1)
+    assert ZeroCell(1, 3) is x
+    H = I.hom(x, y)
+    cell = H.objects[0]
+    assert OneCell(cell.f, cell.args, cell.alpha, cell.src, cell.dst) is cell
+    assert I.one_cell(cell.f, list(cell.args), cell.alpha, y) is cell
+    for t, _, _ in H.morphisms():
+        assert TwoCell(t.src, t.dst, t.deltas) is t
+        assert I.two_cell(t.src, t.dst, list(t.deltas)) is t
+    ident = I.identity_one_cell(y)
+    tri = I.lax_triangle(cell, cell, ident, I.identity_two_cell(cell))
+    assert LaxTriangle(cell, cell, ident, I.identity_two_cell(cell)) is tri
+    gamma = I.identity_two_cell(cell)
+    xi = I.slice_two_cell(ident, tri, tri, gamma)
+    assert SliceTwoCell(ident, tri, tri, gamma) is xi
+    assert hash(xi) == hash(SliceTwoCell(ident, tri, tri, gamma))
+
+
+def test_cells_are_immutable_and_keep_their_repr():
+    x = ZeroCell(2, 7)
+    assert repr(x) == "ZeroCell(arity=2, obj=7)" and str(x) == "[2,7]"
+    with pytest.raises(AttributeError):
+        x.obj = 8
+    with pytest.raises(ValueError):
+        ZeroCell(2)
+
+
+def test_cells_of_two_integrations_compare_equal():
+    I, J = integrate(nat_operad(3)), integrate(nat_operad(3))
+    assert I.zero_cells() == J.zero_cells()
+    assert list(I.all_one_cells()) == list(J.all_one_cells())
+    for x in I.zero_cells():
+        for y in I.zero_cells():
+            assert I.hom(x, y).morphisms() == J.hom(x, y).morphisms()
+
+
+def test_cells_of_a_dropped_integration_are_freed():
+    # the object name is used by no other test, so nothing else holds
+    # these cells; the operadic checks route them through every cache
+    I = integrate(z2_operad("freed"))
+    assert all(r.ok for r in check_two_category_laws(I))
+    assert all(r.ok for r in check_operadic_axioms(OperadicTwoCat.from_integration(I)))
+    refs = [weakref.ref(c) for c in I.all_one_cells()]
+    refs.append(weakref.ref(I.zero_cells()[0]))
+    del I
+    gc.collect()
+    assert refs and all(ref() is None for ref in refs)
+
+
+@pytest.mark.parametrize("built", [True, False])
+def test_two_cell_rejects_a_failing_condition(built):
+    # in Z/2, e o mu(1, s) = s, not e: well typed, but no 2-cell
+    I = integrate(z2_operad("*"))
+    x = ZeroCell(1, "*")
+    e_cell = I.identity_one_cell(x)
+    if built:
+        I.hom(x, x)
+    with pytest.raises(ValueError, match=r"^2-cell condition fails for "):
+        I.two_cell(e_cell, e_cell, ("s",))
+
+
+def test_two_cell_rejects_cells_over_distinct_surjections():
+    I = integrate(tree_operad(3))
+    H = I.hom(ZeroCell(3, corolla(3)), ZeroCell(2, corolla(2)))
+    left = next(c for c in H.objects if c.f == Surjection(3, 2, (1, 1, 2)))
+    right = next(c for c in H.objects if c.f == Surjection(3, 2, (1, 2, 2)))
+    with pytest.raises(ValueError, match=r"^no 2-cells between "):
+        I.two_cell(left, right, I.identity_two_cell(left).deltas)
+
+
+def test_two_cell_rejects_an_ill_typed_component():
+    I = integrate(nat_operad(6))
+    H = I.hom(ZeroCell(1, 5), ZeroCell(1, 3))
+    t = next(t for t, _, _ in H.morphisms()
+             if t.src.args == (4,) and t.dst.args == (2,))
+    for bad in [(5, 5), (2, 4), "x"]:
+        with pytest.raises(ValueError, match=r"^component .* does not run 4 -> 2$"):
+            I.two_cell(t.src, t.dst, (bad,))
+
+
+def test_stats_count_memo_hits():
+    I = integrate(tree_operad(3))
+    assert all(m == {"size": 0, "hits": 0} for m in I.stats()["memos"].values())
+    assert all(r.ok for r in check_two_category_laws(I))
+    stats = I.stats()
+    for name in ("hcomp", "hcomp2", "vcomp"):
+        assert stats["memos"][name]["size"] > 0
+        assert stats["memos"][name]["hits"] > 0, name
+    assert stats["memos"]["fibtri"] == {"size": 0, "hits": 0}
+    live = stats["live_cells"]
+    assert set(live) == {"ZeroCell", "OneCell", "TwoCell", "LaxTriangle", "SliceTwoCell"}
+    assert live["OneCell"] >= sum(1 for _ in I.all_one_cells())

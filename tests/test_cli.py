@@ -130,13 +130,26 @@ def test_capped_exit_code(capsys):
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
-@pytest.mark.parametrize("spec", ["terminal:3", "trees:3"])
+@pytest.mark.parametrize("spec", ["terminal:3", "trees:3", "nat:3"])
 def test_check_json_matches_golden(capsys, spec):
     # the files hold the verbatim output of an earlier release; any change
     # to a verdict, an instance count, a witness or the report order shows
     code, out, _ = run(capsys, "check", "--operad", spec, "--json")
     assert code == 0
     assert out == (GOLDEN / ("check_%s.json" % spec.replace(":", ""))).read_text()
+
+
+def test_capped_roundtrip_reports_the_cap(capsys):
+    code, out, _ = run(capsys, "roundtrip", "--operad", "trees:3", "--cap", "1")
+    assert code == 3
+    assert out.splitlines() == [
+        "roundtrip operad: capped (2 instances) [cap 1 reached]",
+        "roundtrip 2-category: capped (2 instances) [cap 1 reached]"]
+    code, out, _ = run(capsys, "roundtrip", "--operad", "trees:3", "--cap", "1", "--json")
+    data = json.loads(out)
+    for part in ("operad", "two_category"):
+        assert data[part]["notes"] == ["cap 1 reached"]
+        assert data[part]["checked"] == 2
 
 
 @pytest.mark.parametrize("verb", ["check", "integrate", "extract", "roundtrip"])

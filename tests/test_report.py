@@ -10,7 +10,8 @@ from opint.integration import (
 )
 from opint.operadic import (
     canonical_fibration, check_all_lifts_cartesian, check_operadic_axioms,
-    check_splitting, check_trivial_subcategory, is_operadic_cartesian,
+    check_splitting, check_trivial_subcategory, is_operadic_cartesian, roundtrip_2cat,
+    roundtrip_operad,
 )
 from opint.operads import identity_operad_morphism, tree_operad, \
     validate_operad_morphism
@@ -47,6 +48,9 @@ CAPPING = {
     "operad morphism": (lambda: [validate_operad_morphism(
         identity_operad_morphism(P), cap=1, name="operad morphism")],
         {"operad morphism"}),
+    "roundtrip operad": (lambda: [roundtrip_operad(P, cap=1)], {"roundtrip operad"}),
+    "roundtrip 2-category": (lambda: [roundtrip_2cat(S, cap=1)],
+                             {"roundtrip 2-category"}),
 }
 
 
@@ -60,6 +64,14 @@ def test_capped_reports_carry_the_cap_note(checker):
             assert r.notes == ["cap 1 reached"], r.line()
         else:
             assert r.ok, r.line()
+
+
+def test_capped_roundtrip_2cat_stops_at_the_cap():
+    cert = roundtrip_2cat(S, cap=1)
+    assert (cert.status, cert.checked, cert.notes) == (CAPPED, 2, ["cap 1 reached"])
+    # one 2-cell within the cap, then no further work
+    assert cert.details["two_cells"] == 1
+    assert cert.line() == "roundtrip 2-category: capped (2 instances) [cap 1 reached]"
 
 
 def test_charge_counts_before_capping():
