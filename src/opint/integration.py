@@ -11,21 +11,22 @@ Every hom is materialized on demand as a finite category of 1-cells and
 2-cells; the projection to the surjection calculus is carried on the
 cells themselves (the ``f`` field), never recomputed.
 
-Cells are hash-consed: building a cell whose fields equal those of a
-live cell returns that very cell, so two cells are equal exactly when
-they are identical.  The checkers compare and hash cells millions of
-times; identity makes each O(1), not a deep structural walk.  The
-tables hold cells weakly, so a dropped integration's cells are freed.
+Cells are hash-consed (see ``interning``): building a cell whose fields
+equal those of a live cell returns that very cell, so two cells are
+equal exactly when they are identical.  The checkers compare and hash
+cells millions of times; identity makes each O(1), not a deep
+structural walk.  The tables hold cells weakly, so a dropped
+integration's cells are freed.  Homs, identities, composites and
+triangle fibers are ``memoized``; ``Integration.stats()`` reads the memos.
 """
 
 from __future__ import annotations
 
 import itertools
-import weakref
 from dataclasses import dataclass
-from functools import partial
 
 from .fincat import FinCat, terminal_object, validate_category
+from .interning import HashConsed, memo_tables, memoized
 from .operads import OperadMorphism, TruncatedOperad, validate_operad, \
     validate_operad_morphism
 from .report import DEFAULT_CAP, FAIL, PASS, Budget, Report
@@ -37,47 +38,14 @@ class InvalidOperad(ValueError):
     """The operad handed to ``integrate`` failed structural validation."""
 
 
-class _HashConsed:
-    """An immutable record, hash-consed on its fields (one table per class)."""
-
-    __slots__ = ("__weakref__",)
-
-    def __init_subclass__(cls):
-        cls._live = {}   # fields -> weak reference to the live cell
-        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
-
-    def __new__(cls, *fields):
-        ref = cls._live.get(fields)
-        cell = ref() if ref is not None else None
-        if cell is None:
-            cell = object.__new__(cls)
-            for set_field, value in zip(cls._setters, fields, strict=True):
-                set_field(cell, value)
-            cls._live[fields] = weakref.ref(cell, partial(cls._forget, fields))
-        return cell
-
-    @classmethod
-    def _forget(cls, fields, ref):
-        # the entry may already hold a newer cell, built after ref died
-        if cls._live.get(fields) is ref:
-            del cls._live[fields]
-
-    def __setattr__(self, name, value):
-        raise AttributeError("cells are immutable")
-
-    def __repr__(self):
-        return "%s(%s)" % (type(self).__name__, ", ".join(
-            "%s=%r" % (name, getattr(self, name)) for name in self.__slots__))
-
-
-class ZeroCell(_HashConsed):
+class ZeroCell(HashConsed):
     __slots__ = ("arity", "obj")
 
     def __str__(self):
         return "[%d,%s]" % (self.arity, self.obj)
 
 
-class OneCell(_HashConsed):
+class OneCell(HashConsed):
     __slots__ = ("f", "args", "alpha", "src", "dst")
 
     def __str__(self):
@@ -85,14 +53,14 @@ class OneCell(_HashConsed):
             self.f, ",".join(map(str, self.args)), self.alpha, self.src, self.dst)
 
 
-class TwoCell(_HashConsed):
+class TwoCell(HashConsed):
     __slots__ = ("src", "dst", "deltas")
 
     def __str__(self):
         return "(%s) => (%s) via %s" % (self.src, self.dst, list(self.deltas))
 
 
-class LaxTriangle(_HashConsed):
+class LaxTriangle(HashConsed):
     """A triangle d0 o d2 => d1 with the given filler 2-cell.
 
     ``d2`` is the top map z -> y, ``d0`` the right face y -> x, ``d1``
@@ -102,7 +70,7 @@ class LaxTriangle(_HashConsed):
     __slots__ = ("d2", "d1", "d0", "filler")
 
 
-class SliceTwoCell(_HashConsed):
+class SliceTwoCell(HashConsed):
     """A 2-cell of the lax slice between two parallel triangles onto d0.
 
     ``gamma`` is a 2-cell d2(src) => d2(dst) whiskering compatibly with
@@ -121,15 +89,8 @@ class Integration:
             if bad:
                 raise InvalidOperad("; ".join(r.line() for r in bad))
         self.P = P
-        self._homs: dict = {}
-        self._out: dict = {}
-        self._hcomp: dict = {}
-        self._hcomp2: dict = {}
-        self._vcomp: dict = {}
-        self._id1: dict = {}
-        self._id2: dict = {}
-        self._fibtri: dict = {}
-        self._hits = dict.fromkeys(("hcomp", "hcomp2", "vcomp", "fibtri"), 0)
+        self._memos, self._hits = memo_tables(
+            "hom", "out", "id1", "id2", "hcomp", "hcomp2", "vcomp", "fibtri")
         self._zero = tuple(ZeroCell(n, a)
                            for n in range(1, P.bound + 1)
                            for a in P.component(n).objects)
@@ -163,20 +124,18 @@ class Integration:
                 raise ValueError("middle object %d of %s has wrong arity" % (i, cell))
         return cell
 
+    @memoized("id1")
     def identity_one_cell(self, x: ZeroCell) -> OneCell:
-        if x not in self._id1:
-            e = self.P.unit
-            ident = self.P.component(x.arity).id_of(x.obj)
-            self._id1[x] = self.one_cell(identity_surjection(x.arity),
-                                         (e,) * x.arity, ident, x)
-        return self._id1[x]
+        ident = self.P.component(x.arity).id_of(x.obj)
+        return self.one_cell(identity_surjection(x.arity), (self.P.unit,) * x.arity,
+                             ident, x)
 
     def two_cell(self, src: OneCell, dst: OneCell, deltas) -> TwoCell:
         """Build a validated 2-cell; raises if the compatibility fails."""
         deltas = tuple(deltas)
         cell = TwoCell(src, dst, deltas)
         # a built hom holds exactly the 2-cells that pass the checks below
-        built = self._homs.get((src.src, src.dst))
+        built = self._memos["hom"].get((src.src, src.dst))
         if built is not None and built.has_morphism(cell):
             return cell
         if src.f != dst.f or src.src != dst.src or src.dst != dst.dst:
@@ -191,22 +150,17 @@ class Integration:
             raise ValueError("2-cell condition fails for %s => %s" % (src, dst))
         return cell
 
+    @memoized("id2")
     def identity_two_cell(self, cell: OneCell) -> TwoCell:
-        if cell not in self._id2:
-            ids = tuple(self.P.component(s).id_of(a)
-                        for s, a in zip(cell.f.fiber_sizes(), cell.args))
-            self._id2[cell] = TwoCell(cell, cell, ids)
-        return self._id2[cell]
+        ids = tuple(self.P.component(s).id_of(a)
+                    for s, a in zip(cell.f.fiber_sizes(), cell.args))
+        return TwoCell(cell, cell, ids)
 
     # -- composition ------------------------------------------------------
 
+    @memoized("hcomp")
     def h_compose(self, second: OneCell, first: OneCell) -> OneCell:
         """Horizontal composite: ``first`` then ``second``."""
-        key = (second, first)
-        out = self._hcomp.get(key)
-        if out is not None:
-            self._hits["hcomp"] += 1
-            return out
         if first.dst != second.src:
             raise CompositionError("cells %s and %s do not meet" % (first, second))
         P = self.P
@@ -217,37 +171,25 @@ class Integration:
             for i in range(1, g.cod + 1))
         whisker = P.apply_mixed(f, (second.alpha,) + first.args)
         alpha = P.compose_in(f.dom, first.alpha, whisker)
-        out = self.one_cell(compose(f, g), new_args, alpha, second.dst)
-        self._hcomp[key] = out
-        return out
+        return self.one_cell(compose(f, g), new_args, alpha, second.dst)
 
+    @memoized("vcomp")
     def v_compose(self, second: TwoCell, first: TwoCell) -> TwoCell:
-        key = (second, first)
-        out = self._vcomp.get(key)
-        if out is not None:
-            self._hits["vcomp"] += 1
-            return out
         if first.dst != second.src:
             raise CompositionError("2-cells do not meet")
         P = self.P
         deltas = tuple(P.compose_in(s, d2, d1)
                        for s, d2, d1 in zip(first.src.f.fiber_sizes(),
                                             second.deltas, first.deltas))
-        out = TwoCell(first.src, second.dst, deltas)
-        self._vcomp[key] = out
-        return out
+        return TwoCell(first.src, second.dst, deltas)
 
+    @memoized("hcomp2")
     def h_compose_2cells(self, second: TwoCell, first: TwoCell) -> TwoCell:
         """Horizontal composition of 2-cells, componentwise through mu.
 
         The component over fiber i of the composite surjection is
         mu_{f^i}(eps_i, block of deltas), f the inner surjection.
         """
-        key = (second, first)
-        out = self._hcomp2.get(key)
-        if out is not None:
-            self._hits["hcomp2"] += 1
-            return out
         P = self.P
         f, g = first.src.f, second.src.f
         blocks = block_cut(first.deltas, g)
@@ -256,17 +198,15 @@ class Integration:
             for i in range(1, g.cod + 1))
         src = self.h_compose(second.src, first.src)
         dst = self.h_compose(second.dst, first.dst)
-        out = self.two_cell(src, dst, comps)
-        self._hcomp2[key] = out
-        return out
+        return self.two_cell(src, dst, comps)
 
     def stats(self) -> dict:
-        """Live cells per class (process-wide) and, per composition memo
-        of this integration, its size and its hit count."""
-        return {"live_cells": {cls.__name__: len(cls._live)
-                               for cls in _HashConsed.__subclasses__()},
-                "memos": {name: {"size": len(getattr(self, "_" + name)), "hits": hits}
-                          for name, hits in self._hits.items()}}
+        """Live cells per class (process-wide) and, per memo of this
+        integration, its size and its hit count."""
+        cells = (ZeroCell, OneCell, TwoCell, LaxTriangle, SliceTwoCell)
+        return {"live_cells": {cls.__name__: len(cls._live) for cls in cells},
+                "memos": {name: {"size": len(memo), "hits": self._hits[name]}
+                          for name, memo in self._memos.items()}}
 
     # protocol aliases used by the operadic layer
     compose1 = h_compose
@@ -290,11 +230,9 @@ class Integration:
                     out.append(OneCell(f, args, alpha, x, y))
         return out
 
+    @memoized("hom")
     def hom(self, x: ZeroCell, y: ZeroCell) -> FinCat:
         """The hom-category x -> y: objects 1-cells, morphisms 2-cells."""
-        key = (x, y)
-        if key in self._homs:
-            return self._homs[key]
         P = self.P
         cells = self.one_cells(x, y)
         twos = []
@@ -312,21 +250,16 @@ class Integration:
                         if P.compose_in(f.dom, dst.alpha, whisker) == src.alpha:
                             twos.append(TwoCell(src, dst, deltas))
         identity = {c: self.identity_two_cell(c) for c in cells}
-        cat = FinCat(cells, [(t, t.src, t.dst) for t in twos], identity, self.v_compose)
-        self._homs[key] = cat
-        return cat
+        return FinCat(cells, [(t, t.src, t.dst) for t in twos], identity, self.v_compose)
 
     def all_one_cells(self):
         for x in self._zero:
             yield from self.one_cells_from(x)
 
+    @memoized("out")
     def one_cells_from(self, x: ZeroCell) -> tuple:
         """The 1-cells out of x, in the order of ``all_one_cells``."""
-        cells = self._out.get(x)
-        if cells is None:
-            cells = self._out[x] = tuple(c for y in self._zero
-                                         for c in self.hom(x, y).objects)
-        return cells
+        return tuple(c for y in self._zero for c in self.hom(x, y).objects)
 
     # -- factorization, fibers, lifts --------------------------------------
 
@@ -370,12 +303,9 @@ class Integration:
             raise ValueError("filler does not run from the composite to d1")
         return LaxTriangle(d2, d1, d0, filler)
 
+    @memoized("fibtri")
     def fibers_of_lax_triangle(self, tri: LaxTriangle) -> tuple[OneCell, ...]:
         """The induced 1-cells between the fibers of d1 and d0."""
-        cached = self._fibtri.get(tri)
-        if cached is not None:
-            self._hits["fibtri"] += 1
-            return cached
         psi, phi, theta = tri.d2, tri.d0, tri.d1
         f, g = psi.f, phi.f
         blocks = block_cut(psi.args, g)
@@ -389,10 +319,7 @@ class Integration:
             if cell.src != expected_src:
                 raise ValueError("fiber %d of the triangle is ill-typed" % i)
             out.append(cell)
-        out = tuple(out)
-        if len(self._fibtri) < 400_000:  # cache bound: triangles can be plentiful
-            self._fibtri[tri] = out
-        return out
+        return tuple(out)
 
     def slice_two_cell(self, phi: OneCell, src: LaxTriangle, dst: LaxTriangle,
                        gamma: TwoCell) -> SliceTwoCell:
@@ -493,10 +420,10 @@ def lali_terminals(tc) -> dict:
 def check_two_category_laws(I: Integration, cap: int | None = DEFAULT_CAP) -> list[Report]:
     """Horizontal associativity and units, hom-category laws, interchange.
 
-    The two capped laws share one budget."""
-    budget = Budget(cap)
+    Each capped law has a budget of its own: ``cap`` bounds each one."""
     return [_check_hom_categories(I), _check_horizontal_units(I),
-            _check_horizontal_associativity(I, budget), _check_interchange(I, budget)]
+            _check_horizontal_associativity(I, Budget(cap)),
+            _check_interchange(I, Budget(cap))]
 
 
 def _check_hom_categories(I: Integration) -> Report:

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from .fincat import FinCat, Functor, product, terminal_object, validate_functor
+from .interning import memo_tables, memoized
 from .integration import (
     Integration, LaxTriangle, OneCell, SliceTwoCell, ZeroCell, _arity, integrate,
     lift_instances, two_cat_components,
@@ -55,8 +56,12 @@ class OperadicTwoCat:
     lali: dict              # component tuple -> chosen 0-cell
     eps: Callable           # 0-cell -> terminal 1-cell into the chosen object
     label: str = "operadic 2-category"
-    _tri_cache: dict = field(default_factory=dict, repr=False)
-    _fib1_cache: dict = field(default_factory=dict, repr=False)
+    # not init fields, so that dataclasses.replace starts with empty memos
+    _memos: dict = field(init=False, repr=False, compare=False)
+    _hits: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._memos, self._hits = memo_tables("triangles")
 
     def component_of(self, x):
         for comp in self.lali:
@@ -83,16 +88,13 @@ class OperadicTwoCat:
                     for filler in hom_zx.hom(composite, theta):
                         yield LaxTriangle(psi, theta, phi, filler)
 
+    @memoized("triangles")
     def triangles_onto_cached(self, phi) -> list:
-        if phi not in self._tri_cache:
-            self._tri_cache[phi] = list(self.triangles_onto(phi))
-        return self._tri_cache[phi]
+        return list(self.triangles_onto(phi))
 
     def fib1_cached(self, x, tri):
-        out = self._fib1_cache.get((x, tri))
-        if out is None:
-            out = self._fib1_cache[(x, tri)] = self.fib1(x, tri)
-        return out
+        """``fib1``, which an integration memoizes in its ``fibtri`` memo."""
+        return self.fib1(x, tri)
 
     def slice_compose(self, second: LaxTriangle, first: LaxTriangle) -> LaxTriangle:
         """Composition of lax-slice morphisms over a common vertex."""
@@ -140,20 +142,18 @@ class DeltaSTwoCat:
         if N < 1:
             raise ValueError("need N >= 1")
         self.N = N
-        self._homs: dict = {}
+        self._memos, self._hits = memo_tables("hom")
 
     def zero_cells(self):
         return tuple(range(1, self.N + 1))
 
+    @memoized("hom")
     def hom(self, m, k) -> FinCat:
-        key = (m, k)
-        if key not in self._homs:
-            cells = enumerate_surjections(m, k)
-            morphisms = [(("id2", c), c, c) for c in cells]
-            identity = {c: ("id2", c) for c in cells}
-            comp = {((("id2", c)), ("id2", c)): ("id2", c) for c in cells}
-            self._homs[key] = FinCat(cells, morphisms, identity, comp)
-        return self._homs[key]
+        cells = enumerate_surjections(m, k)
+        morphisms = [(("id2", c), c, c) for c in cells]
+        identity = {c: ("id2", c) for c in cells}
+        comp = {((("id2", c)), ("id2", c)): ("id2", c) for c in cells}
+        return FinCat(cells, morphisms, identity, comp)
 
     def compose1(self, g, f):
         return compose(f, g)
@@ -210,10 +210,10 @@ def delta_s(N: int) -> OperadicTwoCat:
 def check_operadic_axioms(O: OperadicTwoCat, cap: int | None = DEFAULT_CAP) -> list[Report]:
     """All five axioms, instance by instance, plus the lali choice itself.
 
+    Each capped check has a budget of its own: ``cap`` bounds each one.
     Malformed structure surfacing as typing errors inside a check is
     reported as a failure of that check rather than raised.
     """
-    budget = Budget(cap)
     reports = []
     for name, checker in (("lali choice", _check_lali_choice),
                           ("axiom (i)", _check_axiom_cardinality),
@@ -223,7 +223,7 @@ def check_operadic_axioms(O: OperadicTwoCat, cap: int | None = DEFAULT_CAP) -> l
                           ("axiom (v)", _check_fiber_axiom),
                           ("axiom (v) one-cells", _check_fiber_axiom_one_cells)):
         try:
-            reports.append(checker(O, budget))
+            reports.append(checker(O, Budget(cap)))
         except (ValueError, KeyError, IndexError) as exc:
             reports.append(Report(name, FAIL, witness=("error", repr(exc))))
     return reports

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import trees as T
 from .fincat import FinCat, Functor, poset_category, product, terminal_category, \
@@ -44,7 +44,6 @@ class TruncatedOperad:
     unit: object
     mu: dict[Surjection, Functor]
     name: str = "operad"
-    _obj_sets: dict = field(default_factory=dict, repr=False)
 
     def component(self, n: int) -> FinCat:
         if not 1 <= n <= self.bound:
@@ -59,9 +58,7 @@ class TruncatedOperad:
         return self.mu[g]
 
     def is_object(self, n: int, x) -> bool:
-        if n not in self._obj_sets:
-            self._obj_sets[n] = set(self.component(n).objects)
-        return x in self._obj_sets[n]
+        return x in self.component(n)
 
     def arg_arities(self, g: Surjection) -> tuple[int, ...]:
         return (g.cod,) + g.fiber_sizes()

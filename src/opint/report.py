@@ -44,17 +44,11 @@ class Budget:
     def __init__(self, cap: int | None = DEFAULT_CAP):
         self.cap = cap
         self.used = 0
-        self.exhausted = False
 
     def spend(self, k: int = 1) -> bool:
-        """Register k instances; False once the budget is exhausted."""
-        if self.exhausted:
-            return False
+        """Register k instances; False once more than ``cap`` are registered."""
         self.used += k
-        if self.cap is not None and self.used > self.cap:
-            self.exhausted = True
-            return False
-        return True
+        return self.cap is None or self.used <= self.cap
 
     def charge(self, r: Report, k: int = 1) -> bool:
         """Count k instances on ``r`` and spend them; once the cap is

@@ -1,25 +1,27 @@
 """Finite non-empty ordinals and their order-preserving surjections.
 
 The ordinal ``n`` stands for the chain ``{1 < 2 < ... < n}``; everything
-here is 1-indexed.  A map is stored by its value sequence, so equality is
-syntactic.  Fibers of a monotone surjection are consecutive blocks, which
-is what makes the block-cutting and ordinal-sum calculus below work.
+here is 1-indexed.  A map is stored by its value sequence and is
+hash-consed on it (see ``interning``): two surjections with the same
+values are the same object, so equality and hashing are identity.
+Fibers of a monotone surjection are consecutive blocks, which is what
+makes the block-cutting and ordinal-sum calculus below work.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
+
+from .interning import HashConsed
 
 
 class CompositionError(ValueError):
     """Two maps whose codomain and domain do not line up."""
 
 
-@dataclass(frozen=True)
-class Surjection:
+class Surjection(HashConsed):
     """An order-preserving surjection ``dom -> cod`` given by its values.
 
     Invariants: ``values`` has length ``dom``, starts at 1, ends at
@@ -27,25 +29,20 @@ class Surjection:
     being weakly increasing and onto ``1..cod``).
     """
 
-    dom: int
-    cod: int
-    values: tuple[int, ...]
+    __slots__ = ("dom", "cod", "values")
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(self.values))
-        if self.dom < 1 or self.cod < 1:
+    def __new__(cls, dom: int, cod: int, values):
+        values = tuple(values)
+        if dom < 1 or cod < 1:
             raise ValueError("ordinals are non-empty: need dom >= 1 and cod >= 1")
-        if len(self.values) != self.dom:
-            raise ValueError("expected %d values, got %r" % (self.dom, self.values))
-        if self.values[0] != 1 or self.values[-1] != self.cod:
-            raise ValueError("%r is not onto 1..%d" % (self.values, self.cod))
-        for a, b in zip(self.values, self.values[1:]):
+        if len(values) != dom:
+            raise ValueError("expected %d values, got %r" % (dom, values))
+        if values[0] != 1 or values[-1] != cod:
+            raise ValueError("%r is not onto 1..%d" % (values, cod))
+        for a, b in zip(values, values[1:]):
             if b - a not in (0, 1):
-                raise ValueError("%r skips or decreases at %d -> %d" % (self.values, a, b))
-        object.__setattr__(self, "_hash", hash((self.dom, self.cod, self.values)))
-
-    def __hash__(self):
-        return self._hash
+                raise ValueError("%r skips or decreases at %d -> %d" % (values, a, b))
+        return super().__new__(cls, dom, cod, values)
 
     def __call__(self, i: int) -> int:
         if not 1 <= i <= self.dom:

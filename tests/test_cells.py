@@ -13,7 +13,8 @@ from opint.integration import (
 )
 from opint.operadic import OperadicTwoCat, check_operadic_axioms
 from opint.operads import nat_operad, tree_operad
-from opint.surjections import Surjection
+from opint.surjections import Surjection, bang, compose, from_fiber_sizes, \
+    identity_surjection, induced_map
 from opint.trees import corolla
 
 
@@ -38,6 +39,12 @@ def z2_operad(obj):
 
 
 def test_cells_built_twice_are_identical():
+    g = Surjection(3, 2, (1, 1, 2))
+    assert from_fiber_sizes((2, 1)) is g and Surjection(3, 2, [1, 1, 2]) is g
+    assert compose(identity_surjection(3), g) is g and induced_map(g, bang(2), 1) is g
+    f = Surjection(4, 3, (1, 1, 2, 3))
+    assert compose(f, g) is Surjection(4, 2, (1, 1, 1, 2))
+    assert induced_map(f, g, 1) is g
     I = integrate(nat_operad(3))
     x, y = ZeroCell(1, 3), ZeroCell(1, 1)
     assert ZeroCell(1, 3) is x
@@ -64,6 +71,18 @@ def test_cells_are_immutable_and_keep_their_repr():
         x.obj = 8
     with pytest.raises(ValueError):
         ZeroCell(2)
+    g = Surjection(3, 2, (1, 1, 2))
+    assert repr(g) == "Surjection(dom=3, cod=2, values=(1, 1, 2))"
+    assert str(g) == "3->2:[1,1,2]"
+    with pytest.raises(AttributeError):
+        g.values = (1, 2, 2)
+    for args, message in [((3, 2, (1, 2, 2, 2)), r"^expected 3 values"),
+                          ((3, 2, (2, 2, 2)), r"is not onto 1\.\.2$"),
+                          ((3, 3, (1, 3, 3)), r"skips or decreases at 1 -> 3$"),
+                          ((4, 2, (1, 2, 1, 2)), r"skips or decreases at 2 -> 1$"),
+                          ((0, 1, ()), r"^ordinals are non-empty")]:
+        with pytest.raises(ValueError, match=message):
+            Surjection(*args)
 
 
 def test_cells_of_two_integrations_compare_equal():
@@ -128,6 +147,9 @@ def test_stats_count_memo_hits():
         assert stats["memos"][name]["size"] > 0
         assert stats["memos"][name]["hits"] > 0, name
     assert stats["memos"]["fibtri"] == {"size": 0, "hits": 0}
+    assert set(stats["memos"]) == {"hom", "out", "id1", "id2", "hcomp", "hcomp2",
+                                   "vcomp", "fibtri"}
+    assert stats["memos"]["hom"]["hits"] > 0
     live = stats["live_cells"]
     assert set(live) == {"ZeroCell", "OneCell", "TwoCell", "LaxTriangle", "SliceTwoCell"}
     assert live["OneCell"] >= sum(1 for _ in I.all_one_cells())

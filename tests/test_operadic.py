@@ -44,10 +44,25 @@ def test_corrupted_fiber_labels_fail_axiom_i():
             return (ZeroCell(2, 0),) * len(out)  # wrong cardinality tag
         return out
 
-    broken = dataclasses.replace(O, fib0=bad_fib0,
-                                 _tri_cache={}, _fib1_cache={})
+    broken = dataclasses.replace(O, fib0=bad_fib0)
     reports = {r.name: r for r in check_operadic_axioms(broken)}
     assert not reports["axiom (i)"].ok
+
+
+def test_replaced_fibers_are_not_served_from_the_original_memos():
+    # the copy made by replace starts with empty memos, so fibers the
+    # original already computed cannot stand in for the corrupted ones
+    O = fibration(nat_operad(2)).operadic
+    assert all(r.ok for r in check_operadic_axioms(O))
+    I, real_fib1 = O.tc, O.fib1
+
+    def bad_fib1(x, tri):  # each fiber map replaced by an identity
+        return tuple(I.identity_one_cell(c.dst) for c in real_fib1(x, tri))
+
+    broken = dataclasses.replace(O, fib1=bad_fib1)
+    reports = {r.name: r for r in check_operadic_axioms(broken)}
+    assert not reports["axiom (v)"].ok
+    assert not reports["axiom (v) one-cells"].ok
 
 
 def test_canonical_lifts_are_cartesian_small():

@@ -25,7 +25,7 @@ O = S.operadic
 UNIT = ZeroCell(1, LEAF)
 
 # each capping checker on trees:3 with cap=1, and the reports it caps;
-# the axioms and the two-category laws share one budget among their checks
+# each capped law and axiom has a budget of its own
 CAPPING = {
     "two-category laws": (lambda: check_two_category_laws(I, cap=1),
                           {"horizontal associativity", "interchange"}),
@@ -64,6 +64,16 @@ def test_capped_reports_carry_the_cap_note(checker):
             assert r.notes == ["cap 1 reached"], r.line()
         else:
             assert r.ok, r.line()
+
+
+def test_each_capped_law_and_axiom_has_its_own_cap():
+    # one instance within the cap, the second charged and refused, even in
+    # a check that runs after another one capped; axiom (i) also counts the
+    # fiber cardinalities of its first 1-cell, which it does not charge
+    reports = check_two_category_laws(I, cap=1) + check_operadic_axioms(O, cap=1)
+    assert {r.name: r.checked for r in reports if r.status == CAPPED} == {
+        "horizontal associativity": 2, "interchange": 2, "axiom (i)": 3,
+        "axiom (iv)": 2, "axiom (v)": 2, "axiom (v) one-cells": 2}
 
 
 def test_capped_roundtrip_2cat_stops_at_the_cap():
