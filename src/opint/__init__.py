@@ -8,7 +8,8 @@ from .surjections import (
 )
 from .fincat import (
     FinCat, Functor, IsoResult, categories_isomorphic, poset_category, product,
-    terminal_category, terminal_object, validate_category, validate_functor,
+    is_terminal, terminal_category, terminal_object, validate_category,
+    validate_functor,
 )
 from .trees import (
     LEAF, contracts_to, corolla, enumerate_trees, graft, leaves, tree_from_json,

@@ -72,13 +72,17 @@ def parse_zero_cell(text: str, P: TruncatedOperad) -> ZeroCell:
         raise UsageError("cannot parse 0-cell %r (want an object of the "
                          "arity-1 component or [m, object])" % text)
     if isinstance(data, list) and len(data) == 2 and isinstance(data[0], int):
-        cell = ZeroCell(data[0], jsonio.freeze(data[1]))
+        arity, obj = data
     else:
-        cell = ZeroCell(1, jsonio.freeze(data))
-    if cell.arity > P.bound or not P.is_object(cell.arity, cell.obj):
-        raise UsageError("%s is not a 0-cell of the integration of %s"
-                         % (cell, P.name))
-    return cell
+        arity, obj = 1, data
+    obj = jsonio.freeze(obj)
+    try:
+        if 1 <= arity <= P.bound and P.is_object(arity, obj):
+            return ZeroCell(arity, obj)
+    except TypeError:  # an unhashable object, such as a JSON object
+        pass
+    raise UsageError("%s is not a 0-cell of the integration of %s"
+                     % (json.dumps(data), P.name))
 
 
 def emit(args, text_lines, json_payload):
@@ -170,13 +174,16 @@ def cmd_lift(args) -> int:
     I = integrate(P)
     if not args.surjection or not args.dst or not args.fibers:
         raise UsageError("lift needs --surjection, --dst and --fibers")
-    g = parse_surjection(args.surjection)
+    try:
+        g = parse_surjection(args.surjection)
+    except ValueError as exc:
+        raise UsageError("bad --surjection: %s" % exc)
     target = parse_zero_cell(args.dst, P)
     try:
-        fiber_data = json.loads(args.fibers)
-    except json.JSONDecodeError as exc:
-        raise UsageError("cannot parse --fibers: %s" % exc)
-    fibers = tuple(jsonio.zero_cell_from_json(f) for f in fiber_data)
+        fibers = tuple(jsonio.zero_cell_from_json(f) for f in json.loads(args.fibers))
+    except (TypeError, ValueError) as exc:
+        raise UsageError("cannot parse --fibers (want a JSON list of [m, object]): %s"
+                         % exc)
     try:
         cell = I.cartesian_lift(g, target, fibers)
     except ValueError as exc:
@@ -216,7 +223,9 @@ def cmd_roundtrip(args) -> int:
 
 
 def cmd_check(args) -> int:
-    """The full verification battery on one operad (axioms to round trip)."""
+    """The verification battery on one operad, from the operad axioms to
+    the cartesian lifts; the trivial subcategory and the round trips are
+    not run here."""
     P = load_operad(args.operad)
     reports = [check_unitality(P), check_associativity(P, cap=args.cap)]
     I = integrate(P)

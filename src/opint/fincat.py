@@ -260,22 +260,21 @@ def validate_functor(F: Functor, name: str = "functor") -> Report:
     return Report(name, status, checked, witness=problems[:5] or None)
 
 
-def terminal_object(C: FinCat):
-    """A terminal object with its witness maps, or None.
+def is_terminal(C: FinCat, t) -> bool:
+    """Whether ``t`` is an object of C receiving exactly one morphism from
+    every object.  In a category that is not skeletal several objects
+    may qualify; each is terminal."""
+    return t in C and all(len(C.hom(x, t)) == 1 for x in C.objects)
 
-    Returns ``(t, {x: the unique morphism x -> t})`` when some object
-    receives exactly one morphism from every object.
+
+def terminal_object(C: FinCat):
+    """The first terminal object with its witness maps, or None.
+
+    Returns ``(t, {x: the unique morphism x -> t})``.
     """
     for t in C.objects:
-        witness = {}
-        for x in C.objects:
-            arrows = C.hom(x, t)
-            if len(arrows) != 1:
-                witness = None
-                break
-            witness[x] = arrows[0]
-        if witness is not None:
-            return t, witness
+        if is_terminal(C, t):
+            return t, {x: C.hom(x, t)[0] for x in C.objects}
     return None
 
 

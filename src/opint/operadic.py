@@ -15,14 +15,14 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from .fincat import FinCat, Functor, product, terminal_object, validate_functor
+from .fincat import FinCat, Functor, is_terminal, product, validate_functor
 from .interning import memo_tables, memoized
 from .integration import (
     Integration, LaxTriangle, OneCell, SliceTwoCell, ZeroCell, _arity, integrate,
     lift_instances, two_cat_components,
 )
 from .operads import OperadMorphism, TruncatedOperad, _composable_pairs, validate_operad
-from .report import CAPPED, DEFAULT_CAP, FAIL, PASS, Budget, Report
+from .report import DEFAULT_CAP, FAIL, Report
 from .surjections import (
     Surjection, all_surjections_up_to, bang, block_cut, compose, enumerate_surjections,
     identity_surjection, induced_map, ordinal_sum,
@@ -210,7 +210,7 @@ def delta_s(N: int) -> OperadicTwoCat:
 def check_operadic_axioms(O: OperadicTwoCat, cap: int | None = DEFAULT_CAP) -> list[Report]:
     """All five axioms, instance by instance, plus the lali choice itself.
 
-    Each capped check has a budget of its own: ``cap`` bounds each one.
+    Each capped check gets the whole ``cap`` on a report of its own.
     Malformed structure surfacing as typing errors inside a check is
     reported as a failure of that check rather than raised.
     """
@@ -223,98 +223,93 @@ def check_operadic_axioms(O: OperadicTwoCat, cap: int | None = DEFAULT_CAP) -> l
                           ("axiom (v)", _check_fiber_axiom),
                           ("axiom (v) one-cells", _check_fiber_axiom_one_cells)):
         try:
-            reports.append(checker(O, Budget(cap)))
+            reports.append(checker(O, Report(name, cap=cap)))
         except (ValueError, KeyError, IndexError) as exc:
             reports.append(Report(name, FAIL, witness=("error", repr(exc))))
     return reports
 
 
-def _check_lali_choice(O, budget) -> Report:
-    r = Report("lali choice", PASS, 0)
+def _check_lali_choice(O, r) -> Report:
+    # eps(x) must be a terminal object of hom(x, u), not a particular one
     for comp, u in O.lali.items():
         if O.card0(u) != 1:
-            return Report(r.name, FAIL, r.checked, witness=("cardinality", str(u)))
+            return r.fail(("cardinality", str(u)))
         for x in comp:
-            r.checked += 1
-            term = terminal_object(O.tc.hom(x, u))
-            if term is None or term[0] != O.eps(x):
-                return Report(r.name, FAIL, r.checked,
-                              witness=("terminal map", str(x)))
+            if not r.charge():
+                return r
+            if not is_terminal(O.tc.hom(x, u), O.eps(x)):
+                return r.fail(("terminal map", str(x)))
         if O.eps(u) != O.tc.identity1(u):
-            return Report(r.name, FAIL, r.checked, witness=("endo terminal", str(u)))
+            return r.fail(("endo terminal", str(u)))
     return r
 
 
-def _check_axiom_cardinality(O, budget) -> Report:
-    r = Report("axiom (i)", PASS, 0)
+def _check_axiom_cardinality(O, r) -> Report:
     for x in O.tc.zero_cells():
         for phi in O.one_cells_into(x):
-            r.checked += 1
+            if not r.charge():
+                return r
             fibs = O.fib0(x, phi)
             if tuple(O.card0(c) for c in fibs) != O.card1(phi).fiber_sizes():
-                return Report(r.name, FAIL, r.checked,
-                              witness=("fiber cardinalities", str(phi)))
+                return r.fail(("fiber cardinalities", str(phi)))
             for tri in O.triangles_onto_cached(phi):
-                if not budget.charge(r):
+                if not r.charge():
                     return r
                 fib1s = O.fib1_cached(x, tri)
                 f, g = O.card1(tri.d2), O.card1(tri.d0)
                 for i, cell in enumerate(fib1s, start=1):
                     if O.card1(cell) != induced_map(f, g, i):
-                        return Report(r.name, FAIL, r.checked,
-                                      witness=("triangle fiber map", i, str(phi)))
+                        return r.fail(("triangle fiber map", i, str(phi)))
     for x in O.tc.zero_cells():
         for y in O.tc.zero_cells():
             for t, s, d in O.tc.hom(x, y).morphisms():
-                r.checked += 1
+                if not r.charge():
+                    return r
                 if O.card1(s) != O.card1(d):
-                    return Report(r.name, FAIL, r.checked,
-                                  witness=("2-cell over distinct maps", str(t)))
+                    return r.fail(("2-cell over distinct maps", str(t)))
     return r
 
 
-def _check_axiom_unit_fibers(O, budget) -> Report:
+def _check_axiom_unit_fibers(O, r) -> Report:
     # over the chosen object, the fiber of each terminal map is its domain
-    r = Report("axiom (ii)", PASS, 0)
     for comp, u in O.lali.items():
         for x in comp:
-            r.checked += 1
+            if not r.charge():
+                return r
             if O.fib0(u, O.eps(x)) != (x,):
-                return Report(r.name, FAIL, r.checked, witness=str(x))
+                return r.fail(str(x))
     return r
 
 
-def _check_axiom_identity_fibers(O, budget) -> Report:
-    r = Report("axiom (iii)", PASS, 0)
+def _check_axiom_identity_fibers(O, r) -> Report:
     for comp, u in O.lali.items():
         for x in comp:
-            r.checked += 1
+            if not r.charge():
+                return r
             expected = (u,) * O.card0(x)
             if O.fib0(x, O.tc.identity1(x)) != expected:
-                return Report(r.name, FAIL, r.checked, witness=str(x))
+                return r.fail(str(x))
     return r
 
 
-def _check_axiom_terminal_fibers(O, budget) -> Report:
+def _check_axiom_terminal_fibers(O, r) -> Report:
     # fibers of the unit triangle on phi are the terminal maps of its fibers
-    r = Report("axiom (iv)", PASS, 0)
     for x in O.tc.zero_cells():
         ident = O.tc.identity1(x)
         for phi in O.one_cells_into(x):
-            if not budget.charge(r):
+            if not r.charge():
                 return r
             if O.tc.compose1(ident, phi) != phi:
-                return Report(r.name, FAIL, r.checked,
-                              witness=("strict unit law", str(phi)))
+                return r.fail(("strict unit law", str(phi)))
             tri = LaxTriangle(phi, phi, ident, O.tc.identity2(phi))
             fib1s = O.fib1(x, tri)
             expected = tuple(O.eps(c) for c in O.fib0(x, phi))
             if fib1s != expected:
-                return Report(r.name, FAIL, r.checked, witness=str(phi))
+                return r.fail(str(phi))
     return r
 
 
-def _check_fiber_axiom(O, budget) -> Report:
+def _check_fiber_axiom(O, r) -> Report:
     """Fibers of fibers agree along both routes around the square.
 
     Exhaustive over the triangles onto every 1-cell: the fibers of the
@@ -322,26 +317,24 @@ def _check_fiber_axiom(O, budget) -> Report:
     the induced fiber maps.  This is the instance form the facts about
     trivial cells and the extraction consume.
     """
-    r = Report("axiom (v)", PASS, 0)
     for x in O.tc.zero_cells():
         for phi in O.one_cells_into(x):
             y = O.src0(phi)
             g = O.card1(phi)
             fibs_phi = O.fib0(x, phi)
             for tri in O.triangles_onto_cached(phi):
-                if not budget.charge(r):
+                if not r.charge():
                     return r
                 route_a = block_cut(O.fib0(y, tri.d2), g)
                 fib1s = O.fib1_cached(x, tri)
                 route_b = tuple(O.fib0(fibs_phi[i], fib1s[i])
                                 for i in range(len(fibs_phi)))
                 if route_a != route_b:
-                    return Report(r.name, FAIL, r.checked,
-                                  witness=("objects", str(phi)))
+                    return r.fail(("objects", str(phi)))
     return r
 
 
-def _check_fiber_axiom_one_cells(O, budget) -> Report:
+def _check_fiber_axiom_one_cells(O, r) -> Report:
     """The square on the connecting data of the double slice.
 
     This sweeps pairs of triangles onto each 1-cell together with a
@@ -349,19 +342,17 @@ def _check_fiber_axiom_one_cells(O, budget) -> Report:
     quadratic in the triangle count, so large presentations cap out with
     an explicit verdict while small ones exhaust.
     """
-    r = Report("axiom (v) one-cells", PASS, 0)
     for x in O.tc.zero_cells():
         for phi in O.one_cells_into(x):
             g = O.card1(phi)
             fibs_phi = O.fib0(x, phi)
             triangles = O.triangles_onto_cached(phi)
-            if not _fiber_axiom_on_one_cells(O, x, phi, g, fibs_phi, triangles,
-                                             budget, r):
+            if not _fiber_axiom_on_one_cells(O, x, phi, g, fibs_phi, triangles, r):
                 return r
     return r
 
 
-def _fiber_axiom_on_one_cells(O, x, phi, g, fibs_phi, triangles, budget, r) -> bool:
+def _fiber_axiom_on_one_cells(O, x, phi, g, fibs_phi, triangles, r) -> bool:
     """The square on the 1-cells of the double slice over ``phi``.
 
     A 1-cell from the triangle ``a1`` to the triangle ``a2`` is a
@@ -394,7 +385,7 @@ def _fiber_axiom_on_one_cells(O, x, phi, g, fibs_phi, triangles, budget, r) -> b
             composed_f = tuple(O.tc.compose1(a2_f[i], sig_f[i])
                                for i in range(n_fib))
             for a1, gamma in candidates:       # a1: source object of the 1-cell
-                if not budget.charge(r):
+                if not r.charge():
                     return False
                 lhs = O.tc.vcompose2(a1.filler, O.tc.hcompose2(id2_phi, gamma))
                 if lhs != comp_slice.filler:
@@ -406,11 +397,11 @@ def _fiber_axiom_on_one_cells(O, x, phi, g, fibs_phi, triangles, budget, r) -> b
                 xi_f = O.fib2(x, xi)
                 for i in range(n_fib):
                     if O.src2(xi_f[i]) != composed_f[i]:
-                        r.status, r.witness = FAIL, ("fiber functoriality", i, str(phi))
+                        r.fail(("fiber functoriality", i, str(phi)))
                         return False
                     tri_b = LaxTriangle(sig_f[i], a1_f[i], a2_f[i], xi_f[i])
                     if O.fib1_cached(fibs_phi[i], tri_b) != route_a[i]:
-                        r.status, r.witness = FAIL, ("one-cells", i, str(phi))
+                        r.fail(("one-cells", i, str(phi)))
                         return False
     return True
 
@@ -427,26 +418,23 @@ def is_operadic_cartesian(O: OperadicTwoCat, phi,
     unique compatible base triangle, exactly one lax triangle onto
     ``phi`` must restrict to the given fibers.
     """
-    budget = Budget(cap)
     t = O.dst0(phi)
     g = O.card1(phi)
     fibs_phi = O.fib0(t, phi)
-    r = Report("operadic cartesian", PASS, 0)
+    r = Report("operadic cartesian", cap=cap)
     for theta in O.one_cells_into(t):
         fibs_theta = O.fib0(t, theta)
         slots = [O.tc.hom(a, b).objects for a, b in zip(fibs_theta, fibs_phi)]
         for psis in itertools.product(*slots):
-            if not budget.charge(r):
+            if not r.charge():
                 return r
             base = ordinal_sum([O.card1(p) for p in psis])
             if compose(base, g) != O.card1(theta):
                 continue  # no base triangle has these induced maps
             matches = sum(1 for _ in _fillers(O, phi, theta, psis, base))
             if matches != 1:
-                return Report(r.name, FAIL, r.checked,
-                              witness=(str(phi), str(theta),
-                                       tuple(map(str, psis)),
-                                       "%d fillers" % matches))
+                return r.fail((str(phi), str(theta), tuple(map(str, psis)),
+                               "%d fillers" % matches))
     return r
 
 
@@ -494,17 +482,17 @@ def check_splitting(S: SplitFibrationData, cap: int | None = DEFAULT_CAP) -> Rep
     the lift of the composite surjection at the blockwise lift sources.
     """
     O = S.operadic
-    budget = Budget(cap)
-    r = Report("splitting", PASS, 0)
+    r = Report("splitting", cap=cap)
     for n in range(1, S.bound + 1):
         for c in _cells_of_card(O, n):
-            r.checked += 2
+            if not r.charge(2):
+                return r
             u = O.unit_of(c)
             units = (u,) * n
             if S.lift(identity_surjection(n), c, units) != O.tc.identity1(c):
-                return Report(r.name, FAIL, r.checked, witness=("identity lift", str(c)))
+                return r.fail(("identity lift", str(c)))
             if S.lift(bang(n), u, (c,)) != O.eps(c):
-                return Report(r.name, FAIL, r.checked, witness=("terminal lift", str(c)))
+                return r.fail(("terminal lift", str(c)))
     for f, g in _composable_pairs(S.bound):
         gf = compose(f, g)
         c_cells = _cells_of_card(O, g.cod)
@@ -515,7 +503,7 @@ def check_splitting(S: SplitFibrationData, cap: int | None = DEFAULT_CAP) -> Rep
                 outer = S.lift(g, c, bs)
                 mid = O.src0(outer)
                 for as_ in itertools.product(*a_slots):
-                    if not budget.charge(r):
+                    if not r.charge():
                         return r
                     lhs = O.tc.compose1(outer, S.lift(f, mid, as_))
                     blocks = block_cut(as_, g)
@@ -524,8 +512,7 @@ def check_splitting(S: SplitFibrationData, cap: int | None = DEFAULT_CAP) -> Rep
                         for i in range(1, g.cod + 1))
                     rhs = S.lift(gf, c, inner_sources)
                     if lhs != rhs:
-                        return Report(r.name, FAIL, r.checked,
-                                      witness=(str(f), str(g), str(c)))
+                        return r.fail((str(f), str(g), str(c)))
     return r
 
 
@@ -533,18 +520,15 @@ def check_all_lifts_cartesian(S: SplitFibrationData,
                               cap: int | None = DEFAULT_CAP) -> Report:
     """Run the unique-lift test on every chosen lift within the bound."""
     O = S.operadic
-    budget = Budget(cap)
-    r = Report("cartesian lifts", PASS, 0)
+    r = Report("cartesian lifts", cap=cap)
     for g, c, bs in lift_instances(O.tc.zero_cells(), O.card0, S.bound):
-        sub = is_operadic_cartesian(
-            O, S.lift(g, c, bs),
-            cap=None if budget.cap is None else max(budget.cap - budget.used, 1))
-        # a capped sub-search has spent the rest of the budget, so charging
-        # its count caps r too
-        within = budget.charge(r, sub.checked)
+        sub = is_operadic_cartesian(O, S.lift(g, c, bs),
+                                    cap=None if cap is None else cap - r.checked)
+        # a capped sub-search has spent what was left of the cap, so
+        # charging its count caps r too
+        within = r.charge(sub.checked)
         if sub.status == FAIL:
-            return Report(r.name, FAIL, r.checked,
-                          witness=(str(g), str(c), sub.witness))
+            return r.fail((str(g), str(c), sub.witness))
         if not within:
             return r
     return r
@@ -604,13 +588,13 @@ def check_trivial_subcategory(O: OperadicTwoCat,
                               cap: int | None = DEFAULT_CAP) -> Report:
     """Identities are trivial and trivial cells compose; additionally the
     fiber-matching property of trivial cells holds instance-wise."""
-    budget = Budget(cap)
-    r = Report("trivial subcategory", PASS, 0)
+    r = Report("trivial subcategory", cap=cap)
     trivial = []
     for x in O.tc.zero_cells():
-        r.checked += 1
+        if not r.charge():
+            return r
         if not is_trivial(O, O.tc.identity1(x)):
-            return Report(r.name, FAIL, r.checked, witness=("identity", str(x)))
+            return r.fail(("identity", str(x)))
     for x in O.tc.zero_cells():
         for y in O.tc.zero_cells():
             if O.card0(x) != O.card0(y):
@@ -622,19 +606,17 @@ def check_trivial_subcategory(O: OperadicTwoCat,
         for t2 in trivial:
             if O.src0(t2) != O.dst0(t1):
                 continue
-            if not budget.charge(r):
+            if not r.charge():
                 return r
             if not is_trivial(O, O.tc.compose1(t2, t1)):
-                return Report(r.name, FAIL, r.checked,
-                              witness=("composite", str(t1), str(t2)))
+                return r.fail(("composite", str(t1), str(t2)))
     for t in trivial:
         x, y = O.dst0(t), O.src0(t)
         for psi in O.one_cells_into(y):
-            if not budget.charge(r):
+            if not r.charge():
                 return r
             if O.fib0(x, O.tc.compose1(t, psi)) != O.fib0(y, psi):
-                return Report(r.name, FAIL, r.checked,
-                              witness=("fiber matching", str(t), str(psi)))
+                return r.fail(("fiber matching", str(t), str(psi)))
     return r
 
 
@@ -707,18 +689,11 @@ def _extracted_mu(S: SplitFibrationData, g: Surjection, components) -> Functor:
 
 
 @dataclass
-class Certificate:
-    name: str
-    status: str
-    details: dict = field(default_factory=dict)
-    witness: object = None
-    maps: dict = field(default_factory=dict, repr=False)  # replayable functor data
-    checked: int = 0        # instances charged to the budget
-    notes: list = field(default_factory=list)
+class Certificate(Report):
+    """A round-trip report carrying its details and replayable functor data."""
 
-    @property
-    def ok(self):
-        return self.status == PASS
+    details: dict = field(default_factory=dict)
+    maps: dict = field(default_factory=dict, repr=False)
 
     def line(self):
         msg = "%s: %s" % (self.name, self.status)
@@ -727,6 +702,12 @@ class Certificate:
         if self.notes:
             msg += " (%d instances) [%s]" % (self.checked, "; ".join(self.notes))
         return msg
+
+
+def _bijective(images, targets) -> bool:
+    """Whether ``images`` lists each of the distinct ``targets`` once."""
+    images = list(images)
+    return len(images) == len(targets) and set(images) == set(targets)
 
 
 def _trivial_cell_for(I: Integration, n: int, alpha) -> OneCell:
@@ -744,73 +725,64 @@ def roundtrip_operad(P: TruncatedOperad, cap: int | None = DEFAULT_CAP) -> Certi
     S = canonical_fibration(I)
     P2 = extract_operad(S)
     details = {"per_arity_iso": [], "mu_checked": 0}
+    cert = Certificate("roundtrip operad", cap=cap, details=details)
     if P2.bound != P.bound:
-        return Certificate("roundtrip operad", FAIL, details,
-                           witness=("bound", P2.bound))
+        return cert.fail(("bound", P2.bound))
     obj_maps = {}
     mor_maps = {}
     for n in range(1, P.bound + 1):
         C, D = P.component(n), P2.component(n)
         obj_map = {a: ZeroCell(n, a) for a in C.objects}
         mor_map = {m: _trivial_cell_for(I, n, m) for m in C.morphism_ids()}
-        if sorted(map(repr, obj_map.values())) != sorted(map(repr, D.objects)):
-            return Certificate("roundtrip operad", FAIL, details,
-                               witness=("object bijection", n))
-        if sorted(map(repr, mor_map.values())) != \
-           sorted(repr(m) for m in D.morphism_ids()):
-            return Certificate("roundtrip operad", FAIL, details,
-                               witness=("morphism bijection", n))
+        if not _bijective(obj_map.values(), D.objects):
+            return cert.fail(("object bijection", n))
+        if not _bijective(mor_map.values(), D.morphism_ids()):
+            return cert.fail(("morphism bijection", n))
         F = Functor(C, D, obj_map, mor_map)
         if not validate_functor(F).ok:
-            return Certificate("roundtrip operad", FAIL, details,
-                               witness=("functoriality", n))
+            return cert.fail(("functoriality", n))
         obj_maps[n], mor_maps[n] = obj_map, mor_map
         details["per_arity_iso"].append(
             {"n": n,
              "obj_map": {str(k): str(v) for k, v in obj_map.items()},
              "mor_map": {str(k): str(v) for k, v in mor_map.items()}})
     if obj_maps[1][P.unit] != P2.unit:
-        return Certificate("roundtrip operad", FAIL, details, witness="unit")
-    budget = Budget(cap)
-    capped = Certificate("roundtrip operad", CAPPED, details)
+        return cert.fail("unit")
     for g in P.mu:
         arities = P.arg_arities(g)
         for tup in itertools.product(*[P.component(a).objects for a in arities]):
             details["mu_checked"] += 1
-            if not budget.charge(capped):
-                return capped
+            if not cert.charge():
+                return cert
             lhs = obj_maps[g.dom][P.apply_obj(g, tup)]
             rhs = P2.apply_obj(g, tuple(obj_maps[a][v] for a, v in zip(arities, tup)))
             if lhs != rhs:
-                return Certificate("roundtrip operad", FAIL, details,
-                                   witness=("mu objects", str(g), tup))
+                return cert.fail(("mu objects", str(g), tup))
         for tup in itertools.product(*[P.component(a).morphism_ids()
                                        for a in arities]):
             details["mu_checked"] += 1
-            if not budget.charge(capped):
-                return capped
+            if not cert.charge():
+                return cert
             lhs = mor_maps[g.dom][P.apply_mor(g, tup)]
             rhs = P2.apply_mor(g, tuple(mor_maps[a][v] for a, v in zip(arities, tup)))
             if lhs != rhs:
-                return Certificate("roundtrip operad", FAIL, details,
-                                   witness=("mu morphisms", str(g), tup))
-    return Certificate("roundtrip operad", PASS, details,
-                       maps={"obj": obj_maps, "mor": mor_maps})
+                return cert.fail(("mu morphisms", str(g), tup))
+    cert.maps = {"obj": obj_maps, "mor": mor_maps}
+    return cert
 
 
 def roundtrip_2cat(S: SplitFibrationData, cap: int | None = DEFAULT_CAP) -> Certificate:
     """Certify that integrating the extracted operad reproduces the input,
     via the canonical bijective 2-functor dropping the cardinality tag."""
     O = S.operadic
+    cert = Certificate("roundtrip 2-category", cap=cap)
     P2 = extract_operad(S)
     bad = [r for r in validate_operad(P2) if not r.ok]
     if bad:
-        return Certificate("roundtrip 2-category", FAIL,
-                           witness=("extracted operad invalid", bad[0].line()))
+        return cert.fail(("extracted operad invalid", bad[0].line()))
     J = integrate(P2, validate=False)
-    details = {"zero_cells": 0, "one_cells": 0, "two_cells": 0}
-    budget = Budget(cap)
-    capped = Certificate("roundtrip 2-category", CAPPED, details)
+    details = cert.details
+    details.update(zero_cells=0, one_cells=0, two_cells=0)
 
     def g0(x: ZeroCell):
         return x.obj
@@ -820,10 +792,8 @@ def roundtrip_2cat(S: SplitFibrationData, cap: int | None = DEFAULT_CAP) -> Cert
         return O.tc.compose1(lift, cell.alpha)
 
     # 0-cells are in bijection
-    if sorted(map(repr, (g0(x) for x in J.zero_cells()))) != \
-       sorted(map(repr, O.tc.zero_cells())):
-        return Certificate("roundtrip 2-category", FAIL, details,
-                           witness="0-cell bijection")
+    if not _bijective(map(g0, J.zero_cells()), O.tc.zero_cells()):
+        return cert.fail("0-cell bijection")
     details["zero_cells"] = len(J.zero_cells())
     two_maps = {}
     for xj in J.zero_cells():
@@ -831,57 +801,48 @@ def roundtrip_2cat(S: SplitFibrationData, cap: int | None = DEFAULT_CAP) -> Cert
             Hj = J.hom(xj, yj)
             Ho = O.tc.hom(g0(xj), g0(yj))
             images = [g1(c) for c in Hj.objects]
-            if sorted(map(repr, images)) != sorted(map(repr, Ho.objects)):
-                return Certificate("roundtrip 2-category", FAIL, details,
-                                   witness=("1-cell bijection", str(xj), str(yj)))
+            if not _bijective(images, Ho.objects):
+                return cert.fail(("1-cell bijection", str(xj), str(yj)))
             details["one_cells"] += len(images)
             for t, s, d in Hj.morphisms():
-                if not budget.charge(capped):
-                    return capped
+                if not cert.charge():
+                    return cert
                 image = _image_two_cell(O, g1(s), g1(d), t.deltas)
                 if image is None:
-                    return Certificate("roundtrip 2-category", FAIL, details,
-                                       witness=("2-cell image", str(t)))
+                    return cert.fail(("2-cell image", str(t)))
                 two_maps[t] = image
                 details["two_cells"] += 1
-            if len(set(map(repr, (two_maps[t] for t, _, _ in Hj.morphisms())))) != \
+            if len({two_maps[t] for t in Hj.morphism_ids()}) != \
                len(Hj.morphism_ids()) or \
                len(Hj.morphism_ids()) != len(Ho.morphism_ids()):
-                return Certificate("roundtrip 2-category", FAIL, details,
-                                   witness=("2-cell bijection", str(xj), str(yj)))
+                return cert.fail(("2-cell bijection", str(xj), str(yj)))
     # functoriality on composable pairs
     for f_cell in J.all_one_cells():
         if J.identity_one_cell(f_cell.src) == f_cell and \
            g1(f_cell) != O.tc.identity1(g0(f_cell.src)):
-            return Certificate("roundtrip 2-category", FAIL, details,
-                               witness=("identity", str(f_cell)))
+            return cert.fail(("identity", str(f_cell)))
         for g_cell in J.one_cells_from(f_cell.dst):
-            if not budget.charge(capped):
-                return capped
+            if not cert.charge():
+                return cert
             if g1(J.h_compose(g_cell, f_cell)) != \
                O.tc.compose1(g1(g_cell), g1(f_cell)):
-                return Certificate("roundtrip 2-category", FAIL, details,
-                                   witness=("composition", str(f_cell), str(g_cell)))
+                return cert.fail(("composition", str(f_cell), str(g_cell)))
     # cardinality, fibers, unit and lift preservation
     for f_cell in J.all_one_cells():
         if O.card1(g1(f_cell)) != f_cell.f:
-            return Certificate("roundtrip 2-category", FAIL, details,
-                               witness=("cardinality", str(f_cell)))
+            return cert.fail(("cardinality", str(f_cell)))
         if O.fib0(g0(f_cell.dst), g1(f_cell)) != \
            tuple(g0(c) for c in J.fibers_of_1cell(f_cell)):
-            return Certificate("roundtrip 2-category", FAIL, details,
-                               witness=("fibers", str(f_cell)))
+            return cert.fail(("fibers", str(f_cell)))
     for g, c, bs in lift_instances(O.tc.zero_cells(), O.card0, S.bound):
-        if not budget.charge(capped):
-            return capped
+        if not cert.charge():
+            return cert
         jl = J.cartesian_lift(g, ZeroCell(g.cod, c),
                               tuple(ZeroCell(s, b) for s, b in zip(g.fiber_sizes(), bs)))
         if g1(jl) != S.lift(g, c, bs):
-            return Certificate("roundtrip 2-category", FAIL, details,
-                               witness=("lift", str(g), str(c)))
-    zero_map = {x: g0(x) for x in J.zero_cells()}
-    return Certificate("roundtrip 2-category", PASS, details,
-                       maps={"zero": zero_map, "two": two_maps})
+            return cert.fail(("lift", str(g), str(c)))
+    cert.maps = {"zero": {x: g0(x) for x in J.zero_cells()}, "two": two_maps}
+    return cert
 
 
 def _image_two_cell(O, src_cell, dst_cell, deltas):
@@ -1052,14 +1013,12 @@ def check_full_faithfulness(P: TruncatedOperad, Q: TruncatedOperad) -> Report:
     keyed_functors = {
         tuple(sorted((n, tuple(sorted(m.items(), key=repr))) for n, m in h.items()))
         for h in functors}
-    r = Report("full faithfulness", PASS,
-               checked=len(morphisms) + len(functors),
-               notes=["%d morphisms, %d 2-functors" % (len(morphisms), len(functors))])
+    r = Report("full faithfulness", checked=len(morphisms) + len(functors))
     if len(keyed_morphisms) != len(morphisms):
-        return Report(r.name, FAIL, r.checked, witness="morphism keys collide")
+        return r.fail("morphism keys collide")
     if set(keyed_morphisms) != keyed_functors:
         missing = keyed_functors - set(keyed_morphisms)
         extra = set(keyed_morphisms) - keyed_functors
-        return Report(r.name, FAIL, r.checked,
-                      witness=("sides differ", len(missing), len(extra)))
+        return r.fail(("sides differ", len(missing), len(extra)))
+    r.notes.append("%d morphisms, %d 2-functors" % (len(morphisms), len(functors)))
     return r

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from . import trees as T
 from .fincat import FinCat, Functor, poset_category, product, terminal_category, \
     validate_category, validate_functor
-from .report import DEFAULT_CAP, FAIL, PASS, Budget, Report
+from .report import DEFAULT_CAP, FAIL, PASS, Report
 from .surjections import Surjection, all_surjections_up_to, bang, block_cut, compose, \
     enumerate_surjections, identity_surjection, induced_map
 
@@ -120,33 +120,29 @@ def _unit_tuple(P, n):
 
 def check_unitality(P: TruncatedOperad, name: str = "unitality") -> Report:
     """Both unit laws, on every object and morphism of every component."""
-    checked = 0
+    r = Report(name)
     for n in range(1, P.bound + 1):
         C = P.component(n)
         idn = identity_surjection(n)
         bn = bang(n)
         e_id = P.unit_morphism()
         for a in C.objects:
-            checked += 2
+            r.charge(2)
             lhs = P.apply_obj(idn, (a,) + _unit_tuple(P, n))
             if lhs != a:
-                return Report(name, FAIL, checked,
-                              witness=("identity law on object", n, a, lhs))
+                return r.fail(("identity law on object", n, a, lhs))
             lhs = P.apply_obj(bn, (P.unit, a))
             if lhs != a:
-                return Report(name, FAIL, checked,
-                              witness=("bang law on object", n, a, lhs))
+                return r.fail(("bang law on object", n, a, lhs))
         for m in C.morphism_ids():
-            checked += 2
+            r.charge(2)
             lhs = P.apply_mor(idn, (m,) + (e_id,) * n)
             if lhs != m:
-                return Report(name, FAIL, checked,
-                              witness=("identity law on morphism", n, m, lhs))
+                return r.fail(("identity law on morphism", n, m, lhs))
             lhs = P.apply_mor(bn, (e_id, m))
             if lhs != m:
-                return Report(name, FAIL, checked,
-                              witness=("bang law on morphism", n, m, lhs))
-    return Report(name, PASS, checked)
+                return r.fail(("bang law on morphism", n, m, lhs))
+    return r
 
 
 def _composable_pairs(bound):
@@ -176,15 +172,16 @@ def _assoc_arities(P, f, g):
 
 
 def _assoc_sweep(P, f, g, tuples, on_morphisms, r: Report) -> bool:
-    """Check the pair (f, g) on each tuple, counting on ``r``; False at
-    the first failure, which ``r`` then records."""
+    """Check the pair (f, g) on each tuple, charging ``r``; False once
+    ``r`` holds its verdict (failed or capped)."""
     nb = g.cod
     for tup in tuples:
-        r.checked += 1
+        if not r.charge():
+            return False
         c, bs, as_ = tup[0], tup[1:1 + nb], tup[1 + nb:]
         lhs, rhs = _assoc_instance(P, f, g, c, bs, as_, on_morphisms)
         if lhs != rhs:
-            r.status, r.witness = FAIL, (str(f), str(g), tup, lhs, rhs)
+            r.fail((str(f), str(g), tup, lhs, rhs))
             return False
     return True
 
@@ -199,9 +196,10 @@ def check_associativity(P: TruncatedOperad, cap: int | None = DEFAULT_CAP,
 
     Object tuples are checked exhaustively; morphism tuples are checked
     exhaustively while the total stays within the cap and on a
-    deterministic sample of 10000 tuples per surjection pair otherwise.
+    deterministic sample of 10000 tuples per surjection pair otherwise,
+    so the report itself is never capped.
     """
-    r = Report(name, PASS, 0)
+    r = Report(name)
     sampled = False
     for f, g in _composable_pairs(P.bound):
         if not _assoc_sweep(P, f, g, _object_tuples(P, f, g), False, r):
@@ -251,21 +249,7 @@ def validate_operad(P: TruncatedOperad, deep: bool = False,
     reports.append(struct)
     if not P.is_object(1, P.unit):
         reports.append(Report("unit", FAIL, 1, witness=P.unit))
-    typed = Report("mu typing", PASS, 0)
-    for g in all_surjections_up_to(P.bound):
-        if g not in P.mu:
-            continue
-        slots = [P.component(a).objects for a in P.arg_arities(g)]
-        for tup in itertools.product(*slots):
-            typed.checked += 1
-            value = P.mu[g].obj_map.get(tup)
-            if value is None or not P.is_object(g.dom, value):
-                typed.status = FAIL
-                typed.witness = (str(g), tup, value)
-                break
-        if typed.status == FAIL:
-            break
-    reports.append(typed)
+    reports.append(_check_mu_typing(P))
     if all(r.ok for r in reports):
         reports.append(check_unitality(P))
         if deep:
@@ -273,12 +257,26 @@ def validate_operad(P: TruncatedOperad, deep: bool = False,
             for g in all_surjections_up_to(P.bound):
                 reports.append(validate_functor(P.mu[g], "mu functor %s" % g))
         else:
-            obj_only = Report("associativity (objects)", PASS, 0)
+            obj_only = Report("associativity (objects)")
             for f, g in _composable_pairs(P.bound):
                 if not _assoc_sweep(P, f, g, _object_tuples(P, f, g), False, obj_only):
                     break
             reports.append(obj_only)
     return reports
+
+
+def _check_mu_typing(P: TruncatedOperad) -> Report:
+    r = Report("mu typing")
+    for g in all_surjections_up_to(P.bound):
+        if g not in P.mu:
+            continue
+        slots = [P.component(a).objects for a in P.arg_arities(g)]
+        for tup in itertools.product(*slots):
+            r.charge()
+            value = P.mu[g].obj_map.get(tup)
+            if value is None or not P.is_object(g.dom, value):
+                return r.fail((str(g), tup, value))
+    return r
 
 
 # ---------------------------------------------------------------------------
@@ -303,38 +301,37 @@ def validate_operad_morphism(F: OperadMorphism, cap: int | None = DEFAULT_CAP,
                              name: str | None = None) -> Report:
     """Check functoriality per arity, unit preservation, and both
     compatibility squares with the composition functors."""
-    name = name or ("operad morphism %s" % F.name)
     P, Q = F.source, F.target
+    r = Report(name or ("operad morphism %s" % F.name), cap=cap)
     if P.bound != Q.bound:
-        return Report(name, FAIL, 0, witness="bounds differ")
-    r = Report(name, PASS, 0)
+        return r.fail("bounds differ")
     for n in range(1, P.bound + 1):
         sub = validate_functor(F.functors[n], "component %d" % n)
-        r.checked += sub.checked
+        within = r.charge(sub.checked)
         if not sub.ok:
-            return Report(name, FAIL, r.checked, witness=sub.witness)
+            return r.fail(sub.witness)
+        if not within:
+            return r
     if F.on_obj(1, P.unit) != Q.unit:
-        return Report(name, FAIL, r.checked, witness=("unit not preserved",
-                                                      F.on_obj(1, P.unit)))
-    budget = Budget(cap)
+        return r.fail(("unit not preserved", F.on_obj(1, P.unit)))
     for g in all_surjections_up_to(P.bound):
         arities = P.arg_arities(g)
         obj_slots = [P.component(a).objects for a in arities]
         for tup in itertools.product(*obj_slots):
-            r.checked += 1
-            budget.spend()
+            if not r.charge():
+                return r
             lhs = F.on_obj(g.dom, P.apply_obj(g, tup))
             rhs = Q.apply_obj(g, tuple(F.on_obj(n, a) for n, a in zip(arities, tup)))
             if lhs != rhs:
-                return Report(name, FAIL, r.checked, witness=(str(g), tup, lhs, rhs))
+                return r.fail((str(g), tup, lhs, rhs))
         mor_slots = [P.component(a).morphism_ids() for a in arities]
         for tup in itertools.product(*mor_slots):
-            if not budget.charge(r):
+            if not r.charge():
                 return r
             lhs = F.on_mor(g.dom, P.apply_mor(g, tup))
             rhs = Q.apply_mor(g, tuple(F.on_mor(n, m) for n, m in zip(arities, tup)))
             if lhs != rhs:
-                return Report(name, FAIL, r.checked, witness=(str(g), tup, lhs, rhs))
+                return r.fail((str(g), tup, lhs, rhs))
     return r
 
 

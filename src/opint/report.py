@@ -1,9 +1,11 @@
-"""Check results and search budgets.
+"""Check results that count, cap and fail themselves.
 
 Every exhaustive checker in the package returns a :class:`Report` whose
 status is one of ``pass``, ``fail`` or ``capped``.  ``capped`` means the
-instance budget ran out before the search space was exhausted and no
-counterexample was found; it is deliberately distinct from a pass.
+report's instance cap ran out before the search space was exhausted and
+no counterexample was found; it is deliberately distinct from a pass.
+A checker counts only through :meth:`Report.charge`, so a capped report
+reads ``cap + 1`` instances unless it charged a whole sub-check at once.
 """
 
 from __future__ import annotations
@@ -24,10 +26,26 @@ class Report:
     checked: int = 0
     witness: object = None
     notes: list = field(default_factory=list)
+    cap: int | None = field(default=None, repr=False, compare=False)
 
     @property
     def ok(self) -> bool:
         return self.status == PASS
+
+    def charge(self, k: int = 1) -> bool:
+        """Count k instances; once more than ``cap`` are counted, mark the
+        report capped with a note and return False.  ``None`` never caps."""
+        self.checked += k
+        if self.cap is None or self.checked <= self.cap:
+            return True
+        self.status = CAPPED
+        self.notes.append("cap %r reached" % self.cap)
+        return False
+
+    def fail(self, witness) -> Report:
+        """Record a failure located at ``witness``; returns the report."""
+        self.status, self.witness = FAIL, witness
+        return self
 
     def line(self) -> str:
         msg = "%s: %s (%d instances)" % (self.name, self.status, self.checked)
@@ -36,29 +54,6 @@ class Report:
         if self.notes:
             msg += " [" + "; ".join(self.notes) + "]"
         return msg
-
-
-class Budget:
-    """Counts instances against a cap; ``None`` means unbounded."""
-
-    def __init__(self, cap: int | None = DEFAULT_CAP):
-        self.cap = cap
-        self.used = 0
-
-    def spend(self, k: int = 1) -> bool:
-        """Register k instances; False once more than ``cap`` are registered."""
-        self.used += k
-        return self.cap is None or self.used <= self.cap
-
-    def charge(self, r: Report, k: int = 1) -> bool:
-        """Count k instances on ``r`` and spend them; once the cap is
-        reached, mark ``r`` capped with a note and return False."""
-        r.checked += k
-        if self.spend(k):
-            return True
-        r.status = CAPPED
-        r.notes.append("cap %r reached" % self.cap)
-        return False
 
 
 def summarize(reports) -> str:

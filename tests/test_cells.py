@@ -2,19 +2,23 @@
 integration's cache statistics."""
 
 import gc
+import itertools
 import weakref
+from dataclasses import replace
 
 import pytest
 
 from opint import jsonio
+from opint.fincat import is_terminal
 from opint.integration import (
     LaxTriangle, OneCell, SliceTwoCell, TwoCell, ZeroCell, check_two_category_laws,
-    integrate,
+    integrate, lali_terminals,
 )
-from opint.operadic import OperadicTwoCat, check_operadic_axioms
+from opint.operadic import OperadicTwoCat, canonical_fibration, check_operadic_axioms, \
+    roundtrip_2cat, roundtrip_operad
 from opint.operads import nat_operad, tree_operad
-from opint.surjections import Surjection, bang, compose, from_fiber_sizes, \
-    identity_surjection, induced_map
+from opint.surjections import Surjection, all_surjections_up_to, bang, compose, \
+    from_fiber_sizes, identity_surjection, induced_map
 from opint.trees import corolla
 
 
@@ -36,6 +40,44 @@ def z2_operad(obj):
         "mu": [{"g": {"dom": 1, "cod": 1, "values": [1]},
                 "graph": [[[obj, obj], obj]],
                 "mor_graph": [[[g, f], law(g, f)] for g in "es" for f in "es"]}]})
+
+
+def chaotic_operad():
+    """Arities 1 and 2, each the indiscrete category on Z/2 (one arrow
+    between any two objects), with mu adding mod 2.  Isomorphic objects
+    make its integration non-skeletal: hom([1,1], [1,0]) has two
+    terminal 1-cells."""
+    component = {"poset": {"elements": [0, 1], "le": [[0, 1], [1, 0]]}}
+    mu = [{"g": str(g),
+           "graph": [[list(tup), sum(tup) % 2]
+                     for tup in itertools.product((0, 1), repeat=1 + g.cod)]}
+          for g in all_surjections_up_to(2)]
+    return jsonio.operad_from_json({"bound": 2, "unit": 0, "name": "chaotic:2:2",
+                                    "components": [component, component], "mu": mu})
+
+
+def test_lali_choice_accepts_any_terminal_object():
+    P = chaotic_operad()
+    I = integrate(P)
+    u = ZeroCell(1, 0)
+    H = I.hom(ZeroCell(1, 1), u)
+    assert len(H.objects) == 2 and all(is_terminal(H, c) for c in H.objects)
+    (_, (v, witnesses)), = lali_terminals(I).items()
+    assert v == u and witnesses[u] == I.identity_one_cell(u)
+    assert all(r.ok for r in check_two_category_laws(I)), "laws"
+    O = OperadicTwoCat.from_integration(I)
+    assert [r.line() for r in check_operadic_axioms(O) if not r.ok] == []
+    assert roundtrip_operad(P).ok and roundtrip_2cat(canonical_fibration(I)).ok
+    # a cell of hom(x, u) that is not terminal still fails the choice
+    O = OperadicTwoCat.from_integration(integrate(nat_operad(3)))
+
+    def eps(x):
+        H = O.tc.hom(x, u)
+        return next((c for c in H.objects if not is_terminal(H, c)), O.eps(x))
+
+    lali = check_operadic_axioms(replace(O, eps=eps))[0]
+    assert (lali.name, lali.status, lali.witness[0]) == \
+        ("lali choice", "fail", "terminal map")
 
 
 def test_cells_built_twice_are_identical():

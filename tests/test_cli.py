@@ -152,6 +152,25 @@ def test_capped_roundtrip_reports_the_cap(capsys):
         assert data[part]["checked"] == 2
 
 
+LIFT = ("lift", "--operad", "nat:3", "--surjection", "1->1:[1]", "--dst", "1")
+
+
+@pytest.mark.parametrize("argv", [
+    ("hom", "--operad", "nat:3", "--src", "[0,1]", "--dst", "1"),
+    ("factor", "--operad", "nat:3", "--src", "{}", "--dst", "1"),
+    LIFT + ("--fibers", "[[1]]"),
+    LIFT + ("--fibers", "[1]"),
+    LIFT + ("--fibers", "5"),
+    ("lift", "--operad", "nat:3", "--surjection", "bad", "--dst", "1",
+     "--fibers", "[[1, 1]]"),
+], ids=["arity-0", "unhashable", "short-fiber", "bare-fiber", "fibers-not-list",
+        "bad-surjection"])
+def test_hostile_input_is_a_usage_error(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("verb", ["check", "integrate", "extract", "roundtrip"])
 def test_invalid_operad_exits_with_report(tmp_path, capsys, verb):
     # unit 2 breaks both unit laws of the saturating chain

@@ -15,7 +15,7 @@ from opint.operadic import (
 )
 from opint.operads import identity_operad_morphism, tree_operad, \
     validate_operad_morphism
-from opint.report import CAPPED, Budget, Report
+from opint.report import CAPPED, Report
 from opint.trees import LEAF
 
 P = tree_operad(3)
@@ -36,8 +36,8 @@ CAPPING = {
         integrate_morphism(identity_operad_morphism(P), I, I), cap=1)],
         {"integration 2-functor"}),
     "operadic axioms": (lambda: check_operadic_axioms(O, cap=1),
-                        {"axiom (i)", "axiom (iv)", "axiom (v)",
-                         "axiom (v) one-cells"}),
+                        {"lali choice", "axiom (i)", "axiom (ii)", "axiom (iii)",
+                         "axiom (iv)", "axiom (v)", "axiom (v) one-cells"}),
     "operadic cartesian": (lambda: [is_operadic_cartesian(
         O, I.identity_one_cell(UNIT), cap=1)], {"operadic cartesian"}),
     "splitting": (lambda: [check_splitting(S, cap=1)], {"splitting"}),
@@ -68,11 +68,11 @@ def test_capped_reports_carry_the_cap_note(checker):
 
 def test_each_capped_law_and_axiom_has_its_own_cap():
     # one instance within the cap, the second charged and refused, even in
-    # a check that runs after another one capped; axiom (i) also counts the
-    # fiber cardinalities of its first 1-cell, which it does not charge
+    # a check that runs after another one capped
     reports = check_two_category_laws(I, cap=1) + check_operadic_axioms(O, cap=1)
     assert {r.name: r.checked for r in reports if r.status == CAPPED} == {
-        "horizontal associativity": 2, "interchange": 2, "axiom (i)": 3,
+        "horizontal associativity": 2, "interchange": 2, "lali choice": 2,
+        "axiom (i)": 2, "axiom (ii)": 2, "axiom (iii)": 2,
         "axiom (iv)": 2, "axiom (v)": 2, "axiom (v) one-cells": 2}
 
 
@@ -85,13 +85,29 @@ def test_capped_roundtrip_2cat_stops_at_the_cap():
 
 
 def test_charge_counts_before_capping():
-    budget = Budget(2)
-    r = Report("r")
-    assert budget.charge(r) and budget.charge(r)
-    assert not budget.charge(r)
+    r = Report("r", cap=2)
+    assert r.charge() and r.charge()
+    assert not r.charge()
     assert (r.checked, r.status, r.notes) == (3, CAPPED, ["cap 2 reached"])
     unbounded = Report("u")
-    assert Budget(None).charge(unbounded, 10 ** 9) and unbounded.checked == 10 ** 9
+    assert unbounded.charge(10 ** 9) and unbounded.checked == 10 ** 9
+
+
+def test_every_capped_report_reads_cap_plus_one():
+    # every instance is charged, so a capped report has counted exactly one
+    # instance past the cap; the operad morphism charges a whole component
+    # functor check (4 instances on trees:3) at once and stops there
+    counts = {r.name: r.checked for run, _ in CAPPING.values() for r in run()
+              if r.status == CAPPED}
+    assert counts.pop("operad morphism") == 4
+    assert counts and set(counts.values()) == {2}, counts
+
+
+def test_fail_records_the_witness_and_cap_stays_private():
+    r = Report("r", checked=3, cap=5)
+    assert r.fail(("at", 1)) is r
+    assert (r.status, r.witness, r.checked, r.notes) == ("fail", ("at", 1), 3, [])
+    assert r == Report("r", "fail", 3, ("at", 1)) and "cap" not in repr(r)
 
 
 def test_bench_trace_targets_resolve():
