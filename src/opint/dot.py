@@ -8,6 +8,8 @@ deterministic, so identical inputs give byte-identical output.
 
 from __future__ import annotations
 
+import itertools
+
 from . import trees as T
 from .integration import Integration, OneCell, ZeroCell
 
@@ -16,27 +18,31 @@ def _quote(s) -> str:
     return '"%s"' % str(s).replace('"', '\\"')
 
 
+def _walk_tree(t, parent: str, prefix: str, indent: str, lines: list, subs=None):
+    """Emit the nodes of ``t`` below the node ``parent``, numbered in
+    preorder.  With ``subs``, an iterator of trees, each leaf of ``t`` is
+    replaced by the next tree of ``subs``, joined by a dashed edge."""
+    counter = itertools.count()
+
+    def walk(node, parent, subs, style):
+        if node == T.LEAF and subs is not None:
+            return walk(next(subs), parent, None, " [style=dashed]")
+        name = "%s_n%d" % (prefix, next(counter))
+        shape = 'none, label="", width=0.1' if node == T.LEAF else "point"
+        lines.append('%s%s [shape=%s];' % (indent, name, shape))
+        lines.append('%s%s -> %s%s;' % (indent, parent, name, style))
+        if node != T.LEAF:
+            for child in node:
+                walk(child, name, subs, "")
+
+    walk(t, parent, subs, "")
+
+
 def tree_dot_body(t, prefix: str, lines: list) -> str:
     """Emit one tree; returns the id of its root stub node."""
     root = "%s_root" % prefix
     lines.append('  %s [shape=point, width=0.05];' % root)
-
-    counter = [0]
-
-    def walk(node, parent, dashed):
-        name = "%s_n%d" % (prefix, counter[0])
-        counter[0] += 1
-        if node == T.LEAF:
-            lines.append('  %s [shape=none, label="", width=0.1];' % name)
-        else:
-            lines.append('  %s [shape=point];' % name)
-        style = ' [style=dashed]' if dashed else ''
-        lines.append('  %s -> %s%s;' % (parent, name, style))
-        if node != T.LEAF:
-            for child in node:
-                walk(child, name, False)
-
-    walk(t, root, False)
+    _walk_tree(t, root, prefix, "  ", lines)
     return root
 
 
@@ -49,59 +55,21 @@ def tree_to_dot(t, name: str = "tree") -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cell_label(I: Integration, cell: OneCell) -> str:
+def _cell_label(cell: OneCell) -> str:
     return "[%s; %s; %s]" % (cell.f, ",".join(map(str, cell.args)), cell.alpha)
 
 
-def _tree_cell_cluster(I: Integration, cell: OneCell, prefix: str, lines: list):
+def _tree_cell_cluster(cell: OneCell, prefix: str, lines: list):
     """A 1-cell of a tree integration as its grafted tree with a dashed cut.
 
     The total tree is the source object of the cell's component morphism;
     edges entering a grafted part are dashed, showing where the cut runs.
     """
     lines.append("  subgraph cluster_%s {" % prefix)
-    lines.append('    label=%s;' % _quote(_cell_label(I, cell)))
+    lines.append('    label=%s;' % _quote(_cell_label(cell)))
     anchor = "%s_root" % prefix
-
-    counter = [0]
-
-    def walk(node, parent, dashed):
-        name = "%s_n%d" % (prefix, counter[0])
-        counter[0] += 1
-        shape = "point" if node != T.LEAF else "none"
-        extra = "" if node != T.LEAF else ', label="", width=0.1'
-        lines.append('    %s [shape=%s%s];' % (name, shape, extra))
-        lines.append('    %s -> %s%s;' % (parent, name,
-                                          " [style=dashed]" if dashed else ""))
-        if node != T.LEAF:
-            for child in node:
-                walk(child, name, False)
-
     lines.append('    %s [shape=point, width=0.05];' % anchor)
-    # rebuild the grafted tree, marking the joints where the cut runs
-    upper = cell.dst.obj
-
-    def graft_walk(node, parent, subs, dashed):
-        name = "%s_n%d" % (prefix, counter[0])
-        counter[0] += 1
-        if node == T.LEAF:
-            sub = next(subs)
-            if sub == T.LEAF:
-                lines.append('    %s [shape=none, label="", width=0.1];' % name)
-                lines.append('    %s -> %s [style=dashed];' % (parent, name))
-            else:
-                lines.append('    %s [shape=point];' % name)
-                lines.append('    %s -> %s [style=dashed];' % (parent, name))
-                for child in sub:
-                    walk(child, name, False)
-        else:
-            lines.append('    %s [shape=point];' % name)
-            lines.append('    %s -> %s%s;' % (parent, name,
-                                              " [style=dashed]" if dashed else ""))
-            for child in node:
-                graft_walk(child, name, subs, False)
-
-    graft_walk(upper, anchor, iter(cell.args), False)
+    _walk_tree(cell.dst.obj, anchor, prefix, "    ", lines, iter(cell.args))
     lines.append("  }")
     return anchor
 
@@ -115,12 +83,12 @@ def hom_to_dot(I: Integration, src: ZeroCell, dst: ZeroCell,
     anchors = {}
     for idx, cell in enumerate(H.objects):
         if is_tree_operad:
-            anchors[cell] = _tree_cell_cluster(I, cell, "c%d" % idx, lines)
+            anchors[cell] = _tree_cell_cluster(cell, "c%d" % idx, lines)
         else:
             node = "c%d" % idx
             anchors[cell] = node
             lines.append("  %s [shape=box, label=%s];"
-                         % (node, _quote(_cell_label(I, cell))))
+                         % (node, _quote(_cell_label(cell))))
     for t, s, d in H.morphisms():
         if s == d:
             continue  # identities clutter the picture
@@ -142,10 +110,10 @@ def factorization_to_dot(I: Integration, phi: OneCell, name: str = "factorizatio
     }
     for key, label in nodes.items():
         lines.append("  %s [shape=ellipse, label=%s];" % (key, _quote(label)))
-    lines.append("  src -> mid [label=%s];" % _quote(_cell_label(I, e_part)))
+    lines.append("  src -> mid [label=%s];" % _quote(_cell_label(e_part)))
     lines.append("  mid -> dst [style=dashed, label=%s];"
-                 % _quote(_cell_label(I, m_part)))
+                 % _quote(_cell_label(m_part)))
     lines.append("  src -> dst [label=%s, color=gray];"
-                 % _quote(_cell_label(I, phi)))
+                 % _quote(_cell_label(phi)))
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -580,33 +580,38 @@ def integrate_morphism(F: OperadMorphism, source: Integration | None = None,
 
 def check_integration_map(im: IntegrationMap, cap: int | None = DEFAULT_CAP) -> Report:
     """Identity, composition, projection, fiber and lift preservation."""
-    I, J = im.source, im.target
-    r = Report("integration 2-functor", cap=cap)
+    return _check_cell_map(im.source, im.target, im.on0, im.on1,
+                           Report("integration 2-functor", cap=cap))
+
+
+def _check_cell_map(I: Integration, J: Integration, on0, on1, r: Report) -> Report:
+    """Whether the cell maps ``on0`` and ``on1`` from I to J preserve
+    identities, projection, fibers, composition and the chosen lifts."""
     for x in I.zero_cells():
         if not r.charge():
             return r
-        if im.on1(I.identity_one_cell(x)) != J.identity_one_cell(im.on0(x)):
+        if on1(I.identity_one_cell(x)) != J.identity_one_cell(on0(x)):
             return r.fail(("identity", str(x)))
     for f_cell in I.all_one_cells():
         if not r.charge():
             return r
-        if im.on1(f_cell).f != f_cell.f:
+        if on1(f_cell).f != f_cell.f:
             return r.fail(("projection", str(f_cell)))
-        if tuple(im.on0(c) for c in I.fibers_of_1cell(f_cell)) != \
-           J.fibers_of_1cell(im.on1(f_cell)):
+        if tuple(on0(c) for c in I.fibers_of_1cell(f_cell)) != \
+           J.fibers_of_1cell(on1(f_cell)):
             return r.fail(("fibers", str(f_cell)))
         for g_cell in I.one_cells_from(f_cell.dst):
             if not r.charge():
                 return r
-            if im.on1(I.h_compose(g_cell, f_cell)) != \
-               J.h_compose(im.on1(g_cell), im.on1(f_cell)):
+            if on1(I.h_compose(g_cell, f_cell)) != \
+               J.h_compose(on1(g_cell), on1(f_cell)):
                 return r.fail(("composition", str(f_cell), str(g_cell)))
     # chosen lifts
     for g, c, fibers in lift_instances(I.zero_cells(), _arity, I.P.bound):
         if not r.charge():
             return r
         lift = I.cartesian_lift(g, c, fibers)
-        expected = J.cartesian_lift(g, im.on0(c), tuple(im.on0(fc) for fc in fibers))
-        if im.on1(lift) != expected:
+        expected = J.cartesian_lift(g, on0(c), tuple(on0(fc) for fc in fibers))
+        if on1(lift) != expected:
             return r.fail(("lift", str(g), c.obj, tuple(fc.obj for fc in fibers)))
     return r

@@ -18,10 +18,12 @@ from typing import Any, Callable
 from .fincat import FinCat, Functor, is_terminal, product, validate_functor
 from .interning import memo_tables, memoized
 from .integration import (
-    Integration, LaxTriangle, OneCell, SliceTwoCell, ZeroCell, _arity, integrate,
+    Integration, LaxTriangle, OneCell, SliceTwoCell, ZeroCell, _check_cell_map, integrate,
     lift_instances, two_cat_components,
 )
-from .operads import OperadMorphism, TruncatedOperad, _composable_pairs, validate_operad
+from .operads import (
+    OperadMorphism, TruncatedOperad, _check_mu_squares, _composable_pairs, validate_operad,
+)
 from .report import DEFAULT_CAP, FAIL, Report
 from .surjections import (
     Surjection, all_surjections_up_to, bang, block_cut, compose, enumerate_surjections,
@@ -49,7 +51,6 @@ class OperadicTwoCat:
     src0: Callable
     dst0: Callable
     src2: Callable
-    dst2: Callable
     fib0: Callable          # (x, one-cell into x) -> tuple of 0-cells
     fib1: Callable          # (x, lax triangle over x) -> tuple of 1-cells
     fib2: Callable          # (x, slice 2-cell over x) -> tuple of 2-cells
@@ -121,7 +122,6 @@ class OperadicTwoCat:
             src0=lambda c: c.src,
             dst0=lambda c: c.dst,
             src2=lambda t: t.src,
-            dst2=lambda t: t.dst,
             fib0=lambda x, c: I.fibers_of_1cell(c),
             fib1=lambda x, tri: I.fibers_of_lax_triangle(tri),
             fib2=lambda x, xi: I.fibers_of_slice_2cell(xi),
@@ -193,7 +193,6 @@ def delta_s(N: int) -> OperadicTwoCat:
         src0=lambda f: f.dom,
         dst0=lambda f: f.cod,
         src2=lambda t: t[1],
-        dst2=lambda t: t[1],
         fib0=fib0,
         fib1=fib1,
         fib2=fib2,
@@ -485,12 +484,14 @@ def check_splitting(S: SplitFibrationData, cap: int | None = DEFAULT_CAP) -> Rep
     r = Report("splitting", cap=cap)
     for n in range(1, S.bound + 1):
         for c in _cells_of_card(O, n):
-            if not r.charge(2):
+            if not r.charge():
                 return r
             u = O.unit_of(c)
             units = (u,) * n
             if S.lift(identity_surjection(n), c, units) != O.tc.identity1(c):
                 return r.fail(("identity lift", str(c)))
+            if not r.charge():
+                return r
             if S.lift(bang(n), u, (c,)) != O.eps(c):
                 return r.fail(("terminal lift", str(c)))
     for f, g in _composable_pairs(S.bound):
@@ -690,10 +691,9 @@ def _extracted_mu(S: SplitFibrationData, g: Surjection, components) -> Functor:
 
 @dataclass
 class Certificate(Report):
-    """A round-trip report carrying its details and replayable functor data."""
+    """A round-trip report carrying its details."""
 
     details: dict = field(default_factory=dict)
-    maps: dict = field(default_factory=dict, repr=False)
 
     def line(self):
         msg = "%s: %s" % (self.name, self.status)
@@ -728,8 +728,7 @@ def roundtrip_operad(P: TruncatedOperad, cap: int | None = DEFAULT_CAP) -> Certi
     cert = Certificate("roundtrip operad", cap=cap, details=details)
     if P2.bound != P.bound:
         return cert.fail(("bound", P2.bound))
-    obj_maps = {}
-    mor_maps = {}
+    functors = {}
     for n in range(1, P.bound + 1):
         C, D = P.component(n), P2.component(n)
         obj_map = {a: ZeroCell(n, a) for a in C.objects}
@@ -738,36 +737,15 @@ def roundtrip_operad(P: TruncatedOperad, cap: int | None = DEFAULT_CAP) -> Certi
             return cert.fail(("object bijection", n))
         if not _bijective(mor_map.values(), D.morphism_ids()):
             return cert.fail(("morphism bijection", n))
-        F = Functor(C, D, obj_map, mor_map)
-        if not validate_functor(F).ok:
+        functors[n] = Functor(C, D, obj_map, mor_map)
+        if not validate_functor(functors[n]).ok:
             return cert.fail(("functoriality", n))
-        obj_maps[n], mor_maps[n] = obj_map, mor_map
         details["per_arity_iso"].append(
             {"n": n,
              "obj_map": {str(k): str(v) for k, v in obj_map.items()},
              "mor_map": {str(k): str(v) for k, v in mor_map.items()}})
-    if obj_maps[1][P.unit] != P2.unit:
-        return cert.fail("unit")
-    for g in P.mu:
-        arities = P.arg_arities(g)
-        for tup in itertools.product(*[P.component(a).objects for a in arities]):
-            details["mu_checked"] += 1
-            if not cert.charge():
-                return cert
-            lhs = obj_maps[g.dom][P.apply_obj(g, tup)]
-            rhs = P2.apply_obj(g, tuple(obj_maps[a][v] for a, v in zip(arities, tup)))
-            if lhs != rhs:
-                return cert.fail(("mu objects", str(g), tup))
-        for tup in itertools.product(*[P.component(a).morphism_ids()
-                                       for a in arities]):
-            details["mu_checked"] += 1
-            if not cert.charge():
-                return cert
-            lhs = mor_maps[g.dom][P.apply_mor(g, tup)]
-            rhs = P2.apply_mor(g, tuple(mor_maps[a][v] for a, v in zip(arities, tup)))
-            if lhs != rhs:
-                return cert.fail(("mu morphisms", str(g), tup))
-    cert.maps = {"obj": obj_maps, "mor": mor_maps}
+    _check_mu_squares(OperadMorphism(P, P2, functors), cert)
+    details["mu_checked"] = cert.checked
     return cert
 
 
@@ -795,7 +773,6 @@ def roundtrip_2cat(S: SplitFibrationData, cap: int | None = DEFAULT_CAP) -> Cert
     if not _bijective(map(g0, J.zero_cells()), O.tc.zero_cells()):
         return cert.fail("0-cell bijection")
     details["zero_cells"] = len(J.zero_cells())
-    two_maps = {}
     for xj in J.zero_cells():
         for yj in J.zero_cells():
             Hj = J.hom(xj, yj)
@@ -804,16 +781,16 @@ def roundtrip_2cat(S: SplitFibrationData, cap: int | None = DEFAULT_CAP) -> Cert
             if not _bijective(images, Ho.objects):
                 return cert.fail(("1-cell bijection", str(xj), str(yj)))
             details["one_cells"] += len(images)
+            two_images = set()
             for t, s, d in Hj.morphisms():
                 if not cert.charge():
                     return cert
                 image = _image_two_cell(O, g1(s), g1(d), t.deltas)
                 if image is None:
                     return cert.fail(("2-cell image", str(t)))
-                two_maps[t] = image
+                two_images.add(image)
                 details["two_cells"] += 1
-            if len({two_maps[t] for t in Hj.morphism_ids()}) != \
-               len(Hj.morphism_ids()) or \
+            if len(two_images) != len(Hj.morphism_ids()) or \
                len(Hj.morphism_ids()) != len(Ho.morphism_ids()):
                 return cert.fail(("2-cell bijection", str(xj), str(yj)))
     # functoriality on composable pairs
@@ -841,7 +818,6 @@ def roundtrip_2cat(S: SplitFibrationData, cap: int | None = DEFAULT_CAP) -> Cert
                               tuple(ZeroCell(s, b) for s, b in zip(g.fiber_sizes(), bs)))
         if g1(jl) != S.lift(g, c, bs):
             return cert.fail(("lift", str(g), str(c)))
-    cert.maps = {"zero": {x: g0(x) for x in J.zero_cells()}, "two": two_maps}
     return cert
 
 
@@ -951,7 +927,7 @@ def enumerate_lift_preserving_2functors(SP: SplitFibrationData,
 
 
 def _forced_extension_valid(IP: Integration, IQ: Integration, maps) -> bool:
-    P, Q = IP.P, IQ.P
+    Q = IQ.P
 
     def h0(x: ZeroCell):
         return ZeroCell(x.arity, maps[x.arity][x.obj])
@@ -967,7 +943,7 @@ def _forced_extension_valid(IP: Integration, IQ: Integration, maps) -> bool:
             return None
         return IQ.one_cell(cell.f, args, alphas[0], target)
 
-    # every 1-cell must have an image, identities to identities
+    # every 1-cell and every 2-cell must have an image
     images = {}
     for x in IP.zero_cells():
         for cell in IP.one_cells_from(x):
@@ -975,28 +951,13 @@ def _forced_extension_valid(IP: Integration, IQ: Integration, maps) -> bool:
             if img is None:
                 return False
             images[cell] = img
-        if images.get(IP.identity_one_cell(x)) != IQ.identity_one_cell(h0(x)):
-            return False
-    # 2-cells must have images
     for x in IP.zero_cells():
         for y in IP.zero_cells():
             Hq = IQ.hom(h0(x), h0(y))
             for t, s, d in IP.hom(x, y).morphisms():
                 if not Hq.hom(images[s], images[d]):
                     return False
-    # composition must be preserved
-    for f_cell in IP.all_one_cells():
-        for g_cell in IP.one_cells_from(f_cell.dst):
-            if images[IP.h_compose(g_cell, f_cell)] != \
-               IQ.h_compose(images[g_cell], images[f_cell]):
-                return False
-    # chosen lifts must be preserved
-    for g, c, fibers in lift_instances(IP.zero_cells(), _arity, P.bound):
-        lift = IP.cartesian_lift(g, c, fibers)
-        expected = IQ.cartesian_lift(g, h0(c), tuple(h0(fc) for fc in fibers))
-        if images[lift] != expected:
-            return False
-    return True
+    return _check_cell_map(IP, IQ, h0, images.__getitem__, Report("2-functor")).ok
 
 
 def check_full_faithfulness(P: TruncatedOperad, Q: TruncatedOperad) -> Report:

@@ -11,7 +11,6 @@ laws) are executable: see :func:`check_associativity` and
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 
 from . import trees as T
@@ -118,9 +117,9 @@ def _unit_tuple(P, n):
     return (P.unit,) * n
 
 
-def check_unitality(P: TruncatedOperad, name: str = "unitality") -> Report:
+def check_unitality(P: TruncatedOperad) -> Report:
     """Both unit laws, on every object and morphism of every component."""
-    r = Report(name)
+    r = Report("unitality")
     for n in range(1, P.bound + 1):
         C = P.component(n)
         idn = identity_surjection(n)
@@ -166,16 +165,14 @@ def _assoc_instance(P, f, g, c, bs, as_, on_morphisms):
     return lhs, rhs
 
 
-def _assoc_arities(P, f, g):
-    """The arities of the arguments (c, b_1..b_n, a_1..a_m) of a pair."""
-    return P.arg_arities(g) + f.fiber_sizes()
-
-
-def _assoc_sweep(P, f, g, tuples, on_morphisms, r: Report) -> bool:
-    """Check the pair (f, g) on each tuple, charging ``r``; False once
-    ``r`` holds its verdict (failed or capped)."""
+def _assoc_sweep(P, f, g, on_morphisms, r: Report) -> bool:
+    """Check the pair (f, g) on every tuple (c, b_1..b_n, a_1..a_m) of
+    objects, or of morphisms, charging ``r``; False once ``r`` holds its
+    verdict (failed or capped)."""
+    cats = [P.component(a) for a in P.arg_arities(g) + f.fiber_sizes()]
     nb = g.cod
-    for tup in tuples:
+    for tup in itertools.product(*[C.morphism_ids() if on_morphisms else C.objects
+                                   for C in cats]):
         if not r.charge():
             return False
         c, bs, as_ = tup[0], tup[1:1 + nb], tup[1 + nb:]
@@ -186,47 +183,18 @@ def _assoc_sweep(P, f, g, tuples, on_morphisms, r: Report) -> bool:
     return True
 
 
-def _object_tuples(P, f, g):
-    return itertools.product(*[P.component(a).objects for a in _assoc_arities(P, f, g)])
-
-
-def check_associativity(P: TruncatedOperad, cap: int | None = DEFAULT_CAP,
-                        name: str = "associativity", seed: int = 0) -> Report:
+def check_associativity(P: TruncatedOperad, cap: int | None = DEFAULT_CAP) -> Report:
     """Elementwise associativity over all composable surjection pairs.
 
-    Object tuples are checked exhaustively; morphism tuples are checked
-    exhaustively while the total stays within the cap and on a
-    deterministic sample of 10000 tuples per surjection pair otherwise,
-    so the report itself is never capped.
+    Each pair is checked on every tuple of objects and then on every
+    tuple of morphisms, until ``cap`` instances are spent; a report that
+    runs out of cap reads ``capped``, never pass.
     """
-    r = Report(name)
-    sampled = False
+    r = Report("associativity", cap=cap)
     for f, g in _composable_pairs(P.bound):
-        if not _assoc_sweep(P, f, g, _object_tuples(P, f, g), False, r):
-            return r
-        mor_slots = [P.component(a).morphism_ids() for a in _assoc_arities(P, f, g)]
-        total = 1
-        for s in mor_slots:
-            total *= len(s)
-        radix = [len(s) for s in mor_slots]
-        if cap is not None and r.checked + total > cap:
-            rng = random.Random(seed)
-            sampled = True
-            picks = sorted(rng.randrange(total) for _ in range(min(total, 10_000)))
-        else:
-            picks = range(total)
-
-        def decode(idx):
-            tup = []
-            for n, slot in zip(reversed(radix), reversed(mor_slots)):
-                tup.append(slot[idx % n])
-                idx //= n
-            return tuple(reversed(tup))
-
-        if not _assoc_sweep(P, f, g, map(decode, picks), True, r):
-            return r
-    if sampled:
-        r.notes.append("morphism tuples sampled")
+        for on_morphisms in (False, True):
+            if not _assoc_sweep(P, f, g, on_morphisms, r):
+                return r
     return r
 
 
@@ -259,7 +227,7 @@ def validate_operad(P: TruncatedOperad, deep: bool = False,
         else:
             obj_only = Report("associativity (objects)")
             for f, g in _composable_pairs(P.bound):
-                if not _assoc_sweep(P, f, g, _object_tuples(P, f, g), False, obj_only):
+                if not _assoc_sweep(P, f, g, False, obj_only):
                     break
             reports.append(obj_only)
     return reports
@@ -312,6 +280,13 @@ def validate_operad_morphism(F: OperadMorphism, cap: int | None = DEFAULT_CAP,
             return r.fail(sub.witness)
         if not within:
             return r
+    return _check_mu_squares(F, r)
+
+
+def _check_mu_squares(F: OperadMorphism, r: Report) -> Report:
+    """Unit preservation and the object and morphism squares of every
+    composition functor, one charge of ``r`` per tuple."""
+    P, Q = F.source, F.target
     if F.on_obj(1, P.unit) != Q.unit:
         return r.fail(("unit not preserved", F.on_obj(1, P.unit)))
     for g in all_surjections_up_to(P.bound):

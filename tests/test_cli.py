@@ -139,6 +139,14 @@ def test_check_json_matches_golden(capsys, spec):
     assert out == (GOLDEN / ("check_%s.json" % spec.replace(":", ""))).read_text()
 
 
+@pytest.mark.parametrize("spec", ["trees:3", "nat:3"])
+def test_roundtrip_json_matches_golden(capsys, spec):
+    # verbatim output of an earlier release, as for the check goldens
+    code, out, _ = run(capsys, "roundtrip", "--operad", spec, "--json")
+    assert code == 0
+    assert out == (GOLDEN / ("roundtrip_%s.json" % spec.replace(":", ""))).read_text()
+
+
 def test_capped_roundtrip_reports_the_cap(capsys):
     code, out, _ = run(capsys, "roundtrip", "--operad", "trees:3", "--cap", "1")
     assert code == 3

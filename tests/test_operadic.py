@@ -179,6 +179,17 @@ def test_roundtrip_operad_certificates():
         assert cert.details["mu_checked"] > 0
 
 
+def test_corrupted_mu_on_morphisms_fails_roundtrip_operad():
+    # light validation checks mu on objects only, so this corruption
+    # integrates; the round trip's morphism square must catch it
+    P = nat_operad(3)
+    P.mu[identity_surjection(1)].mor_map[((3, 2), (1, 0))] = (3, 3)
+    assert all(r.ok for r in validate_operad(P))
+    cert = roundtrip_operad(P)
+    assert cert.status == "fail", cert.line()
+    assert "1->1:[1]" in cert.witness and ((3, 2), (1, 0)) in cert.witness
+
+
 def test_roundtrip_2cat_certificates():
     for P in (nat_operad(2), tree_operad(2), terminal_operad(2)):
         cert = roundtrip_2cat(fibration(P))

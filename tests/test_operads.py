@@ -83,6 +83,12 @@ def test_corrupted_mu_fails_associativity():
     assert report.witness is not None
 
 
+def test_associativity_is_capped_not_sampled():
+    # nat:8 has 91,125 morphism triples for its one pair, far past the cap
+    report = check_associativity(nat_operad(8), cap=1000)
+    assert report.line() == "associativity: capped (1001 instances) [cap 1000 reached]"
+
+
 def test_wrong_unit_fails_unitality():
     P = nat_operad(5)
     P.unit = 1

@@ -13,7 +13,7 @@ from opint.operadic import (
     check_splitting, check_trivial_subcategory, is_operadic_cartesian, roundtrip_2cat,
     roundtrip_operad,
 )
-from opint.operads import identity_operad_morphism, tree_operad, \
+from opint.operads import check_associativity, identity_operad_morphism, tree_operad, \
     validate_operad_morphism
 from opint.report import CAPPED, Report
 from opint.trees import LEAF
@@ -27,6 +27,7 @@ UNIT = ZeroCell(1, LEAF)
 # each capping checker on trees:3 with cap=1, and the reports it caps;
 # each capped law and axiom has a budget of its own
 CAPPING = {
+    "associativity": (lambda: [check_associativity(P, cap=1)], {"associativity"}),
     "two-category laws": (lambda: check_two_category_laws(I, cap=1),
                           {"horizontal associativity", "interchange"}),
     "projection": (lambda: [check_projection(I, cap=1)], {"projection"}),
@@ -101,6 +102,13 @@ def test_every_capped_report_reads_cap_plus_one():
               if r.status == CAPPED}
     assert counts.pop("operad morphism") == 4
     assert counts and set(counts.values()) == {2}, counts
+
+
+def test_splitting_charges_each_unit_lift():
+    # the identity lift of the first 0-cell and its terminal lift fit in
+    # the cap; the identity lift of the second is refused
+    r = check_splitting(S, cap=2)
+    assert r.line() == "splitting: capped (3 instances) [cap 2 reached]"
 
 
 def test_fail_records_the_witness_and_cap_stays_private():
