@@ -16,7 +16,7 @@ import os
 import sys
 
 from . import dot, jsonio
-from .fincat import terminal_object
+from .fincat import is_terminal, terminal_object
 from .integration import InvalidOperad, ZeroCell, check_factorization, \
     check_projection, check_two_category_laws, integrate
 from .operads import TruncatedOperad, check_associativity, check_unitality, \
@@ -132,10 +132,13 @@ def cmd_hom(args) -> int:
     dst = parse_zero_cell(args.dst, P)
     H = I.hom(src, dst)
     term = terminal_object(H)
+    # every terminal cell receives an arrow from the first one
+    terminals = {c for c in H.objects if term and (c == term[0] or (
+        H.hom(term[0], c) and is_terminal(H, c)))}
     lines = ["hom(%s, %s): %d 1-cells, %d 2-cells"
              % (src, dst, len(H.objects), len(H.morphism_ids()))]
     for cell in H.objects:
-        mark = "  <- terminal" if term and cell == term[0] else ""
+        mark = "  <- terminal" if cell in terminals else ""
         lines.append("  %s%s" % (cell, mark))
     payload = {
         "one_cells": [jsonio.one_cell_to_json(c) for c in H.objects],

@@ -334,10 +334,14 @@ class Integration:
         return SliceTwoCell(phi, src, dst, gamma)
 
     def fibers_of_slice_2cell(self, xi: SliceTwoCell) -> tuple[TwoCell, ...]:
-        g = xi.d0.f
-        blocks = block_cut(xi.gamma.deltas, g)
-        src_fibers = self.fibers_of_lax_triangle(xi.src)
-        dst_fibers = self.fibers_of_lax_triangle(xi.dst)
+        return self.fibers_of_slice(xi.d0, xi.src, xi.dst, xi.gamma)
+
+    def fibers_of_slice(self, phi: OneCell, src: LaxTriangle, dst: LaxTriangle,
+                        gamma: TwoCell) -> tuple[TwoCell, ...]:
+        """The fibers of the slice 2-cell ``gamma``: ``src => dst`` onto ``phi``."""
+        blocks = block_cut(gamma.deltas, phi.f)
+        src_fibers = self.fibers_of_lax_triangle(src)
+        dst_fibers = self.fibers_of_lax_triangle(dst)
         return tuple(self.two_cell(s, d, b)
                      for s, d, b in zip(src_fibers, dst_fibers, blocks))
 

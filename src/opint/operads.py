@@ -285,10 +285,10 @@ def validate_operad_morphism(F: OperadMorphism, cap: int | None = DEFAULT_CAP,
 
 def _check_mu_squares(F: OperadMorphism, r: Report) -> Report:
     """Unit preservation and the object and morphism squares of every
-    composition functor, one charge of ``r`` per tuple."""
+    composition functor, one charge of ``r`` per tuple; witnesses hold ``str`` forms."""
     P, Q = F.source, F.target
     if F.on_obj(1, P.unit) != Q.unit:
-        return r.fail(("unit not preserved", F.on_obj(1, P.unit)))
+        return r.fail(("unit not preserved", str(F.on_obj(1, P.unit))))
     for g in all_surjections_up_to(P.bound):
         arities = P.arg_arities(g)
         obj_slots = [P.component(a).objects for a in arities]
@@ -298,7 +298,7 @@ def _check_mu_squares(F: OperadMorphism, r: Report) -> Report:
             lhs = F.on_obj(g.dom, P.apply_obj(g, tup))
             rhs = Q.apply_obj(g, tuple(F.on_obj(n, a) for n, a in zip(arities, tup)))
             if lhs != rhs:
-                return r.fail((str(g), tup, lhs, rhs))
+                return r.fail((str(g), tup, str(lhs), str(rhs)))
         mor_slots = [P.component(a).morphism_ids() for a in arities]
         for tup in itertools.product(*mor_slots):
             if not r.charge():
@@ -306,7 +306,7 @@ def _check_mu_squares(F: OperadMorphism, r: Report) -> Report:
             lhs = F.on_mor(g.dom, P.apply_mor(g, tup))
             rhs = Q.apply_mor(g, tuple(F.on_mor(n, m) for n, m in zip(arities, tup)))
             if lhs != rhs:
-                return r.fail((str(g), tup, lhs, rhs))
+                return r.fail((str(g), tup, str(lhs), str(rhs)))
     return r
 
 

@@ -69,6 +69,23 @@ def test_hom_json(capsys):
     assert data["terminal"]["args"] == [3]
 
 
+def test_hom_marks_every_terminal_cell(tmp_path, capsys):
+    # chaotic:2:2 is not skeletal: both 1-cells of hom([1,1], [1,0]) are
+    # terminal; JSON still names the first one
+    from test_cells import chaotic_operad
+    path = tmp_path / "chaotic.json"
+    path.write_text(json.dumps(jsonio.operad_to_json(chaotic_operad())))
+    argv = ("hom", "--operad", str(path), "--src", "[1,1]", "--dst", "[1,0]")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "hom([1,1], [1,0]): 2 1-cells, 4 2-cells"
+    assert len(lines) == 3 and all(l.endswith("  <- terminal") for l in lines[1:])
+    code, out, _ = run(capsys, *argv, "--json")
+    data = json.loads(out)
+    assert code == 0 and data["terminal"] == data["one_cells"][0]
+
+
 def test_factor_verb(capsys):
     code, out, _ = run(capsys, "factor", "--operad", "trees:3",
                        "--src", '[3, ["L", "L", "L"]]', "--dst", '[1, "L"]')

@@ -3,7 +3,7 @@ import dataclasses
 import pytest
 
 from opint.fincat import FinCat, categories_isomorphic, poset_category
-from opint.integration import ZeroCell, integrate, lali_terminals
+from opint.integration import LaxTriangle, ZeroCell, integrate, lali_terminals
 from opint.operads import nat_operad, terminal_operad, tree_operad, validate_operad
 from opint.operadic import (
     DeltaSTwoCat, ExtractionError, canonical_fibration,
@@ -11,8 +11,10 @@ from opint.operadic import (
     check_splitting, check_trivial_subcategory, delta_s,
     enumerate_lift_preserving_2functors, enumerate_operad_morphisms, extract_operad,
     is_operadic_cartesian, is_trivial, roundtrip_2cat, roundtrip_operad,
+    _check_fiber_axiom_one_cells,
 )
 from opint.operads import validate_operad_morphism
+from opint.report import Report
 from opint.surjections import Surjection, bang, identity_surjection
 from opint.trees import LEAF, corolla
 
@@ -63,6 +65,82 @@ def test_replaced_fibers_are_not_served_from_the_original_memos():
     reports = {r.name: r for r in check_operadic_axioms(broken)}
     assert not reports["axiom (v)"].ok
     assert not reports["axiom (v) one-cells"].ok
+
+
+def one_cells_report(O):
+    return next(r for r in check_operadic_axioms(O) if r.name == "axiom (v) one-cells")
+
+
+@pytest.mark.parametrize("P, instances", [
+    (nat_operad(2), 16905), (tree_operad(3), 105), (nat_operad(3), 280369)],
+    ids=["nat:2", "trees:3", "nat:3"])
+def test_one_cells_charge_every_instance(P, instances):
+    r = one_cells_report(fibration(P).operadic)
+    assert (r.status, r.checked) == ("pass", instances)
+
+
+def test_corrupted_slice_fiber_fails_fiber_functoriality():
+    # one fiber of one slice 2-cell is replaced by an identity 2-cell,
+    # whose source is not the composite of the fibers of a2 and sigma
+    O = fibration(nat_operad(2)).operadic
+    I, real_fib1, real_fib2 = O.tc, O.fib1, O.fib2
+    r = Report("axiom (v) one-cells")
+    routes, calls = set(), []
+
+    def recording_fib1(x, tri):
+        routes.add((r.checked, tri.d1, tri.filler))
+        return real_fib1(x, tri)
+
+    def recording_fib2(x, *parts):
+        out = real_fib2(x, *parts)
+        calls.append((r.checked, parts, out))
+        return out
+
+    assert _check_fiber_axiom_one_cells(
+        dataclasses.replace(O, fib1=recording_fib1, fib2=recording_fib2), r).ok
+    first = {}
+    for n, parts, _ in calls:
+        first.setdefault(parts, n)
+    # the last slice 2-cell with a fiber that is not an identity, first met
+    # at an instance that reused its connecting route: fib1 saw no triangle
+    # with the instance's a1.d2 and gamma there
+    found = next(((n, parts, out) for n, parts, out in reversed(calls)
+                  if first[parts] == n and (n, parts[2].d2, parts[3]) not in routes
+                  and any(t.src != t.dst for t in out)), None)
+    assert found, "no instance that reused its route asked for its slice fibers"
+    checked, target, fibers = found
+    i = next(k for k, t in enumerate(fibers) if t.src != t.dst)
+
+    def bad_fib2(x, *parts):
+        out = real_fib2(x, *parts)
+        if parts == target:
+            out = out[:i] + (I.identity_two_cell(out[i].dst),) + out[i + 1:]
+        return out
+
+    r = one_cells_report(dataclasses.replace(O, fib2=bad_fib2))
+    assert (r.status, r.checked) == ("fail", checked)
+    assert r.witness == ("fiber functoriality", i, str(target[0]))
+
+
+def test_corrupted_connecting_triangle_fails_one_cells():
+    # the unit triangle of the identity on [3, corolla(3)] is the
+    # connecting triangle tri_a of 12 of the 105 instances on trees:3; its
+    # fibers cut along phi are looked up once per 1-cell and reused, so a
+    # corrupted fiber must FAIL at the first instance that meets it
+    O = fibration(tree_operad(3)).operadic
+    I, real_fib1 = O.tc, O.fib1
+    ident = I.identity_one_cell(ZeroCell(3, corolla(3)))
+    unit = LaxTriangle(ident, ident, ident, I.identity_two_cell(ident))
+    stray = I.identity_one_cell(ZeroCell(2, corolla(2)))
+
+    def bad_fib1(x, tri):
+        out = real_fib1(x, tri)
+        return (stray,) + out[1:] if tri is unit else out
+
+    r = one_cells_report(dataclasses.replace(O, fib1=bad_fib1))
+    assert (r.status, r.checked) == ("fail", 71)
+    assert r.witness == ("one-cells", 0, "[3->1:[1,1,1]; ('L', ('L', 'L')); "
+                         "(('L', ('L', 'L')), ('L', 'L', 'L'))]: [3,('L', 'L', 'L')] -> [1,L]")
 
 
 def test_canonical_lifts_are_cartesian_small():
@@ -188,6 +266,9 @@ def test_corrupted_mu_on_morphisms_fails_roundtrip_operad():
     cert = roundtrip_operad(P)
     assert cert.status == "fail", cert.line()
     assert "1->1:[1]" in cert.witness and ((3, 2), (1, 0)) in cert.witness
+    # the two images are named by their short forms, not their reprs
+    line = cert.line()
+    assert "OneCell(" not in line and len(line) < 200, line
 
 
 def test_roundtrip_2cat_certificates():
