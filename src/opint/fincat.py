@@ -3,6 +3,8 @@
 Objects and morphisms are identified by hashable ids; composition is
 either a table ``{(g, f): g∘f}`` or a callable computing composites on
 demand (products use the callable form, since their tables can be large).
+Functors likewise are given by tables or by rules: a :class:`RuleMap`
+computes an image on its first lookup and keeps it.
 Morphism equality is id equality throughout.
 """
 
@@ -154,9 +156,7 @@ def validate_category(C: FinCat, name: str = "category") -> Report:
         elif C._mor[mid] != (x, x):
             problems.append("identity of %r has endpoints %r" % (x, C._mor[mid]))
     if not callable(C._compose):
-        composable = set()
-        for g, f in C.composable_pairs():
-            composable.add((g, f))
+        composable = set(C.composable_pairs())
         table = set(C._compose)
         for key in sorted(composable - table, key=repr):
             problems.append("missing composite for pair %r" % (key,))
@@ -201,25 +201,49 @@ def _into(C: FinCat, x):
         yield from C.hom(a, x)
 
 
-@dataclass
+class RuleMap(dict):
+    """A functor's table out of the product of ``factors``, filled on demand:
+    ``[]`` on a missing tuple of objects (of morphism ids, with ``mor``)
+    stores and returns ``rule(key)``; any other key raises KeyError.  So
+    ``in``, ``get`` and ``items`` see only the entries stored so far."""
+
+    def __init__(self, factors, rule, mor=False):
+        self.rule = rule   # dict.__new__ has made the empty table
+        self.member = [C.has_morphism if mor else C.__contains__ for C in factors]
+
+    def __missing__(self, key):
+        if len(key) == len(self.member) and all(t(x) for t, x in zip(self.member, key)):
+            value = self[key] = self.rule(key)
+            return value
+        raise KeyError(key)
+
+
 class Functor:
-    """A functor given by explicit object and morphism tables."""
+    """A functor given by object and morphism tables: dicts or RuleMaps.
+    ``source`` may be the list of factors of a product, built on first read."""
 
-    source: FinCat
-    target: FinCat
-    obj_map: dict
-    mor_map: dict
+    def __init__(self, source, target, obj_map, mor_map):
+        self._source, self.target = source, target
+        self.obj_map, self.mor_map = obj_map, mor_map
 
-    def on_obj(self, x):
-        return self.obj_map[x]
-
-    def on_mor(self, m):
-        return self.mor_map[m]
+    @property
+    def source(self) -> FinCat:
+        if not isinstance(self._source, FinCat):
+            self._source = product(self._source)
+        return self._source
 
 
 def identity_functor(C: FinCat) -> Functor:
     return Functor(C, C, {x: x for x in C.objects},
                    {m: m for m in C.morphism_ids()})
+
+
+def lookup(table: dict, key):
+    """``table[key]``, or None where the table has no image for ``key``."""
+    try:
+        return table[key]
+    except KeyError:
+        return None
 
 
 def validate_functor(F: Functor, name: str = "functor") -> Report:
@@ -228,30 +252,31 @@ def validate_functor(F: Functor, name: str = "functor") -> Report:
     C, D = F.source, F.target
     for x in C.objects:
         checked += 1
-        if x not in F.obj_map:
+        fx = lookup(F.obj_map, x)
+        if fx is None:
             problems.append("object %r has no image" % (x,))
-        elif F.obj_map[x] not in D:
+        elif fx not in D:
             problems.append("image of object %r is not in the target" % (x,))
     for m, src, dst in C.morphisms():
         checked += 1
-        if m not in F.mor_map:
+        fm = lookup(F.mor_map, m)
+        if fm is None:
             problems.append("morphism %r has no image" % (m,))
             continue
-        fm = F.mor_map[m]
         if not D.has_morphism(fm):
             problems.append("image of morphism %r is not in the target" % (m,))
             continue
-        if (D.src(fm), D.dst(fm)) != (F.obj_map.get(src), F.obj_map.get(dst)):
+        if (D.src(fm), D.dst(fm)) != (lookup(F.obj_map, src), lookup(F.obj_map, dst)):
             problems.append("morphism %r is sent across wrong endpoints" % (m,))
     for x in C.objects:
         checked += 1
-        if F.mor_map.get(C.id_of(x)) != D.id_of(F.obj_map.get(x)):
+        if lookup(F.mor_map, C.id_of(x)) != D.id_of(lookup(F.obj_map, x)):
             problems.append("identity of %r is not preserved" % (x,))
     for g, f in C.composable_pairs():
         checked += 1
-        lhs = F.mor_map.get(C.compose(g, f))
+        lhs = lookup(F.mor_map, C.compose(g, f))
         try:
-            rhs = D.compose(F.mor_map.get(g), F.mor_map.get(f))
+            rhs = D.compose(lookup(F.mor_map, g), lookup(F.mor_map, f))
         except (ValueError, KeyError, CompositionError):
             rhs = None
         if lhs != rhs or lhs is None:

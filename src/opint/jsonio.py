@@ -9,9 +9,10 @@ listed pair [a, b] with a <= b, matching the naturals under >=).
 
 from __future__ import annotations
 
+import itertools
 import json
 
-from .fincat import FinCat, Functor, poset_category
+from .fincat import FinCat, Functor, lookup, poset_category
 from .integration import OneCell, TwoCell, ZeroCell
 from .operads import TruncatedOperad
 from .surjections import Surjection, all_surjections_up_to, parse_surjection
@@ -25,9 +26,12 @@ def freeze(data):
 
 
 def thaw(data):
-    """Recursively turn tuples back into lists for JSON emission."""
+    """Recursively turn tuples back into lists for JSON emission, and the
+    cells of an extracted operad into their JSON forms."""
     if isinstance(data, tuple):
         return [thaw(v) for v in data]
+    if isinstance(data, (ZeroCell, OneCell)):
+        return (zero_cell_to_json if isinstance(data, ZeroCell) else one_cell_to_json)(data)
     return data
 
 
@@ -80,11 +84,11 @@ def fincat_from_json(data) -> FinCat:
 def operad_to_json(P: TruncatedOperad) -> dict:
     mu = []
     for g in sorted(P.mu, key=lambda s: (s.dom, s.cod, s.values)):
-        F = P.mu[g]
+        cats = [P.component(a) for a in P.arg_arities(g)]
         mu.append({
             "g": surjection_to_json(g),
-            "graph": [[thaw(k), thaw(v)] for k, v in F.obj_map.items()],
-            "mor_graph": [[thaw(k), thaw(v)] for k, v in F.mor_map.items()],
+            "graph": _graph(P.mu[g].obj_map, [C.objects for C in cats]),
+            "mor_graph": _graph(P.mu[g].mor_map, [C.morphism_ids() for C in cats]),
         })
     return {
         "bound": P.bound,
@@ -96,6 +100,12 @@ def operad_to_json(P: TruncatedOperad) -> dict:
     }
 
 
+def _graph(table, slots) -> list:
+    """``[key, image]`` over the product of ``slots`` (a RuleMap in full)."""
+    return [[thaw(k), thaw(v)] for k in itertools.product(*slots)
+            if (v := lookup(table, k)) is not None]
+
+
 def operad_from_json(data) -> TruncatedOperad:
     bound = int(data["bound"])
     components = {n + 1: fincat_from_json(c)
@@ -105,19 +115,16 @@ def operad_from_json(data) -> TruncatedOperad:
                          % (bound, len(components)))
     unit = freeze(data["unit"])
     mu = {}
-    from .fincat import product
     for entry in data["mu"]:
         g = surjection_from_json(entry["g"])
-        arities = (g.cod,) + g.fiber_sizes()
-        cats = [components[a] for a in arities]
-        source = product(cats)
+        cats = [components[a] for a in (g.cod,) + g.fiber_sizes()]
         target = components[g.dom]
         obj_map = {freeze(k): freeze(v) for k, v in entry["graph"]}
         if "mor_graph" in entry:
             mor_map = {freeze(k): freeze(v) for k, v in entry["mor_graph"]}
         else:
-            mor_map = _derive_mor_map(source, target, obj_map)
-        mu[g] = Functor(source, target, obj_map, mor_map)
+            mor_map = _derive_mor_map(cats, target, obj_map)
+        mu[g] = Functor(cats, target, obj_map, mor_map)
     missing = [str(g) for g in all_surjections_up_to(bound) if g not in mu]
     if missing:
         raise ValueError("missing composition functors for %s" % ", ".join(missing))
@@ -125,10 +132,11 @@ def operad_from_json(data) -> TruncatedOperad:
                            name=data.get("name", "operad"))
 
 
-def _derive_mor_map(source, target, obj_map) -> dict:
+def _derive_mor_map(cats, target, obj_map) -> dict:
     """Fill in the morphism graph when every target hom has one element."""
     mor_map = {}
-    for mid, src, dst in source.morphisms():
+    for triples in itertools.product(*[C.morphisms() for C in cats]):
+        mid, src, dst = zip(*triples)
         arrows = target.hom(obj_map[src], obj_map[dst])
         if len(arrows) != 1:
             raise ValueError("cannot derive morphism graph at %r" % (mid,))

@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from .fincat import FinCat, Functor, is_terminal, product, validate_functor
+from .fincat import FinCat, Functor, is_terminal, validate_functor
 from .interning import memo_tables, memoized
 from .integration import (
     Integration, LaxTriangle, OneCell, ZeroCell, _check_cell_map, integrate,
@@ -670,16 +670,14 @@ def extract_operad(S: SplitFibrationData) -> TruncatedOperad:
 
 def _extracted_mu(S: SplitFibrationData, g: Surjection, components) -> Functor:
     O = S.operadic
-    arities = (g.cod,) + g.fiber_sizes()
-    cats = [components[a] for a in arities]
-    source = product(cats)
+    cats = [components[a] for a in (g.cod,) + g.fiber_sizes()]
     target = components[g.dom]
     obj_map = {}
-    for tup in source.objects:
+    for tup in itertools.product(*[C.objects for C in cats]):
         obj_map[tup] = S.lift_source(g, tup[0], tup[1:])
     mor_map = {}
     base = identity_surjection(g.dom)
-    for mids in source.morphism_ids():
+    for mids in itertools.product(*[C.morphism_ids() for C in cats]):
         t_c, t_bs = mids[0], mids[1:]
         # extracted morphisms point backwards relative to the underlying
         # cells: the cartesian side is the extracted source, the composite
@@ -694,7 +692,7 @@ def _extracted_mu(S: SplitFibrationData, g: Surjection, components) -> Functor:
         if not target.has_morphism(d2):
             raise ExtractionError("extracted composite is not trivial: %s" % (d2,))
         mor_map[mids] = d2
-    return Functor(source, target, obj_map, mor_map)
+    return Functor(cats, target, obj_map, mor_map)
 
 
 # ---------------------------------------------------------------------------

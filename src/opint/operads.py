@@ -14,8 +14,8 @@ import itertools
 from dataclasses import dataclass
 
 from . import trees as T
-from .fincat import FinCat, Functor, poset_category, product, terminal_category, \
-    validate_category, validate_functor
+from .fincat import FinCat, Functor, RuleMap, identity_functor, lookup, poset_category, \
+    terminal_category, validate_category, validate_functor
 from .report import DEFAULT_CAP, FAIL, PASS, Report
 from .surjections import Surjection, all_surjections_up_to, bang, block_cut, compose, \
     enumerate_surjections, identity_surjection, induced_map
@@ -69,13 +69,16 @@ class TruncatedOperad:
                                 % (len(arities), g, len(args)))
         return arities
 
-    def apply_obj(self, g: Surjection, args) -> object:
-        args = tuple(args)
-        arities = self.check_args(g, args)
+    def check_objects(self, arities, args: tuple) -> tuple:
+        """``args``, once each is an object of the component of its arity."""
         for n, a in zip(arities, args):
             if not self.is_object(n, a):
                 raise ArityMismatch("%r is not an object of the arity-%d component" % (a, n))
-        return self.mu_for(g).obj_map[args]
+        return args
+
+    def apply_obj(self, g: Surjection, args) -> object:
+        args = tuple(args)
+        return self.mu_for(g).obj_map[self.check_objects(self.check_args(g, args), args)]
 
     def apply_mor(self, g: Surjection, margs) -> object:
         margs = tuple(margs)
@@ -113,10 +116,6 @@ def mu_apply(P: TruncatedOperad, g: Surjection, args):
     return P.apply_mor(g, args)
 
 
-def _unit_tuple(P, n):
-    return (P.unit,) * n
-
-
 def check_unitality(P: TruncatedOperad) -> Report:
     """Both unit laws, on every object and morphism of every component."""
     r = Report("unitality")
@@ -127,7 +126,7 @@ def check_unitality(P: TruncatedOperad) -> Report:
         e_id = P.unit_morphism()
         for a in C.objects:
             r.charge(2)
-            lhs = P.apply_obj(idn, (a,) + _unit_tuple(P, n))
+            lhs = P.apply_obj(idn, (a,) + (P.unit,) * n)
             if lhs != a:
                 return r.fail(("identity law on object", n, a, lhs))
             lhs = P.apply_obj(bn, (P.unit, a))
@@ -154,29 +153,28 @@ def _composable_pairs(bound):
                         yield f, g
 
 
-def _assoc_instance(P, f, g, c, bs, as_, on_morphisms):
-    """Both sides of the elementwise associativity equation."""
-    apply = P.apply_mor if on_morphisms else P.apply_obj
-    lhs = apply(f, (apply(g, (c,) + bs),) + as_)
-    blocks = block_cut(as_, g)
-    inner = tuple(apply(induced_map(f, g, i + 1), (bs[i],) + blocks[i])
-                  for i in range(g.cod))
-    rhs = apply(compose(f, g), (c,) + inner)
-    return lhs, rhs
-
-
 def _assoc_sweep(P, f, g, on_morphisms, r: Report) -> bool:
     """Check the pair (f, g) on every tuple (c, b_1..b_n, a_1..a_m) of
     objects, or of morphisms, charging ``r``; False once ``r`` holds its
-    verdict (failed or capped)."""
-    cats = [P.component(a) for a in P.arg_arities(g) + f.fiber_sizes()]
+    verdict (failed or capped).  The functors and arities of g, f, fg and
+    each induced map are resolved once per pair; each instance makes the
+    reads and object checks that ``apply_obj`` or ``apply_mor`` would."""
     nb = g.cod
+    hs = [g, f, compose(f, g)] + [induced_map(f, g, i + 1) for i in range(nb)]
+    (mu_g, mu_f, mu_fg, *mu_i) = [getattr(P.mu_for(h), "mor_map" if on_morphisms
+                                          else "obj_map") for h in hs]
+    (ar_g, ar_f, ar_fg, *ar_i) = [P.arg_arities(h) for h in hs]
+    typed = (lambda arities, args: args) if on_morphisms else P.check_objects
+    cats = [P.component(a) for a in ar_g + f.fiber_sizes()]
     for tup in itertools.product(*[C.morphism_ids() if on_morphisms else C.objects
                                    for C in cats]):
         if not r.charge():
             return False
         c, bs, as_ = tup[0], tup[1:1 + nb], tup[1 + nb:]
-        lhs, rhs = _assoc_instance(P, f, g, c, bs, as_, on_morphisms)
+        lhs = mu_f[typed(ar_f, (mu_g[typed(ar_g, (c,) + bs)],) + as_)]
+        blocks = block_cut(as_, g)
+        inner = tuple(mu_i[i][typed(ar_i[i], (bs[i],) + blocks[i])] for i in range(nb))
+        rhs = mu_fg[typed(ar_fg, (c,) + inner)]
         if lhs != rhs:
             r.fail((str(f), str(g), tup, lhs, rhs))
             return False
@@ -241,7 +239,7 @@ def _check_mu_typing(P: TruncatedOperad) -> Report:
         slots = [P.component(a).objects for a in P.arg_arities(g)]
         for tup in itertools.product(*slots):
             r.charge()
-            value = P.mu[g].obj_map.get(tup)
+            value = lookup(P.mu[g].obj_map, tup)
             if value is None or not P.is_object(g.dom, value):
                 return r.fail((str(g), tup, value))
     return r
@@ -311,7 +309,6 @@ def _check_mu_squares(F: OperadMorphism, r: Report) -> Report:
 
 
 def identity_operad_morphism(P: TruncatedOperad) -> OperadMorphism:
-    from .fincat import identity_functor
     return OperadMorphism(P, P, {n: identity_functor(P.component(n))
                                  for n in range(1, P.bound + 1)}, name="identity")
 
@@ -333,14 +330,12 @@ def morphism_to_terminal(P: TruncatedOperad) -> OperadMorphism:
 
 
 def _mu_functor(P_components, g, obj_rule, mor_rule) -> Functor:
-    """Materialize a composition functor from semantic rules."""
-    arities = (g.cod,) + g.fiber_sizes()
-    cats = [P_components[a] for a in arities]
-    source = product(cats)
-    target = P_components[g.dom]
-    obj_map = {tup: obj_rule(tup) for tup in source.objects}
-    mor_map = {mids: mor_rule(mids) for mids in source.morphism_ids()}
-    return Functor(source, target, obj_map, mor_map)
+    """The composition functor mu_g, backed by its rules: nothing is
+    computed here.  Each entry is computed on its first lookup and kept
+    (:class:`fincat.RuleMap`); the product source is built only if read."""
+    cats = [P_components[a] for a in (g.cod,) + g.fiber_sizes()]
+    return Functor(cats, P_components[g.dom], RuleMap(cats, obj_rule),
+                   RuleMap(cats, mor_rule, mor=True))
 
 
 def nat_operad(M: int, name: str | None = None) -> TruncatedOperad:
@@ -356,13 +351,12 @@ def nat_operad(M: int, name: str | None = None) -> TruncatedOperad:
     C = poset_category(range(M + 1), lambda a, b: a <= b)
     components = {1: C}
 
-    def add(a, b):
-        return min(a + b, M)
+    def add(values):
+        return min(sum(values), M)
 
     g = identity_surjection(1)
-    mu = {g: _mu_functor(components, g,
-                         lambda tup: add(*tup),
-                         lambda ms: (add(ms[0][0], ms[1][0]), add(ms[0][1], ms[1][1])))}
+    mu = {g: _mu_functor(components, g, add,
+                         lambda ms: (add(m[0] for m in ms), add(m[1] for m in ms)))}
     return TruncatedOperad(1, components, 0, mu, name=name or ("nat:%d" % M))
 
 
@@ -380,17 +374,15 @@ def tree_operad(N: int, name: str | None = None) -> TruncatedOperad:
     for n in range(1, N + 1):
         elems = T.enumerate_trees(n)
         components[n] = poset_category(elems, lambda t, s: T.contracts_to(s, t))
-    mu = {}
-    for g in all_surjections_up_to(N):
-        def obj_rule(tup, g=g):
-            return T.graft(tup[0], tup[1:])
 
-        def mor_rule(mids, g=g):
-            srcs = tuple(m[0] for m in mids)
-            dsts = tuple(m[1] for m in mids)
-            return (T.graft(srcs[0], srcs[1:]), T.graft(dsts[0], dsts[1:]))
+    def obj_rule(tup):
+        return T.graft(tup[0], tup[1:])
 
-        mu[g] = _mu_functor(components, g, obj_rule, mor_rule)
+    def mor_rule(mids):  # arrows s -> t of a poset are the pairs (s, t)
+        return (obj_rule(tuple(m[0] for m in mids)), obj_rule(tuple(m[1] for m in mids)))
+
+    mu = {g: _mu_functor(components, g, obj_rule, mor_rule)
+          for g in all_surjections_up_to(N)}
     return TruncatedOperad(N, components, T.LEAF, mu, name=name or ("trees:%d" % N))
 
 
@@ -400,9 +392,6 @@ def terminal_operad(N: int, name: str | None = None) -> TruncatedOperad:
         raise ValueError("need N >= 1")
     components = {n: terminal_category("*") for n in range(1, N + 1)}
     star = "*"
-    mu = {}
-    for g in all_surjections_up_to(N):
-        mu[g] = _mu_functor(components, g,
-                            lambda tup: star,
-                            lambda ms: ("id", star))
+    mu = {g: _mu_functor(components, g, lambda tup: star, lambda ms: ("id", star))
+          for g in all_surjections_up_to(N)}
     return TruncatedOperad(N, components, star, mu, name=name or ("terminal:%d" % N))

@@ -209,6 +209,51 @@ def test_invalid_operad_exits_with_report(tmp_path, capsys, verb):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("spec", ["nat:3", "trees:3", "terminal:3"])
+def test_export_matches_golden(spec):
+    # every entry of every composition functor, including the ones that no
+    # lookup has computed yet
+    family, _, size = spec.partition(":")
+    P = {"nat": nat_operad, "trees": tree_operad, "terminal": terminal_operad}[family](
+        int(size))
+    out = json.dumps(jsonio.operad_to_json(P), indent=1, sort_keys=True) + "\n"
+    assert out == (GOLDEN / ("export_%s.json" % spec.replace(":", ""))).read_text()
+
+
+def test_extract_json_matches_golden(capsys):
+    code, out, _ = run(capsys, "extract", "--operad", "trees:3", "--json")
+    assert code == 0
+    assert out == (GOLDEN / "extract_trees3.json").read_text()
+
+
+def test_cold_queries_build_no_product_category(tmp_path, capsys, monkeypatch):
+    from opint import fincat
+
+    def refuse(cats):
+        raise AssertionError("a product category was built")
+
+    monkeypatch.setattr(fincat, "product", refuse)
+    path = tmp_path / "nat4.json"
+    data = jsonio.operad_to_json(nat_operad(4))
+    for entry in data["mu"]:
+        del entry["mor_graph"]   # the loader derives it
+    path.write_text(json.dumps(data))
+    for argv in (("hom", "--operad", "nat:6", "--src", "5", "--dst", "2"),
+                 ("hom", "--operad", str(path), "--src", "4", "--dst", "1"),
+                 ("factor", "--operad", "trees:4", "--src", '[3, ["L", "L", "L"]]',
+                  "--dst", '[1, "L"]')):
+        assert run(capsys, *argv)[0] == 0
+
+
+def test_missing_graph_entry_fails_mu_typing():
+    data = jsonio.operad_to_json(nat_operad(2))
+    data["mu"][0]["graph"] = [[k, v] for k, v in data["mu"][0]["graph"] if k != [1, 0]]
+    reports = validate_operad(jsonio.operad_from_json(data))
+    typing = [r for r in reports if r.name == "mu typing"]
+    assert typing[0].status == "fail"
+    assert typing[0].witness == ("1->1:[1]", (1, 0), None)
+
+
 def test_failed_check_exit_code(tmp_path, capsys):
     # corrupt one composition entry; validation must fail with exit 1
     data = jsonio.operad_to_json(nat_operad(2))

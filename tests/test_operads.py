@@ -1,6 +1,7 @@
 import pytest
 
-from opint.fincat import validate_functor
+from opint.fincat import Functor, RuleMap, validate_functor
+from opint.integration import InvalidOperad, integrate
 from opint.operads import (
     ArityMismatch, TruncationOverflow, check_associativity, check_unitality,
     identity_operad_morphism, morphism_to_terminal, mu_apply, nat_operad,
@@ -81,6 +82,57 @@ def test_corrupted_mu_fails_associativity():
     report = check_associativity(P)
     assert not report.ok
     assert report.witness is not None
+
+
+def test_corrupted_mu_witnesses_are_located():
+    # the per-pair sweep reads the same entries in the same order as
+    # applying mu_g, mu_f, mu_fg and the induced maps one call at a time
+    g = identity_surjection(1)
+    P = nat_operad(3)
+    P.mu[g].obj_map[(1, 1)] = 0
+    assert check_associativity(P).line() == (
+        "associativity: fail (23 instances) "
+        "witness=('1->1:[1]', '1->1:[1]', (1, 1, 2), 2, 3)")
+    P = nat_operad(3)
+    P.mu[g].mor_map[((3, 2), (1, 0))] = (3, 3)
+    assert check_associativity(P).line() == (
+        "associativity: fail (216 instances) witness=('1->1:[1]', '1->1:[1]', "
+        "((1, 0), (2, 2), (1, 0)), (3, 3), (3, 2))")
+    # a value that is not an object is refused before it is composed further
+    P = nat_operad(3)
+    P.mu[g].obj_map[(1, 1)] = 7
+    with pytest.raises(ArityMismatch, match="7 is not an object of the arity-1"):
+        check_associativity(P)
+
+
+def test_nat_operad_computes_mu_on_demand():
+    P = nat_operad(200)
+    g = identity_surjection(1)
+    F = P.mu[g]
+    assert len(F.obj_map) + len(F.mor_map) == 0
+    for a in range(0, 201, 20):
+        for b in range(0, 201, 25):
+            assert mu_apply(P, g, (a, b)) == min(a + b, 200)
+    assert mu_apply(P, g, ((3, 1), (2, 2))) == (5, 3)
+    assert len(F.mor_map) == 1
+    # a key outside the source has no image, as in a full table
+    with pytest.raises(KeyError):
+        F.mor_map[((1, 2), (0, 0))]
+    with pytest.raises(KeyError):
+        F.obj_map[(0, 201)]
+    assert len(F.mor_map) == 1 and (0, 201) not in F.obj_map
+
+
+def test_rule_returning_a_non_object_fails_mu_typing():
+    P = nat_operad(3)
+    g = identity_surjection(1)
+    C = P.component(1)
+    P.mu[g] = Functor([C, C], C, RuleMap([C, C], lambda tup: "x"), P.mu[g].mor_map)
+    typing = [r for r in validate_operad(P) if r.name == "mu typing"]
+    assert typing[0].status == "fail"
+    assert typing[0].witness == ("1->1:[1]", (0, 0), "x")
+    with pytest.raises(InvalidOperad):
+        integrate(P)
 
 
 def test_associativity_is_capped_not_sampled():
