@@ -19,7 +19,7 @@ from .operads import (
     ArityMismatch, OperadMorphism, TruncatedOperad, TruncationOverflow,
     check_associativity, check_unitality, identity_operad_morphism,
     morphism_to_terminal, mu_apply, nat_operad, terminal_operad, tree_operad,
-    validate_operad, validate_operad_morphism,
+    validate_operad, validate_operad_morphism, validate_structure,
 )
 from .integration import (
     Integration, IntegrationMap, InvalidOperad, LaxTriangle, OneCell, SliceTwoCell,

@@ -135,9 +135,10 @@ def operad_from_json(data) -> TruncatedOperad:
 def _derive_mor_map(cats, target, obj_map) -> dict:
     """Fill in the morphism graph when every target hom has one element."""
     mor_map = {}
-    for triples in itertools.product(*[C.morphisms() for C in cats]):
-        mid, src, dst = zip(*triples)
-        arrows = target.hom(obj_map[src], obj_map[dst])
+    hom, slots = target.hom, [C.morphisms() for C in cats]
+    for mid, src, dst in zip(*[itertools.product(*[[t[k] for t in s] for s in slots])
+                               for k in range(3)]):  # ids, sources, targets in step
+        arrows = hom(obj_map[src], obj_map[dst])
         if len(arrows) != 1:
             raise ValueError("cannot derive morphism graph at %r" % (mid,))
         mor_map[mid] = arrows[0]

@@ -156,28 +156,34 @@ def _composable_pairs(bound):
 def _assoc_sweep(P, f, g, on_morphisms, r: Report) -> bool:
     """Check the pair (f, g) on every tuple (c, b_1..b_n, a_1..a_m) of
     objects, or of morphisms, charging ``r``; False once ``r`` holds its
-    verdict (failed or capped).  The functors and arities of g, f, fg and
-    each induced map are resolved once per pair; each instance makes the
-    reads and object checks that ``apply_obj`` or ``apply_mor`` would."""
+    verdict (failed or capped).  Once per pair: the functors and arities of
+    g, f, fg and the induced maps, and each tail a_1..a_m cut along g; once
+    per head (c, b_1..b_n): mu_g's value.  Each instance reads as ``apply_obj``
+    or ``apply_mor`` would; on objects, each value mu returns is checked (once
+    per pair) to be an object before it is read further."""
     nb = g.cod
     hs = [g, f, compose(f, g)] + [induced_map(f, g, i + 1) for i in range(nb)]
     (mu_g, mu_f, mu_fg, *mu_i) = [getattr(P.mu_for(h), "mor_map" if on_morphisms
                                           else "obj_map") for h in hs]
-    (ar_g, ar_f, ar_fg, *ar_i) = [P.arg_arities(h) for h in hs]
-    typed = (lambda arities, args: args) if on_morphisms else P.check_objects
-    cats = [P.component(a) for a in ar_g + f.fiber_sizes()]
-    for tup in itertools.product(*[C.morphism_ids() if on_morphisms else C.objects
-                                   for C in cats]):
-        if not r.charge():
-            return False
-        c, bs, as_ = tup[0], tup[1:1 + nb], tup[1 + nb:]
-        lhs = mu_f[typed(ar_f, (mu_g[typed(ar_g, (c,) + bs)],) + as_)]
-        blocks = block_cut(as_, g)
-        inner = tuple(mu_i[i][typed(ar_i[i], (bs[i],) + blocks[i])] for i in range(nb))
-        rhs = mu_fg[typed(ar_fg, (c,) + inner)]
-        if lhs != rhs:
-            r.fail((str(f), str(g), tup, lhs, rhs))
-            return False
+    ar_v, ar_inner = (f.cod,), hs[2].fiber_sizes()
+    check, known = (None if on_morphisms else P.check_objects), set()
+    slots = [C.morphism_ids() if on_morphisms else C.objects
+             for C in [P.component(a) for a in P.arg_arities(g) + f.fiber_sizes()]]
+    tails = [(tail, block_cut(tail, g)) for tail in itertools.product(*slots[1 + nb:])]
+    for head in itertools.product(*slots[:1 + nb]):
+        v = None
+        for tail, blocks in tails:
+            if not r.charge():
+                return False
+            v = v or (check(ar_v, (mu_g[head],)) if check else (mu_g[head],))
+            lhs = mu_f[v + tail]
+            inner = tuple(mu[(b,) + a] for mu, b, a in zip(mu_i, head[1:], blocks))
+            if check and inner not in known:
+                known.add(check(ar_inner, inner))
+            rhs = mu_fg[head[:1] + inner]
+            if lhs != rhs:
+                r.fail((str(f), str(g), head + tail, lhs, rhs))
+                return False
     return True
 
 
@@ -196,28 +202,33 @@ def check_associativity(P: TruncatedOperad, cap: int | None = DEFAULT_CAP) -> Re
     return r
 
 
-def validate_operad(P: TruncatedOperad, deep: bool = False,
-                    cap: int | None = DEFAULT_CAP) -> list[Report]:
-    """Structural validation; with ``deep`` also the full axiom checks.
-
-    The light pass checks each component is a category, that every
-    required mu functor is present and well typed on objects, the unit
-    laws, and object-level associativity.  That keeps construction of
-    large integrations cheap while still rejecting malformed input.
-    """
-    reports = []
-    for n in range(1, P.bound + 1):
-        reports.append(validate_category(P.component(n), "category P_%d" % n))
+def validate_structure(P: TruncatedOperad) -> list[Report]:
+    """Each component is a category, every mu functor is present and well
+    typed on objects, the unit is an object; then, if all that holds, unitality."""
+    reports = [validate_category(P.component(n), "category P_%d" % n)
+               for n in range(1, P.bound + 1)]
     missing = [str(g) for g in all_surjections_up_to(P.bound) if g not in P.mu]
-    struct = Report("mu coverage", PASS if not missing else FAIL,
-                    checked=len(list(all_surjections_up_to(P.bound))),
-                    witness=missing[:5] or None)
-    reports.append(struct)
+    reports.append(Report("mu coverage", PASS if not missing else FAIL,
+                          checked=len(list(all_surjections_up_to(P.bound))),
+                          witness=missing[:5] or None))
     if not P.is_object(1, P.unit):
         reports.append(Report("unit", FAIL, 1, witness=P.unit))
     reports.append(_check_mu_typing(P))
     if all(r.ok for r in reports):
         reports.append(check_unitality(P))
+    return reports
+
+
+def validate_operad(P: TruncatedOperad, deep: bool = False,
+                    cap: int | None = DEFAULT_CAP) -> list[Report]:
+    """Structural validation; with ``deep`` also the full axiom checks.
+
+    The light pass adds object-level associativity to
+    :func:`validate_structure`.  That keeps construction of large
+    integrations cheap while still rejecting malformed input.
+    """
+    reports = validate_structure(P)
+    if reports[-1].name == "unitality":  # the structure is sound
         if deep:
             reports.append(check_associativity(P, cap=cap))
             for g in all_surjections_up_to(P.bound):

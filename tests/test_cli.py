@@ -177,6 +177,55 @@ def test_capped_roundtrip_reports_the_cap(capsys):
         assert data[part]["checked"] == 2
 
 
+def nat_json_without_mor_graph(M):
+    """The JSON form of nat:M without its morphism graphs, which the loader derives."""
+    data = jsonio.operad_to_json(nat_operad(M))
+    for entry in data["mu"]:
+        del entry["mor_graph"]
+    return data
+
+
+@pytest.mark.parametrize("spec, golden", [
+    ("nat:12", "validate_nat12.json"), ("trees:4", "validate_trees4.json"),
+    ("nat-8.json", "validate_nat8_json.json")])
+def test_validate_json_matches_golden(tmp_path, capsys, spec, golden):
+    # verbatim output of an earlier release, as for the check goldens
+    if spec.endswith(".json"):
+        path = tmp_path / spec
+        path.write_text(json.dumps(nat_json_without_mor_graph(8)))
+        spec = str(path)
+    code, out, _ = run(capsys, "validate", "--operad", spec, "--json")
+    assert code == 0
+    assert out == (GOLDEN / golden).read_text()
+
+
+def test_validate_sweeps_each_object_tuple_once(capsys, monkeypatch):
+    from opint import operads
+    sweeps = []
+    sweep = operads._assoc_sweep
+
+    def counted(P, f, g, on_morphisms, r):
+        sweeps.append((f, g, on_morphisms))
+        return sweep(P, f, g, on_morphisms, r)
+
+    monkeypatch.setattr(operads, "_assoc_sweep", counted)
+    assert run(capsys, "validate", "--operad", "trees:3")[0] == 0
+    assert sweeps and len(sweeps) == len(set(sweeps))
+    assert {s[2] for s in sweeps} == {False, True}
+
+
+def test_underivable_morphism_graph_is_refused_at_load():
+    # without the arrow 3 -> 1 the image of ((1, 0), (2, 1)), the hom 3 -> 1,
+    # is empty; the loader names the first product morphism it cannot map
+    data = nat_json_without_mor_graph(3)
+    comp = data["components"][0]
+    comp["morphisms"] = [m for m in comp["morphisms"] if m["id"] != [3, 1]]
+    comp["comp"] = [t for t in comp["comp"] if [3, 1] not in t]
+    with pytest.raises(ValueError) as info:
+        jsonio.operad_from_json(json.loads(json.dumps(data)))
+    assert str(info.value) == "cannot derive morphism graph at ((1, 0), (2, 1))"
+
+
 LIFT = ("lift", "--operad", "nat:3", "--surjection", "1->1:[1]", "--dst", "1")
 
 

@@ -42,6 +42,73 @@ def test_missing_composite_is_located():
     assert any("missing composite" in p for p in report.witness)
 
 
+def chain_table(n, patch=(), extra=None, rule=False):
+    """The chain 0 -> 1 -> ... -> n as a table category, one arrow (i, j)
+    for each i <= j, with an optional ``extra = (id, (src, dst))`` arrow
+    that composes like (src, dst) except with identities.  ``patch``
+    overrides table entries (None deletes one); with ``rule`` the table is
+    read through a callable instead."""
+    objects = range(n + 1)
+    arrows = {(i, j): (i, j) for i in objects for j in objects if i <= j}
+    if extra:
+        arrows[extra[0]] = extra[1]
+    table = {}
+    for g, (gs, gd) in arrows.items():
+        for f, (fs, fd) in arrows.items():
+            if fd == gs:
+                table[(g, f)] = g if f == (fs, fs) else f if g == (gd, gd) else (fs, gd)
+    for key, value in dict(patch).items():
+        if value is None:
+            del table[key]
+        else:
+            table[key] = value
+    compose = (lambda g, f: table[(g, f)]) if rule else table
+    return FinCat(objects, [(m, s, d) for m, (s, d) in arrows.items()],
+                  {i: (i, i) for i in objects}, compose)
+
+
+def test_chain_table_is_valid():
+    # objects + composable pairs + morphisms + composable triples: 4 + 20 + 10 + 35
+    for rule in (False, True):
+        report = validate_category(chain_table(3, rule=rule))
+        assert report.ok and report.checked == 69
+
+
+# Each seeded table category breaks one law; the witness, notes and count
+# are the output of the category sweep before its composites were indexed.
+@pytest.mark.parametrize("kwargs, witness, checked", [
+    (dict(n=2, patch={((1, 2), (0, 1)): "x"}),
+     ["composite of ((1, 2), (0, 1)) is not a morphism: 'x'",
+      "associativity cannot be evaluated on ((1, 2), (0, 1), (0, 0))",
+      "associativity cannot be evaluated on ((2, 2), (1, 2), (0, 1))"], 34),
+    (dict(n=2, patch={((1, 2), (0, 1)): (0, 1)}),
+     ["composite of ((1, 2), (0, 1)) has wrong endpoints",
+      "associativity cannot be evaluated on ((2, 2), (1, 2), (0, 1))"], 34),
+    (dict(n=2, extra=("p", (0, 1)), patch={((0, 1), (0, 0)): "p"}),
+     ["right identity law fails at (0, 1)"], 44),
+    (dict(n=2, extra=("p", (0, 1)), patch={((1, 1), (0, 1)): "p"}),
+     ["left identity law fails at (0, 1)"], 44),
+    (dict(n=3, extra=("q", (0, 3)), patch={((2, 3), (0, 2)): "q"}),
+     ["associativity fails on ((2, 3), (1, 2), (0, 1))"], 75),
+    (dict(n=2, patch={((1, 2), (0, 1)): None}),
+     ["missing composite for pair ((1, 2), (0, 1))",
+      "associativity cannot be evaluated on ((1, 2), (0, 1), (0, 0))",
+      "associativity cannot be evaluated on ((1, 2), (1, 1), (0, 1))",
+      "associativity cannot be evaluated on ((2, 2), (1, 2), (0, 1))"], 34),
+    (dict(n=2, patch={((1, 2), (0, 1)): None}, rule=True),
+     ["associativity cannot be evaluated on ((1, 2), (0, 1), (0, 0))",
+      "associativity cannot be evaluated on ((1, 2), (1, 1), (0, 1))",
+      "associativity cannot be evaluated on ((2, 2), (1, 2), (0, 1))"], 34),
+], ids=["not-a-morphism", "wrong-endpoints", "right-identity", "left-identity",
+        "associativity", "unevaluable", "rule-unevaluable"])
+def test_validate_category_failures_are_located(kwargs, witness, checked):
+    report = validate_category(chain_table(**kwargs))
+    assert report.status == "fail"
+    assert report.witness == witness
+    assert report.notes == ["%d problem(s)" % len(witness)]
+    assert report.checked == checked
+
+
 def test_compose_raises_on_non_composable():
     C = chain_ge(2)
     with pytest.raises(CompositionError):
