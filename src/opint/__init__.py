@@ -22,18 +22,18 @@ from .operads import (
     validate_operad, validate_operad_morphism, validate_structure,
 )
 from .integration import (
-    Integration, IntegrationMap, InvalidOperad, LaxTriangle, OneCell, SliceTwoCell,
-    TwoCell, ZeroCell, check_factorization, check_integration_map, check_projection,
-    check_two_category_laws, integrate, integrate_morphism, lali_terminals,
-    two_cat_components,
+    Integration, IntegrationMap, InvalidOperad, LaxTriangle, OneCell, TwoCell,
+    ZeroCell, check_factorization, check_projection, check_two_category_laws,
+    integrate, integrate_morphism, lali_terminals, two_cat_components,
 )
 from .operadic import (
     Certificate, DeltaSTwoCat, ExtractionError, OperadicTwoCat, SplitFibrationData,
     TrivialityVerdict, canonical_fibration, check_all_lifts_cartesian,
-    check_full_faithfulness, check_operadic_axioms, check_splitting,
-    check_trivial_subcategory, delta_s, enumerate_lift_preserving_2functors,
-    enumerate_operad_morphisms, extract_operad, is_operadic_cartesian, is_trivial,
-    roundtrip_2cat, roundtrip_operad, trivial_subcategory,
+    check_full_faithfulness, check_integration_map, check_operadic_axioms,
+    check_splitting, check_trivial_subcategory, delta_s,
+    enumerate_lift_preserving_2functors, enumerate_operad_morphisms, extract_operad,
+    is_operadic_cartesian, is_trivial, roundtrip_2cat, roundtrip_operad,
+    trivial_subcategory,
 )
 from .report import DEFAULT_CAP, Report
 

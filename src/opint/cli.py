@@ -229,8 +229,8 @@ def cmd_check(args) -> int:
     the cartesian lifts; the trivial subcategory and the round trips are
     not run here."""
     P = load_operad(args.operad)
+    I = integrate(P)   # validates P before any check reads it
     reports = [check_unitality(P), check_associativity(P, cap=args.cap)]
-    I = integrate(P)
     reports += check_two_category_laws(I, cap=args.cap)
     reports.append(check_projection(I, cap=args.cap))
     reports.append(check_factorization(I, cap=args.cap))

@@ -18,7 +18,7 @@ from typing import Any, Callable
 from .fincat import FinCat, Functor, is_terminal, validate_functor
 from .interning import memo_tables, memoized
 from .integration import (
-    Integration, LaxTriangle, OneCell, ZeroCell, _check_cell_map, integrate,
+    Integration, IntegrationMap, LaxTriangle, OneCell, ZeroCell, integrate,
     lift_instances, two_cat_components,
 )
 from .operads import (
@@ -125,7 +125,7 @@ class OperadicTwoCat:
             src2=lambda t: t.src,
             fib0=lambda x, c: I.fibers_of_1cell(c),
             fib1=lambda x, tri: I.fibers_of_lax_triangle(tri),
-            fib2=lambda x, *parts: I.fibers_of_slice(*parts),
+            fib2=lambda x, *parts: I.fibers_of_slice_2cell(*parts),
             lali=lali,
             eps=eps,
             label="integration of %s" % I.P.name,
@@ -696,6 +696,53 @@ def _extracted_mu(S: SplitFibrationData, g: Surjection, components) -> Functor:
 
 
 # ---------------------------------------------------------------------------
+# lift-preserving operadic 2-functors out of an integration
+
+
+def check_integration_map(im: IntegrationMap, cap: int | None = DEFAULT_CAP) -> Report:
+    """Identity, composition, projection, fiber and lift preservation."""
+    return _check_cell_map(im.source, canonical_fibration(im.target), im.on0, im.on1,
+                           Report("integration 2-functor", cap=cap))
+
+
+def _check_cell_map(I: Integration, S: SplitFibrationData, on0, on1,
+                    r: Report) -> Report:
+    """Whether the cell maps ``on0`` and ``on1`` from I into the split
+    fibration S preserve identities, projection, fibers, composition and
+    the chosen lifts, as a morphism of cleaved fibrations does (Vistoli,
+    arXiv:math/0412512, ch. 3).  S is read only through its lifts and its
+    2-category's identities, composition, cardinalities and 0-cell fibers.
+    Witnesses hold ``str`` forms."""
+    O = S.operadic
+    for x in I.zero_cells():
+        if not r.charge():
+            return r
+        if on1(I.identity_one_cell(x)) != O.tc.identity1(on0(x)):
+            return r.fail(("identity", str(x)))
+    for f_cell in I.all_one_cells():
+        if not r.charge():
+            return r
+        image = on1(f_cell)
+        if O.card1(image) != f_cell.f:
+            return r.fail(("projection", str(f_cell)))
+        if O.fib0(on0(f_cell.dst), image) != \
+           tuple(on0(c) for c in I.fibers_of_1cell(f_cell)):
+            return r.fail(("fibers", str(f_cell)))
+        for g_cell in I.one_cells_from(f_cell.dst):
+            if not r.charge():
+                return r
+            if on1(I.h_compose(g_cell, f_cell)) != O.tc.compose1(on1(g_cell), image):
+                return r.fail(("composition", str(f_cell), str(g_cell)))
+    for g, c, fibers in lift_instances(I.zero_cells(), lambda x: x.arity, I.P.bound):
+        if not r.charge():
+            return r
+        expected = S.lift(g, on0(c), tuple(on0(fc) for fc in fibers))
+        if on1(I.cartesian_lift(g, c, fibers)) != expected:
+            return r.fail(("lift", str(g), str(c), tuple(map(str, fibers))))
+    return r
+
+
+# ---------------------------------------------------------------------------
 # round trips
 
 
@@ -734,7 +781,7 @@ def roundtrip_operad(P: TruncatedOperad, cap: int | None = DEFAULT_CAP) -> Certi
     I = integrate(P)
     S = canonical_fibration(I)
     P2 = extract_operad(S)
-    details = {"per_arity_iso": [], "mu_checked": 0}
+    details = {"per_arity_iso": []}
     cert = Certificate("roundtrip operad", cap=cap, details=details)
     if P2.bound != P.bound:
         return cert.fail(("bound", P2.bound))
@@ -754,9 +801,7 @@ def roundtrip_operad(P: TruncatedOperad, cap: int | None = DEFAULT_CAP) -> Certi
             {"n": n,
              "obj_map": {str(k): str(v) for k, v in obj_map.items()},
              "mor_map": {str(k): str(v) for k, v in mor_map.items()}})
-    _check_mu_squares(OperadMorphism(P, P2, functors), cert)
-    details["mu_checked"] = cert.checked
-    return cert
+    return _check_mu_squares(OperadMorphism(P, P2, functors), cert)
 
 
 def roundtrip_2cat(S: SplitFibrationData, cap: int | None = DEFAULT_CAP) -> Certificate:
@@ -803,32 +848,7 @@ def roundtrip_2cat(S: SplitFibrationData, cap: int | None = DEFAULT_CAP) -> Cert
             if len(two_images) != len(Hj.morphism_ids()) or \
                len(Hj.morphism_ids()) != len(Ho.morphism_ids()):
                 return cert.fail(("2-cell bijection", str(xj), str(yj)))
-    # functoriality on composable pairs
-    for f_cell in J.all_one_cells():
-        if J.identity_one_cell(f_cell.src) == f_cell and \
-           g1(f_cell) != O.tc.identity1(g0(f_cell.src)):
-            return cert.fail(("identity", str(f_cell)))
-        for g_cell in J.one_cells_from(f_cell.dst):
-            if not cert.charge():
-                return cert
-            if g1(J.h_compose(g_cell, f_cell)) != \
-               O.tc.compose1(g1(g_cell), g1(f_cell)):
-                return cert.fail(("composition", str(f_cell), str(g_cell)))
-    # cardinality, fibers, unit and lift preservation
-    for f_cell in J.all_one_cells():
-        if O.card1(g1(f_cell)) != f_cell.f:
-            return cert.fail(("cardinality", str(f_cell)))
-        if O.fib0(g0(f_cell.dst), g1(f_cell)) != \
-           tuple(g0(c) for c in J.fibers_of_1cell(f_cell)):
-            return cert.fail(("fibers", str(f_cell)))
-    for g, c, bs in lift_instances(O.tc.zero_cells(), O.card0, S.bound):
-        if not cert.charge():
-            return cert
-        jl = J.cartesian_lift(g, ZeroCell(g.cod, c),
-                              tuple(ZeroCell(s, b) for s, b in zip(g.fiber_sizes(), bs)))
-        if g1(jl) != S.lift(g, c, bs):
-            return cert.fail(("lift", str(g), str(c)))
-    return cert
+    return _check_cell_map(J, S, g0, g1, cert)
 
 
 def _image_two_cell(O, src_cell, dst_cell, deltas):
@@ -931,12 +951,13 @@ def enumerate_lift_preserving_2functors(SP: SplitFibrationData,
     for choice in itertools.product(*per_arity):
         maps = {n: dict(zip(P.component(n).objects, choice[n - 1]))
                 for n in range(1, P.bound + 1)}
-        if _forced_extension_valid(IP, IQ, maps):
+        if _forced_extension_valid(IP, SQ, maps):
             out.append(maps)
     return out
 
 
-def _forced_extension_valid(IP: Integration, IQ: Integration, maps) -> bool:
+def _forced_extension_valid(IP: Integration, SQ: SplitFibrationData, maps) -> bool:
+    IQ: Integration = SQ.operadic.tc
     Q = IQ.P
 
     def h0(x: ZeroCell):
@@ -967,7 +988,7 @@ def _forced_extension_valid(IP: Integration, IQ: Integration, maps) -> bool:
             for t, s, d in IP.hom(x, y).morphisms():
                 if not Hq.hom(images[s], images[d]):
                     return False
-    return _check_cell_map(IP, IQ, h0, images.__getitem__, Report("2-functor")).ok
+    return _check_cell_map(IP, SQ, h0, images.__getitem__, Report("2-functor")).ok
 
 
 def check_full_faithfulness(P: TruncatedOperad, Q: TruncatedOperad) -> Report:

@@ -11,8 +11,8 @@ import pytest
 from opint import jsonio
 from opint.fincat import is_terminal
 from opint.integration import (
-    LaxTriangle, OneCell, SliceTwoCell, TwoCell, ZeroCell, check_two_category_laws,
-    integrate, lali_terminals,
+    LaxTriangle, OneCell, TwoCell, ZeroCell, check_two_category_laws, integrate,
+    lali_terminals,
 )
 from opint.operadic import OperadicTwoCat, canonical_fibration, check_operadic_axioms, \
     roundtrip_2cat, roundtrip_operad
@@ -100,10 +100,6 @@ def test_cells_built_twice_are_identical():
     ident = I.identity_one_cell(y)
     tri = I.lax_triangle(cell, cell, ident, I.identity_two_cell(cell))
     assert LaxTriangle(cell, cell, ident, I.identity_two_cell(cell)) is tri
-    gamma = I.identity_two_cell(cell)
-    xi = I.slice_two_cell(ident, tri, tri, gamma)
-    assert SliceTwoCell(ident, tri, tri, gamma) is xi
-    assert hash(xi) == hash(SliceTwoCell(ident, tri, tri, gamma))
 
 
 def test_cells_are_immutable_and_keep_their_repr():
@@ -193,5 +189,5 @@ def test_stats_count_memo_hits():
                                    "vcomp", "fibtri"}
     assert stats["memos"]["hom"]["hits"] > 0
     live = stats["live_cells"]
-    assert set(live) == {"ZeroCell", "OneCell", "TwoCell", "LaxTriangle", "SliceTwoCell"}
+    assert set(live) == {"ZeroCell", "OneCell", "TwoCell", "LaxTriangle"}
     assert live["OneCell"] >= sum(1 for _ in I.all_one_cells())

@@ -145,6 +145,7 @@ def test_capped_exit_code(capsys):
 
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 @pytest.mark.parametrize("spec", ["terminal:3", "trees:3", "nat:3"])
@@ -255,6 +256,24 @@ def test_invalid_operad_exits_with_report(tmp_path, capsys, verb):
     code, _, err = run(capsys, verb, "--operad", str(path))
     assert code == 1
     assert err.startswith("error: ") and "unitality: fail" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("verb", ["validate", "integrate", "check"])
+@pytest.mark.parametrize("name, problem", [
+    ("trees3_missing_graph_entry", "mu typing: fail"),
+    ("nat3_value_outside_chain", "mu typing: fail"),
+    ("nat2_mu_not_functor", "mu_1->1:[1] is not a functor at (1, (2, 1))"),
+])
+def test_hostile_operad_files_exit_with_a_verdict(capsys, verb, name, problem):
+    # check validates before any check reads the operad, and hom
+    # materialization reports a mu that is not a functor on morphisms
+    code, out, err = run(capsys, verb, "--operad", str(DATA / (name + ".json")))
+    assert code == 1
+    if verb == "validate":
+        assert "fail" in out and err == ""
+    else:
+        assert err.startswith("error: invalid operad: ") and problem in err
     assert "Traceback" not in err
 
 

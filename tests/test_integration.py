@@ -1,18 +1,19 @@
 import itertools
+from dataclasses import dataclass, field
 
 import pytest
 
 from opint.integration import (
-    IntegrationMap, InvalidOperad, ZeroCell, check_factorization,
-    check_integration_map, check_projection, check_two_category_laws, integrate,
-    integrate_morphism, lali_terminals,
+    IntegrationMap, InvalidOperad, ZeroCell, check_factorization, check_projection,
+    check_two_category_laws, integrate, integrate_morphism, lali_terminals,
 )
-from opint.operadic import OperadicTwoCat
+from opint.jsonio import operad_from_json
+from opint.operadic import OperadicTwoCat, check_integration_map
 from opint.operads import (
     identity_operad_morphism, morphism_to_terminal, nat_operad, terminal_operad,
     tree_operad,
 )
-from opint.surjections import Surjection, bang, identity_surjection
+from opint.surjections import Surjection, all_surjections_up_to, bang, identity_surjection
 from opint.trees import LEAF, corolla, graft
 
 
@@ -263,6 +264,7 @@ def test_slice_two_cell_fibers_partition_by_blocks():
     x = ZeroCell(1, 0)
     count = 0
     for phi in O.one_cells_into(x):
+        id_phi = I.identity_two_cell(phi)
         triangles = list(O.triangles_onto(phi))
         for t1 in triangles:
             for t2 in triangles:
@@ -270,11 +272,11 @@ def test_slice_two_cell_fibers_partition_by_blocks():
                     continue
                 H = I.hom(t1.d2.src, t1.d2.dst)
                 for gamma in H.hom(t1.d2, t2.d2):
-                    try:
-                        xi = I.slice_two_cell(phi, t1, t2, gamma)
-                    except ValueError:
+                    # gamma is a slice 2-cell t1 => t2 when the fillers agree
+                    if I.v_compose(t2.filler, I.h_compose_2cells(id_phi, gamma)) \
+                       != t1.filler:
                         continue
-                    fibers = I.fibers_of_slice_2cell(xi)
+                    fibers = I.fibers_of_slice_2cell(phi, t1, t2, gamma)
                     count += 1
                     flat = tuple(d for f2 in fibers for d in f2.deltas)
                     assert flat == gamma.deltas
@@ -334,3 +336,102 @@ def test_integration_respects_composition_of_morphisms():
     imGF = IntegrationMap(GF, I, I)
     for cell in I.all_one_cells():
         assert imGF.on1(cell) == imG.on1(imF.on1(cell))
+
+
+# ---------------------------------------------------------------------------
+# seeded corruptions of an integration map, one per FAIL path of the checker
+
+
+@dataclass
+class MisroutedMap(IntegrationMap):
+    """The identity 2-functor of an integration, except that ``on1`` sends
+    each cell in ``wrong`` to the cell given there."""
+
+    wrong: dict = field(default_factory=dict)
+
+    def on1(self, cell):
+        return self.wrong.get(cell) or super().on1(cell)
+
+
+def cyclic_operad(N, k):
+    """One object ``*`` in each arity up to N whose morphisms form Z/k;
+    mu adds.  Parallel 1-cells differ only in their component morphism."""
+    component = {"objects": ["*"],
+                 "morphisms": [{"id": m, "src": "*", "dst": "*"} for m in range(k)],
+                 "identities": {"*": 0},
+                 "comp": [[g, f, (g + f) % k] for g in range(k) for f in range(k)]}
+    mu = [{"g": str(g),
+           "graph": [[["*"] * (1 + g.cod), "*"]],
+           "mor_graph": [[list(ms), sum(ms) % k]
+                         for ms in itertools.product(range(k), repeat=1 + g.cod)]}
+          for g in all_surjections_up_to(N)]
+    return operad_from_json({"bound": N, "unit": "*", "name": "cyclic:%d:%d" % (N, k),
+                             "components": [component] * N, "mu": mu})
+
+
+def misrouted(P, wrong):
+    I = integrate(P)
+    return I, MisroutedMap(identity_operad_morphism(P), I, I, wrong(I))
+
+
+def cyclic_cells(I, src_arity, dst_arity):
+    """The 1-cells [src_arity,*] -> [dst_arity,*], by component morphism."""
+    cells = I.hom(ZeroCell(src_arity, "*"), ZeroCell(dst_arity, "*")).objects
+    return {c.alpha: c for c in cells}
+
+
+def test_check_integration_map_passes_on_the_uncorrupted_maps():
+    for P in (cyclic_operad(2, 3), nat_operad(3)):
+        assert check_integration_map(misrouted(P, lambda I: {})[1], cap=None).ok
+
+
+def test_map_moving_an_identity_fails_at_identity():
+    I, im = misrouted(cyclic_operad(2, 3), lambda I: {
+        I.identity_one_cell(ZeroCell(1, "*")): cyclic_cells(I, 1, 1)[1]})
+    r = check_integration_map(im, cap=None)
+    assert (r.status, r.witness) == ("fail", ("identity", "[1,*]"))
+
+
+def test_map_changing_the_surjection_fails_at_projection():
+    # the first cell out of [2,*]: no earlier pair composes through it
+    def wrong(I):
+        return {cyclic_cells(I, 2, 1)[0]: I.identity_one_cell(ZeroCell(2, "*"))}
+    I, im = misrouted(cyclic_operad(2, 3), wrong)
+    r = check_integration_map(im, cap=None)
+    assert (r.status, r.witness) == ("fail", ("projection", str(cyclic_cells(I, 2, 1)[0])))
+
+
+def test_map_changing_a_middle_object_fails_at_fibers():
+    # over the same surjection, middle object 2 in place of 1; composing
+    # with the identity of [1,0], the only earlier cell, cannot see it
+    x = ZeroCell(1, 0)
+
+    def wrong(I):
+        by_p = {c.args: c for c in I.hom(x, x).objects}
+        return {by_p[(1,)]: by_p[(2,)]}
+    I, im = misrouted(nat_operad(3), wrong)
+    cell = next(c for c in I.hom(x, x).objects if c.args == (1,))
+    r = check_integration_map(im, cap=None)
+    assert (r.status, r.witness) == ("fail", ("fibers", str(cell)))
+
+
+def test_map_that_is_not_a_homomorphism_fails_at_composition():
+    # 2 -> 1 on the endo-cells of [1,*] fixes the identity, the surjection and
+    # the fibers, but 1 + 1 = 2 is sent to 1, not to 1 + 1
+    I, im = misrouted(cyclic_operad(2, 3), lambda I: {
+        cyclic_cells(I, 1, 1)[2]: cyclic_cells(I, 1, 1)[1]})
+    a1 = str(cyclic_cells(I, 1, 1)[1])
+    r = check_integration_map(im, cap=None)
+    assert (r.status, r.witness) == ("fail", ("composition", a1, a1))
+
+
+def test_map_moving_the_chosen_lift_fails_at_lift():
+    # conjugation by the automorphism 1 of [2,*] is a 2-functor over the
+    # projection that keeps every fiber, but shifts the cells [2,*] -> [1,*]
+    # by 2 and so moves the chosen lift [2->1:[1,1]; *; 0]
+    def wrong(I):
+        b = cyclic_cells(I, 2, 1)
+        return {b[i]: b[(i + 2) % 3] for i in range(3)}
+    I, im = misrouted(cyclic_operad(2, 3), wrong)
+    r = check_integration_map(im, cap=None)
+    assert (r.status, r.witness) == ("fail", ("lift", "2->1:[1,1]", "[1,*]", ("[2,*]",)))

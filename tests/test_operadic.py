@@ -254,7 +254,7 @@ def test_roundtrip_operad_certificates():
     for P in (nat_operad(3), tree_operad(2), terminal_operad(2)):
         cert = roundtrip_operad(P)
         assert cert.ok, (P.name, cert.line())
-        assert cert.details["mu_checked"] > 0
+        assert cert.checked > 0
 
 
 def test_corrupted_mu_on_morphisms_fails_roundtrip_operad():

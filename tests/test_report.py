@@ -5,13 +5,13 @@ import pathlib
 import pytest
 
 from opint.integration import (
-    ZeroCell, check_factorization, check_integration_map, check_projection,
-    check_two_category_laws, integrate, integrate_morphism,
+    ZeroCell, check_factorization, check_projection, check_two_category_laws,
+    integrate, integrate_morphism,
 )
 from opint.operadic import (
-    canonical_fibration, check_all_lifts_cartesian, check_operadic_axioms,
-    check_splitting, check_trivial_subcategory, is_operadic_cartesian, roundtrip_2cat,
-    roundtrip_operad,
+    canonical_fibration, check_all_lifts_cartesian, check_integration_map,
+    check_operadic_axioms, check_splitting, check_trivial_subcategory,
+    is_operadic_cartesian, roundtrip_2cat, roundtrip_operad,
 )
 from opint.operads import check_associativity, identity_operad_morphism, tree_operad, \
     validate_operad_morphism
