@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from .fincat import FinCat, Functor, is_terminal, validate_functor
-from .interning import memo_tables, memoized
+from .interning import _MISS, memo_tables, memoized
 from .integration import (
     Integration, IntegrationMap, LaxTriangle, OneCell, ZeroCell, integrate,
     lift_instances, two_cat_components,
@@ -358,13 +358,20 @@ def _fiber_axiom_on_one_cells(O, x, phi, g, fibs_phi, triangles, r) -> bool:
     A 1-cell from the triangle ``a1`` to the triangle ``a2`` is a
     connecting triangle ``sigma`` between their left faces plus a slice
     2-cell from ``a2 o sigma`` to ``a1``; both routes around the square
-    must then send it to the same blocks of fiber data.  Per 1-cell, the
-    fibers of triangles into ``x``, the whiskers ``1_phi * gamma`` and the
-    routes ``block_cut(fib1(y, tri_a), g)`` (keyed on all of ``tri_a``:
-    reused exactly, never assumed) are computed on first use; per ``(a2,
-    sigma)``, the composite triangle and its fibers; per instance, the
-    filler test and the slice and triangle fibers.  Counts on ``r`` and
-    returns False once ``r`` holds its verdict (capped or failed).
+    must then send it to the same blocks of fiber data.  Tables are local
+    to ``phi`` and reused only for an identical key, never assumed.  Per
+    1-cell: the fibers of triangles into ``x`` and the routes
+    ``block_cut(fib1(y, tri_a), g)``, keyed on all of ``tri_a``.  Per
+    ``(comp_slice, a1, gamma)``, with ``x`` and ``phi`` every argument of
+    ``fib2``: the filler test and the slice fibers (``slices``).  Per
+    ``(a2, sigma)``: the composite triangle, the candidates and the
+    composed fibers.  Per instance: a charge, the lookups and the square
+    ``(sig_f, a1_f, a2_f, xi_f, route_a)``, which fixes the fiber loop
+    (``fibs_phi`` is fixed, ``composed_f`` follows from ``a2_f`` and
+    ``sig_f``); the loop runs unless an equal square passed before, and
+    ``verified`` gains a square only once it passes, so a failing one is
+    evaluated at its first instance.  Counts on ``r`` and returns False
+    once ``r`` holds its verdict (capped or failed).
     """
     y = O.src0(phi)
     by_d1: dict = {}
@@ -372,7 +379,7 @@ def _fiber_axiom_on_one_cells(O, x, phi, g, fibs_phi, triangles, r) -> bool:
         by_d1.setdefault(tri.d1, []).append(tri)
     n_fib = len(fibs_phi)
     id2_phi = O.tc.identity2(phi)
-    fibers, whiskers, routes = {}, {}, {}   # local to this 1-cell
+    fibers, routes, slices, verified = {}, {}, {}, set()   # local to this 1-cell
 
     def fibers_of(tri):
         return fibers.get(tri) or fibers.setdefault(tri, O.fib1_cached(x, tri))
@@ -397,15 +404,21 @@ def _fiber_axiom_on_one_cells(O, x, phi, g, fibs_phi, triangles, r) -> bool:
             for a1, gamma in candidates:       # a1: source object of the 1-cell
                 if not r.charge():
                     return False
-                whisker = whiskers.get(gamma) or whiskers.setdefault(
-                    gamma, O.tc.hcompose2(id2_phi, gamma))
-                if O.tc.vcompose2(a1.filler, whisker) != comp_slice.filler:
+                xi_f = slices.get((comp_slice, a1, gamma), _MISS)
+                if xi_f is _MISS:              # None: the filler test fails
+                    filled = O.tc.vcompose2(a1.filler, O.tc.hcompose2(id2_phi, gamma))
+                    xi_f = slices[comp_slice, a1, gamma] = (
+                        O.fib2(x, phi, comp_slice, a1, gamma)
+                        if filled == comp_slice.filler else None)
+                if xi_f is None:
                     continue
                 tri_a = (sigma.d2, a1.d2, a2.d2, gamma)
                 route_a = routes.get(tri_a) or routes.setdefault(
                     tri_a, block_cut(O.fib1_cached(y, LaxTriangle(*tri_a)), g))
                 a1_f = fibers_of(a1)
-                xi_f = O.fib2(x, phi, comp_slice, a1, gamma)
+                square = (sig_f, a1_f, a2_f, xi_f, route_a)
+                if square in verified:
+                    continue
                 for i in range(n_fib):
                     if O.src2(xi_f[i]) != composed_f[i]:
                         r.fail(("fiber functoriality", i, str(phi)))
@@ -414,6 +427,7 @@ def _fiber_axiom_on_one_cells(O, x, phi, g, fibs_phi, triangles, r) -> bool:
                     if O.fib1_cached(fibs_phi[i], tri_b) != route_a[i]:
                         r.fail(("one-cells", i, str(phi)))
                         return False
+                verified.add(square)
     return True
 
 
@@ -708,11 +722,12 @@ def check_integration_map(im: IntegrationMap, cap: int | None = DEFAULT_CAP) -> 
 def _check_cell_map(I: Integration, S: SplitFibrationData, on0, on1,
                     r: Report) -> Report:
     """Whether the cell maps ``on0`` and ``on1`` from I into the split
-    fibration S preserve identities, projection, fibers, composition and
-    the chosen lifts, as a morphism of cleaved fibrations does (Vistoli,
-    arXiv:math/0412512, ch. 3).  S is read only through its lifts and its
-    2-category's identities, composition, cardinalities and 0-cell fibers.
-    Witnesses hold ``str`` forms."""
+    fibration S preserve identities, projection, endpoints, fibers,
+    composition and the chosen lifts, as a morphism of cleaved fibrations
+    does (Vistoli, arXiv:math/0412512, ch. 3), checking every endpoint
+    before forming any composite.  S is read only through its lifts and
+    its 2-category's cells, cardinalities and 0-cell fibers.  Witnesses
+    hold ``str`` forms."""
     O = S.operadic
     for x in I.zero_cells():
         if not r.charge():
@@ -725,9 +740,13 @@ def _check_cell_map(I: Integration, S: SplitFibrationData, on0, on1,
         image = on1(f_cell)
         if O.card1(image) != f_cell.f:
             return r.fail(("projection", str(f_cell)))
+        if (O.src0(image), O.dst0(image)) != (on0(f_cell.src), on0(f_cell.dst)):
+            return r.fail(("endpoints", str(f_cell)))
         if O.fib0(on0(f_cell.dst), image) != \
            tuple(on0(c) for c in I.fibers_of_1cell(f_cell)):
             return r.fail(("fibers", str(f_cell)))
+    for f_cell in I.all_one_cells():
+        image = on1(f_cell)
         for g_cell in I.one_cells_from(f_cell.dst):
             if not r.charge():
                 return r

@@ -25,7 +25,6 @@ from opint.operadic import (
     check_operadic_axioms, check_splitting, check_trivial_subcategory,
     roundtrip_2cat, roundtrip_operad,
 )
-from opint.report import CAPPED, PASS
 from opint.trees import enumerate_trees
 
 
@@ -159,17 +158,11 @@ def test_criterion_6_split_fibration_structure():
     details = []
     for P in (nat_operad(5), tree_operad(3)):
         S = canonical_fibration(integrate(P))
-        axioms = check_operadic_axioms(S.operadic, cap=10 ** 6)
-        for r in axioms:
+        # exhaustive: on nat:5 axiom (v) one-cells has 15,401,150 instances
+        for r in check_operadic_axioms(S.operadic, cap=None):
             if r.name == "axiom (v) one-cells":
-                # exhaustive on the tree instance; the saturating chain's
-                # connecting-data space (15.4M instances) runs to budget
-                if P.name.startswith("trees") and r.status != PASS:
-                    failures.append((P.name, r.line()))
-                if r.status not in (PASS, CAPPED):
-                    failures.append((P.name, r.line()))
                 details.append("%s %s:%s@%d" % (P.name, r.name, r.status, r.checked))
-            elif not r.ok:
+            if not r.ok:
                 failures.append((P.name, r.line()))
         for r in (check_splitting(S, cap=None),
                   check_all_lifts_cartesian(S, cap=None)):

@@ -435,3 +435,14 @@ def test_map_moving_the_chosen_lift_fails_at_lift():
     I, im = misrouted(cyclic_operad(2, 3), wrong)
     r = check_integration_map(im, cap=None)
     assert (r.status, r.witness) == ("fail", ("lift", "2->1:[1,1]", "[1,*]", ("[2,*]",)))
+
+
+def test_map_moving_an_endpoint_fails_at_endpoints():
+    # the cell [1,0] -> [1,0] with middle object 1 sent to [1,1] -> [1,0]
+    # with the same middle object: surjection and fibers agree, and the
+    # identity of [1,0] composes with the cell before the cell's own turn
+    def wrong(I):
+        return {nat_cell(I, 0, 0, 1): nat_cell(I, 1, 0, 1)}
+    I, im = misrouted(nat_operad(3), wrong)
+    r = check_integration_map(im, cap=None)
+    assert (r.status, r.witness) == ("fail", ("endpoints", str(nat_cell(I, 0, 0, 1))))

@@ -1,4 +1,5 @@
 import dataclasses
+from collections import Counter
 
 import pytest
 
@@ -141,6 +142,121 @@ def test_corrupted_connecting_triangle_fails_one_cells():
     assert (r.status, r.checked) == ("fail", 71)
     assert r.witness == ("one-cells", 0, "[3->1:[1,1,1]; ('L', ('L', 'L')); "
                          "(('L', ('L', 'L')), ('L', 'L', 'L'))]: [3,('L', 'L', 'L')] -> [1,L]")
+
+
+def test_slice_fibers_are_asked_once_per_distinct_arguments():
+    # per 1-cell, fib2 sees each (comp_slice, a1, gamma) once; every
+    # instance is still charged
+    O = fibration(nat_operad(3)).operadic
+    real_fib2, calls = O.fib2, []
+
+    def recording_fib2(x, *parts):
+        calls.append((x, parts))
+        return real_fib2(x, *parts)
+
+    r = one_cells_report(dataclasses.replace(O, fib2=recording_fib2))
+    assert (r.status, r.checked) == ("pass", 280369)
+    assert len(calls) == len(set(calls)) == 4937
+
+
+def recorded_one_cells(O):
+    """Run axiom (v) one-cells on O and record each fib1 call as
+    ``(instance, x, tri, phi, i)``, with ``i`` the fiber index of a tri_b
+    call of the fiber loop and None in other roles, together with the
+    instances that called fib2 and those that ran the fiber loop."""
+    r = Report("axiom (v) one-cells")
+    at, calls, fib2_at, loop_at = {}, [], set(), set()
+
+    def fib0(x, phi):
+        at["phi"] = phi
+        return O.fib0(x, phi)
+
+    def fib2(x, *parts):
+        fib2_at.add(r.checked)
+        return O.fib2(x, *parts)
+
+    def src2(xi):  # once per fiber of the loop, just before its tri_b call
+        i = at["i"] + 1 if r.checked in loop_at else 0
+        at.update(i=i, tri_b=i)
+        loop_at.add(r.checked)
+        return O.src2(xi)
+
+    def fib1(x, tri):
+        calls.append((r.checked, x, tri, at["phi"], at.pop("tri_b", None)))
+        return O.fib1(x, tri)
+
+    assert _check_fiber_axiom_one_cells(dataclasses.replace(
+        O, fib0=fib0, fib1=fib1, fib2=fib2, src2=src2), r).ok
+    return calls, fib2_at, loop_at
+
+
+def one_cells_with_fib1_wrong_on(O, target, checked):
+    """Axiom (v) one-cells with fib1 wrong on ``target`` from instance
+    ``checked`` on; every triangle of a builtin is met in some role early,
+    so a fib1 wrong on it from the start would FAIL there instead."""
+    I = O.tc
+    strays = [I.identity_one_cell(x) for x in (ZeroCell(1, LEAF), ZeroCell(2, corolla(2)))]
+    r = Report("axiom (v) one-cells")
+
+    def bad_fib1(x, tri):
+        out = O.fib1(x, tri)
+        if tri is target and r.checked >= checked:
+            return (strays[out[0] == strays[0]],) + out[1:]
+        return out
+
+    return _check_fiber_axiom_one_cells(dataclasses.replace(O, fib1=bad_fib1), r)
+
+
+def test_corrupted_fiber_triangle_fails_where_slice_fibers_are_reused():
+    # a fiber triangle tri_b first asked for at an instance whose slice
+    # fibers came from the per-1-cell table, not from fib2, and that asks
+    # for it in no other role: the check must FAIL right there
+    O = fibration(tree_operad(3)).operadic
+    calls, fib2_at, _ = recorded_one_cells(O)
+    roles = Counter((n, tri) for n, _, tri, _, _ in calls)
+    met = set()
+    for n, _, tri, phi, i in calls:
+        if i is not None and tri not in met:
+            met.add(tri)
+            if n not in fib2_at and roles[n, tri] == 1:
+                break
+    else:
+        raise AssertionError("no such fiber triangle")
+    r = one_cells_with_fib1_wrong_on(O, tri, n)
+    assert (r.status, r.checked, r.witness) == ("fail", n, ("one-cells", i, str(phi)))
+
+
+def test_corrupted_route_fails_where_an_equal_square_passed():
+    # a connecting triangle tri_a, asked for at y (not x = y, where the
+    # triangles onto phi are asked for too), by an instance that skipped its
+    # fiber loop, since an equal square, route included, passed earlier in
+    # the 1-cell; once its route is wrong the square is new and must FAIL
+    # there (a verified key without the route would skip it)
+    O = fibration(tree_operad(3)).operadic
+    calls, _, loop_at = recorded_one_cells(O)
+    roles = Counter((n, tri) for n, _, tri, _, _ in calls)
+    n, tri, phi = next(
+        (n, tri, phi) for n, x, tri, phi, _ in calls
+        if n not in loop_at and x is phi.src and phi.src is not phi.dst
+        and roles[n, tri] == 1)
+    r = one_cells_with_fib1_wrong_on(O, tri, n)
+    assert (r.status, r.checked, r.witness) == ("fail", n, ("one-cells", 0, str(phi)))
+
+
+def test_one_cells_pass_with_parallel_slice_2cells():
+    # on cyclic:2:2 a composite slice and a source triangle take several
+    # gamma, each with slice fibers of its own
+    from test_integration import cyclic_operad
+    O = fibration(cyclic_operad(2, 2)).operadic
+    real_fib2, gammas = O.fib2, {}
+
+    def recording_fib2(x, phi, comp_slice, a1, gamma):
+        gammas.setdefault((phi, comp_slice, a1), set()).add(gamma)
+        return real_fib2(x, phi, comp_slice, a1, gamma)
+
+    r = one_cells_report(dataclasses.replace(O, fib2=recording_fib2))
+    assert (r.status, r.checked) == ("pass", 1344)
+    assert sum(len(g) > 1 for g in gammas.values()) == 16
 
 
 def test_canonical_lifts_are_cartesian_small():
