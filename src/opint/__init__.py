@@ -7,9 +7,9 @@ from .surjections import (
     preimage, reconstruct_triangle,
 )
 from .fincat import (
-    FinCat, Functor, IsoResult, categories_isomorphic, poset_category, product,
-    is_terminal, terminal_category, terminal_object, validate_category,
-    validate_functor,
+    FinCat, Functor, IsoResult, categories_isomorphic, enumerate_functors,
+    poset_category, product, is_terminal, terminal_category, terminal_object,
+    validate_category, validate_functor,
 )
 from .trees import (
     LEAF, contracts_to, corolla, enumerate_trees, graft, leaves, tree_from_json,

@@ -294,6 +294,20 @@ def validate_functor(F: Functor, name: str = "functor") -> Report:
     return Report(name, status, checked, witness=problems[:5] or None)
 
 
+def enumerate_functors(C: FinCat, D: FinCat):
+    """Every functor C -> D, in a fixed order: object maps in the order of
+    ``itertools.product`` over D's objects, then morphism maps choosing one
+    arrow of ``D.hom(F s, F d)`` per morphism, each kept when
+    ``validate_functor`` passes.  Exponential in C's objects and morphisms."""
+    for values in itertools.product(D.objects, repeat=len(C.objects)):
+        obj_map = dict(zip(C.objects, values))
+        slots = [D.hom(obj_map[s], obj_map[d]) for _, s, d in C.morphisms()]
+        for images in itertools.product(*slots):
+            F = Functor(C, D, dict(obj_map), dict(zip(C.morphism_ids(), images)))
+            if validate_functor(F).ok:
+                yield F
+
+
 def is_terminal(C: FinCat, t) -> bool:
     """Whether ``t`` is an object of C receiving exactly one morphism from
     every object.  In a category that is not skeletal several objects

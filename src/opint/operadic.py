@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from .fincat import FinCat, Functor, is_terminal, validate_functor
+from .fincat import FinCat, Functor, enumerate_functors, is_terminal, validate_functor
 from .interning import _MISS, memo_tables, memoized
 from .integration import (
     Integration, IntegrationMap, LaxTriangle, OneCell, ZeroCell, integrate,
@@ -887,149 +887,94 @@ def _image_two_cell(O, src_cell, dst_cell, deltas):
 
 
 # ---------------------------------------------------------------------------
-# full faithfulness at poset scale
+# full faithfulness: both sides enumerated from per-arity functors, which is
+# exponential in the objects and morphisms of each component; keep them small
 
 
-def _is_poset_operad(P: TruncatedOperad) -> bool:
-    for n in range(1, P.bound + 1):
-        C = P.component(n)
-        for a in C.objects:
-            for b in C.objects:
-                if len(C.hom(a, b)) > 1:
-                    return False
-    return True
+def _per_arity_functors(P: TruncatedOperad, Q: TruncatedOperad) -> list:
+    """Every choice of functors P_n -> Q_n, one per arity, as dicts by arity."""
+    if P.bound != Q.bound:
+        raise ValueError("operads of unequal bounds %d and %d" % (P.bound, Q.bound))
+    arities = range(1, P.bound + 1)
+    per_arity = (list(enumerate_functors(P.component(n), Q.component(n))) for n in arities)
+    return [dict(zip(arities, choice)) for choice in itertools.product(*per_arity)]
 
 
 def enumerate_operad_morphisms(P: TruncatedOperad, Q: TruncatedOperad) -> list:
-    """All operad morphisms between two poset-valued operads.
-
-    A morphism of poset-valued operads is determined by its object maps,
-    so the enumeration ranges over per-arity functions and filters by
-    relation preservation, unit preservation and the mu squares.
-    """
-    if not (_is_poset_operad(P) and _is_poset_operad(Q)) or P.bound != Q.bound:
-        raise ValueError("enumeration implemented for poset-valued operads "
-                         "of equal bound")
-    per_arity = []
-    for n in range(1, P.bound + 1):
-        C, D = P.component(n), Q.component(n)
-        candidates = []
-        for values in itertools.product(D.objects, repeat=len(C.objects)):
-            fn = dict(zip(C.objects, values))
-            if all(D.hom(fn[s], fn[d]) for _, s, d in C.morphisms()):
-                candidates.append(fn)
-        per_arity.append(candidates)
-    out = []
-    for choice in itertools.product(*per_arity):
-        maps = {n + 1: choice[n] for n in range(P.bound)}
-        if maps[1][P.unit] != Q.unit:
-            continue
-        ok = True
-        for g in P.mu:
-            arities = P.arg_arities(g)
-            for tup in itertools.product(*[P.component(a).objects for a in arities]):
-                lhs = maps[g.dom][P.apply_obj(g, tup)]
-                rhs = Q.apply_obj(g, tuple(maps[a][v] for a, v in zip(arities, tup)))
-                if lhs != rhs:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
-            continue
-        functors = {}
-        for n in range(1, P.bound + 1):
-            C, D = P.component(n), Q.component(n)
-            functors[n] = Functor(C, D, dict(maps[n]),
-                                  {m: (maps[n][m[0]], maps[n][m[1]])
-                                   for m in C.morphism_ids()})
-        out.append(OperadMorphism(P, Q, functors))
-    return out
+    """All operad morphisms P -> Q: the choices of per-arity functors
+    that preserve the unit and every mu square (``_check_mu_squares``)."""
+    candidates = (OperadMorphism(P, Q, functors) for functors in _per_arity_functors(P, Q))
+    return [F for F in candidates if _check_mu_squares(F, Report("operad morphism")).ok]
 
 
 def enumerate_lift_preserving_2functors(SP: SplitFibrationData,
                                         SQ: SplitFibrationData) -> list:
-    """All operadic 2-functors between two canonical integrations of
-    poset-valued operads that preserve the chosen lifts.
-
-    On such integrations a 2-functor is forced by its 0-cell map (fiber
-    preservation pins the middle objects, posets pin the components), so
-    candidates are per-arity object functions validated cell by cell.
-    Returns the valid 0-cell maps, each as a dict per arity.
-    """
+    """All lift-preserving operadic 2-functors between the canonical
+    integrations of two operads, each as the per-arity functors it acts by
+    on 0-cells and component morphisms.  These cover every such 2-functor:
+    it keeps projection and fibers, so it sends each component part
+    [1; e..e; alpha] to a component part, and component parts compose as
+    their components do, so on them it is one functor per arity.  Every
+    1-cell is its component part followed by a chosen lift, and lifts go
+    to lifts, so the functors force the rest (``_forced_extension_valid``)."""
     IP: Integration = SP.operadic.tc
     IQ: Integration = SQ.operadic.tc
-    P, Q = IP.P, IQ.P
-    if not (_is_poset_operad(P) and _is_poset_operad(Q)) or P.bound != Q.bound:
-        raise ValueError("enumeration implemented for poset-valued operads "
-                         "of equal bound")
-    out = []
-    per_arity = [list(itertools.product(Q.component(n).objects,
-                                        repeat=len(P.component(n).objects)))
-                 for n in range(1, P.bound + 1)]
-    for choice in itertools.product(*per_arity):
-        maps = {n: dict(zip(P.component(n).objects, choice[n - 1]))
-                for n in range(1, P.bound + 1)}
-        if _forced_extension_valid(IP, SQ, maps):
-            out.append(maps)
-    return out
+    return [functors for functors in _per_arity_functors(IP.P, IQ.P)
+            if _forced_extension_valid(IP, SQ, functors)]
 
 
-def _forced_extension_valid(IP: Integration, SQ: SplitFibrationData, maps) -> bool:
+def _forced_extension_valid(IP: Integration, SQ: SplitFibrationData, functors) -> bool:
+    """Whether the per-arity functors extend to a lift-preserving 2-functor
+    IP -> SQ: a 0-cell goes through the object maps, a 1-cell to the image
+    [1; e'..e'; F(alpha)] of its component part followed by the chosen
+    lift of its cut part, and a 2-cell to the 2-cell of its mapped
+    components, which must exist; ``_check_cell_map`` checks the rest."""
     IQ: Integration = SQ.operadic.tc
-    Q = IQ.P
 
     def h0(x: ZeroCell):
-        return ZeroCell(x.arity, maps[x.arity][x.obj])
+        return ZeroCell(x.arity, functors[x.arity].obj_map[x.obj])
 
     def h1(cell: OneCell):
-        sizes = cell.f.fiber_sizes()
-        args = tuple(maps[s][a] for s, a in zip(sizes, cell.args))
-        target = h0(cell.dst)
-        source_obj = Q.apply_obj(cell.f, (target.obj,) + args)
-        expected_src = maps[cell.f.dom][IP.P.component(cell.f.dom).dst(cell.alpha)]
-        alphas = Q.component(cell.f.dom).hom(source_obj, expected_src)
-        if not alphas:
-            return None
-        return IQ.one_cell(cell.f, args, alphas[0], target)
+        e_part, m_part = IP.factorize(cell)
+        m = e_part.f.dom
+        component = IQ.one_cell(e_part.f, (IQ.P.unit,) * m,
+                                functors[m].mor_map[e_part.alpha], h0(e_part.dst))
+        lift = SQ.lift(m_part.f, h0(m_part.dst), tuple(map(h0, IP.fibers_of_1cell(m_part))))
+        return IQ.compose1(lift, component)
 
-    # every 1-cell and every 2-cell must have an image
-    images = {}
-    for x in IP.zero_cells():
-        for cell in IP.one_cells_from(x):
-            img = h1(cell)
-            if img is None:
-                return False
-            images[cell] = img
-    for x in IP.zero_cells():
-        for y in IP.zero_cells():
-            Hq = IQ.hom(h0(x), h0(y))
-            for t, s, d in IP.hom(x, y).morphisms():
-                if not Hq.hom(images[s], images[d]):
-                    return False
+    cells = tuple(IP.all_one_cells())  # builds IP's homs outside the try
+    try:
+        images = {cell: h1(cell) for cell in cells}
+        for x, y in itertools.product(IP.zero_cells(), repeat=2):
+            for t in IP.hom(x, y).morphism_ids():
+                deltas = (functors[s].mor_map[d]
+                          for s, d in zip(t.src.f.fiber_sizes(), t.deltas))
+                IQ.two_cell(images[t.src], images[t.dst], deltas)
+    except ValueError:  # a component part and a lift that do not meet, or no 2-cell
+        return False
     return _check_cell_map(IP, SQ, h0, images.__getitem__, Report("2-functor")).ok
 
 
+def _maps_key(functors) -> tuple:
+    """The per-arity object and morphism maps, hashable."""
+    return tuple((n, frozenset(F.obj_map.items()), frozenset(F.mor_map.items()))
+                 for n, F in sorted(functors.items()))
+
+
 def check_full_faithfulness(P: TruncatedOperad, Q: TruncatedOperad) -> Report:
-    """Integration embeds operad morphisms bijectively into the
-    lift-preserving operadic 2-functors, at poset scale."""
+    """Integration sends the operad morphisms P -> Q bijectively onto the
+    lift-preserving operadic 2-functors between the integrations: both
+    sides are keyed on their per-arity object and morphism maps."""
     morphisms = enumerate_operad_morphisms(P, Q)
-    SP = canonical_fibration(integrate(P))
-    SQ = canonical_fibration(integrate(Q))
-    functors = enumerate_lift_preserving_2functors(SP, SQ)
-    keyed_morphisms = {
-        tuple(sorted((n, tuple(sorted(F.functors[n].obj_map.items(), key=repr)))
-                     for n in F.functors)): F
-        for F in morphisms}
-    keyed_functors = {
-        tuple(sorted((n, tuple(sorted(m.items(), key=repr))) for n, m in h.items()))
-        for h in functors}
+    functors = enumerate_lift_preserving_2functors(canonical_fibration(integrate(P)),
+                                                   canonical_fibration(integrate(Q)))
+    keyed_morphisms = {_maps_key(F.functors) for F in morphisms}
+    keyed_functors = {_maps_key(h) for h in functors}
     r = Report("full faithfulness", checked=len(morphisms) + len(functors))
     if len(keyed_morphisms) != len(morphisms):
         return r.fail("morphism keys collide")
-    if set(keyed_morphisms) != keyed_functors:
-        missing = keyed_functors - set(keyed_morphisms)
-        extra = set(keyed_morphisms) - keyed_functors
-        return r.fail(("sides differ", len(missing), len(extra)))
+    if keyed_morphisms != keyed_functors:
+        return r.fail(("sides differ", len(keyed_functors - keyed_morphisms),
+                       len(keyed_morphisms - keyed_functors)))
     r.notes.append("%d morphisms, %d 2-functors" % (len(morphisms), len(functors)))
     return r

@@ -277,6 +277,20 @@ def test_hostile_operad_files_exit_with_a_verdict(capsys, verb, name, problem):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("hom", "--src", "1", "--dst", "1"), ("factor", "--src", "1", "--dst", "0"),
+    ("lift",), ("extract",), ("roundtrip",),
+    ("export-dot", "--entity", "hom", "--src", "1", "--dst", "1"),
+    ("export-dot", "--entity", "factorization", "--src", "1", "--dst", "0"),
+], ids=" ".join)
+@pytest.mark.parametrize("path", sorted(DATA.glob("*.json")), ids=lambda p: p.stem)
+def test_hostile_operad_files_end_in_a_verdict_on_every_verb(capsys, argv, path):
+    # an exception escaping main fails the test; a usage error, an invalid
+    # operad, a failed or capped check is a verdict
+    code, _, err = run(capsys, *argv, "--operad", str(path))
+    assert code <= 3 and "Traceback" not in err
+
+
 @pytest.mark.parametrize("spec", ["nat:3", "trees:3", "terminal:3"])
 def test_export_matches_golden(spec):
     # every entry of every composition functor, including the ones that no

@@ -1,9 +1,10 @@
 import itertools
+import math
 
 import pytest
 
 from opint.fincat import (
-    FinCat, Functor, categories_isomorphic, poset_category, product,
+    FinCat, Functor, categories_isomorphic, enumerate_functors, poset_category, product,
     terminal_category, terminal_object, validate_category, validate_functor,
 )
 from opint.surjections import CompositionError
@@ -232,3 +233,37 @@ def test_validate_functor_catches_bad_map():
     assert validate_functor(F).ok
     bad = Functor(C, C, {0: 1, 1: 0}, {m: m for m in C.morphism_ids()})
     assert not validate_functor(bad).ok
+
+
+def functor_maps(C, D):
+    return [(F.obj_map, F.mor_map) for F in enumerate_functors(C, D)]
+
+
+@pytest.mark.parametrize("m, n, expected", [(1, 2, 6), (3, 3, 35), (2, 0, 1), (0, 3, 4)])
+def test_functors_between_chains_are_the_monotone_maps(m, n, expected):
+    # chain_ge(m) has m + 1 elements; monotone maps of chains number
+    # binomial(m + n + 1, m + 1)
+    C, D = chain_ge(m), chain_ge(n)
+    maps = functor_maps(C, D)
+    assert len(maps) == expected == math.comb(m + n + 1, m + 1)
+    monotone = [obj for obj, _ in maps
+                if all(obj[a] >= obj[b] for a in C.objects for b in C.objects if a >= b)]
+    assert len(monotone) == expected
+
+
+@pytest.mark.parametrize("k", range(1, 5))
+@pytest.mark.parametrize("k2", range(1, 5))
+def test_functors_between_cyclic_groups_are_the_homomorphisms(k, k2):
+    from test_integration import cyclic_operad
+    C, D = cyclic_operad(1, k).component(1), cyclic_operad(1, k2).component(1)
+    functors = list(enumerate_functors(C, D))
+    assert len(functors) == math.gcd(k, k2)
+    assert all(validate_functor(F).ok for F in functors)
+    # each is a homomorphism Z/k -> Z/k2, fixed by the image of 1
+    assert all(F.mor_map[m] == m * F.mor_map[1 % k] % k2 for F in functors for m in range(k))
+
+
+def test_functor_enumeration_order_is_fixed():
+    C, D = chain_ge(2), chain_ge(2)
+    assert functor_maps(C, D) == functor_maps(C, D)
+    assert functor_maps(C, D)[0][0] == {0: 0, 1: 0, 2: 0}

@@ -467,6 +467,91 @@ def test_two_functor_enumeration_matches_morphisms():
     assert len(functors) == len(morphisms)
 
 
+def endpoint_respecting_maps(C, D):
+    """Every object map with one arrow of D per arrow of C between the
+    images of its endpoints: the candidates, before any functor law."""
+    import itertools
+    from opint.fincat import Functor
+    for values in itertools.product(D.objects, repeat=len(C.objects)):
+        fn = dict(zip(C.objects, values))
+        for images in itertools.product(*[D.hom(fn[s], fn[d]) for _, s, d in C.morphisms()]):
+            yield Functor(C, D, fn, dict(zip(C.morphism_ids(), images)))
+
+
+@pytest.mark.parametrize("k", range(1, 5))
+@pytest.mark.parametrize("k2", range(1, 5))
+def test_full_faithfulness_on_cyclic_operads(k, k2):
+    # Z/k -> Z/k2 has gcd(k, k2) homomorphisms; the mu squares force the
+    # arity-2 one to equal the arity-1 one
+    import math
+    from test_integration import cyclic_operad
+    r = check_full_faithfulness(cyclic_operad(2, k), cyclic_operad(2, k2))
+    g = math.gcd(k, k2)
+    assert (r.status, r.notes) == ("pass", ["%d morphisms, %d 2-functors" % (g, g)]), r.line()
+
+
+def test_full_faithfulness_on_a_chaotic_operad():
+    import itertools
+    from opint.operads import OperadMorphism
+    from test_cells import chaotic_operad
+    P = chaotic_operad()
+    r = check_full_faithfulness(P, P)
+    assert (r.status, r.notes) == ("pass", ["4 morphisms, 4 2-functors"]), r.line()
+    per_arity = [list(endpoint_respecting_maps(P.component(n), P.component(n)))
+                 for n in (1, 2)]
+    brute = sum(validate_operad_morphism(OperadMorphism(P, P, {1: F1, 2: F2}), cap=None).ok
+                for F1, F2 in itertools.product(*per_arity))
+    assert brute == 4
+
+
+def fiber_action_operad(k, acts):
+    """Z/k in arities 1 and 2, mu_{1->1} adding.  mu_{2->1}(c, a) = a
+    ignores the arity-1 slot, and mu_{2->2}(x, c1, c2) is x + c1 + c2 when
+    ``acts``, else x: arity-1 morphisms reach arity 2 only through the
+    fiber slots of mu_{2->2}, which only the 2-cells of the integration see."""
+    import itertools
+    from opint.jsonio import operad_from_json
+    rules = {("1->1:[1]", 1): sum, ("2->1:[1,1]", 1): lambda ms: ms[1],
+             ("2->2:[1,2]", 2): sum if acts else (lambda ms: ms[0])}
+    component = {"objects": ["*"],
+                 "morphisms": [{"id": m, "src": "*", "dst": "*"} for m in range(k)],
+                 "identities": {"*": 0},
+                 "comp": [[g, f, (g + f) % k] for g in range(k) for f in range(k)]}
+    mu = [{"g": g, "graph": [[["*"] * (1 + cod), "*"]],
+           "mor_graph": [[list(ms), rule(ms) % k]
+                         for ms in itertools.product(range(k), repeat=1 + cod)]}
+          for (g, cod), rule in rules.items()]
+    return operad_from_json({"bound": 2, "unit": "*", "name": "fiber action",
+                             "components": [component] * 2, "mu": mu})
+
+
+@pytest.mark.parametrize("acts, count", [(True, 3), (False, 9)])
+def test_full_faithfulness_reads_the_2_cells(acts, count):
+    # the 1-cells alone would let the two arities' homomorphisms Z/3 -> Z/3
+    # differ (9 candidates); the 2-cells tie them together when mu_{2->2}
+    # acts through its fiber slots
+    P = fiber_action_operad(3, acts)
+    assert all(r.ok for r in validate_operad(P, deep=True))
+    r = check_full_faithfulness(P, P)
+    assert (r.status, r.notes) == \
+        ("pass", ["%d morphisms, %d 2-functors" % (count, count)]), r.line()
+
+
+@pytest.mark.parametrize("P, count", [(nat_operad(2), 3), (nat_operad(3), 4),
+                                      (tree_operad(3), 1)])
+def test_full_faithfulness_poset_counts(P, count):
+    r = check_full_faithfulness(P, P)
+    assert (r.status, r.checked, r.notes) == \
+        ("pass", 2 * count, ["%d morphisms, %d 2-functors" % (count, count)])
+
+
+def test_morphism_enumeration_needs_equal_bounds():
+    with pytest.raises(ValueError):
+        enumerate_operad_morphisms(nat_operad(2), tree_operad(3))
+    with pytest.raises(ValueError):
+        enumerate_lift_preserving_2functors(fibration(nat_operad(2)), fibration(tree_operad(3)))
+
+
 def test_lali_absent_on_discrete_presentation():
     class DiscreteTwoCat:
         def zero_cells(self):
