@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Verbs: validate, integrate, hom, factor, lift, extract, roundtrip,
-trees, export-dot.  Operads come from builtins ("nat:M", "trees:N",
+check, trees, export-dot.  Operads come from builtins ("nat:M", "trees:N",
 "terminal:N") or JSON files.  Exit codes: 0 all checks pass, 1 a check
 failed with a located witness (an operad failing validation included),
 2 usage or input error, 3 a search hit its cap and was inconclusive.
@@ -75,11 +75,11 @@ def parse_zero_cell(text: str, P: TruncatedOperad) -> ZeroCell:
         arity, obj = data
     else:
         arity, obj = 1, data
-    obj = jsonio.freeze(obj)
     try:
-        if 1 <= arity <= P.bound and P.is_object(arity, obj):
+        obj = jsonio.freeze(obj)
+        if 1 <= arity <= P.bound and obj in P.component(arity):
             return ZeroCell(arity, obj)
-    except TypeError:  # an unhashable object, such as a JSON object
+    except ValueError:  # a JSON object
         pass
     raise UsageError("%s is not a 0-cell of the integration of %s"
                      % (json.dumps(data), P.name))

@@ -19,9 +19,12 @@ from .surjections import Surjection, all_surjections_up_to, parse_surjection
 
 
 def freeze(data):
-    """Recursively turn lists into tuples so values are hashable."""
+    """Recursively turn lists into tuples so values are hashable; ValueError
+    on a JSON object, which has no hashable form."""
     if isinstance(data, list):
         return tuple(freeze(v) for v in data)
+    if isinstance(data, dict):
+        raise ValueError("%s is not hashable" % json.dumps(data))
     return data
 
 
@@ -107,11 +110,13 @@ def _graph(table, slots) -> list:
 
 
 def operad_from_json(data) -> TruncatedOperad:
+    """The operad a JSON file describes; ValueError on a bound below 1, a
+    JSON object as a value, or a table key that is not an operand tuple."""
     bound = int(data["bound"])
     components = {n + 1: fincat_from_json(c)
                   for n, c in enumerate(data["components"])}
-    if len(components) != bound:
-        raise ValueError("expected %d components, found %d"
+    if not 1 <= bound == len(components):
+        raise ValueError("bound %d needs as many components, at least one; found %d"
                          % (bound, len(components)))
     unit = freeze(data["unit"])
     mu = {}
@@ -119,9 +124,9 @@ def operad_from_json(data) -> TruncatedOperad:
         g = surjection_from_json(entry["g"])
         cats = [components[a] for a in (g.cod,) + g.fiber_sizes()]
         target = components[g.dom]
-        obj_map = {freeze(k): freeze(v) for k, v in entry["graph"]}
+        obj_map = _table(entry, "graph", [C.__contains__ for C in cats], g)
         if "mor_graph" in entry:
-            mor_map = {freeze(k): freeze(v) for k, v in entry["mor_graph"]}
+            mor_map = _table(entry, "mor_graph", [C.has_morphism for C in cats], g)
         else:
             mor_map = _derive_mor_map(cats, target, obj_map)
         mu[g] = Functor(cats, target, obj_map, mor_map)
@@ -130,6 +135,17 @@ def operad_from_json(data) -> TruncatedOperad:
         raise ValueError("missing composition functors for %s" % ", ".join(missing))
     return TruncatedOperad(bound, components, unit, mu,
                            name=data.get("name", "operad"))
+
+
+def _table(entry, field, member, g) -> dict:
+    """The ``[key, image]`` pairs of ``entry[field]`` as a dict, once every key
+    is an operand tuple of mu_g: a tuple whose entry i passes ``member[i]``."""
+    table = {freeze(k): freeze(v) for k, v in entry[field]}
+    for key in table:
+        if not (isinstance(key, tuple) and len(key) == len(member)
+                and all(t(x) for t, x in zip(member, key))):
+            raise ValueError("%s key %r of %s is not an operand tuple" % (field, key, g))
+    return table
 
 
 def _derive_mor_map(cats, target, obj_map) -> dict:

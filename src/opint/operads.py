@@ -50,48 +50,44 @@ class TruncatedOperad:
         return self.components[n]
 
     def mu_for(self, g: Surjection) -> Functor:
-        if g.dom > self.bound:
+        F = self.mu.get(g)
+        if F is None and g.dom > self.bound:
             raise TruncationOverflow("surjection %s exceeds bound %d" % (g, self.bound))
-        if g not in self.mu:
+        if F is None:
             raise ValueError("no composition functor stored for %s" % g)
-        return self.mu[g]
-
-    def is_object(self, n: int, x) -> bool:
-        return x in self.component(n)
+        return F
 
     def arg_arities(self, g: Surjection) -> tuple[int, ...]:
         return (g.cod,) + g.fiber_sizes()
 
-    def check_args(self, g: Surjection, args):
-        arities = self.arg_arities(g)
-        if len(args) != len(arities):
-            raise ArityMismatch("expected %d arguments for %s, got %d"
-                                % (len(arities), g, len(args)))
-        return arities
-
     def check_objects(self, arities, args: tuple) -> tuple:
         """``args``, once each is an object of the component of its arity."""
         for n, a in zip(arities, args):
-            if not self.is_object(n, a):
+            if a not in self.component(n):
                 raise ArityMismatch("%r is not an object of the arity-%d component" % (a, n))
         return args
 
-    def apply_obj(self, g: Surjection, args) -> object:
-        args = tuple(args)
-        return self.mu_for(g).obj_map[self.check_objects(self.check_args(g, args), args)]
+    def apply_obj(self, g: Surjection, args: tuple) -> object:
+        """mu_g on a tuple of objects; ArityMismatch on a tuple its table lacks."""
+        try:
+            return self.mu_for(g).obj_map[args]
+        except KeyError:
+            raise ArityMismatch("mu_%s has no value at objects %r" % (g, args)) from None
 
-    def apply_mor(self, g: Surjection, margs) -> object:
-        margs = tuple(margs)
-        self.check_args(g, margs)
-        return self.mu_for(g).mor_map[margs]
+    def apply_mor(self, g: Surjection, margs: tuple) -> object:
+        """mu_g on a tuple of morphism ids; ArityMismatch on a tuple its table lacks."""
+        try:
+            return self.mu_for(g).mor_map[margs]
+        except KeyError:
+            raise ArityMismatch("mu_%s has no value at morphisms %r" % (g, margs)) from None
 
-    def apply_mixed(self, g: Surjection, args) -> object:
-        """Apply mu_g after promoting any object arguments to identities."""
-        args = tuple(args)
-        arities = self.check_args(g, args)
-        promoted = tuple(self.component(n).id_of(a) if self.is_object(n, a) else a
-                         for n, a in zip(arities, args))
-        return self.apply_mor(g, promoted)
+    def apply_mixed(self, g: Surjection, args: tuple, objects) -> object:
+        """mu_g on morphisms, the objects at the positions ``objects`` promoted
+        to identities; the other positions hold morphism ids, whatever their names."""
+        arities, margs = self.arg_arities(g), list(args)
+        for i in objects:
+            margs[i] = self.component(arities[i]).id_of(args[i])
+        return self.apply_mor(g, tuple(margs))
 
     def unit_morphism(self):
         return self.component(1).id_of(self.unit)
@@ -107,13 +103,13 @@ def mu_apply(P: TruncatedOperad, g: Surjection, args):
     """Value of the composition functor mu_g on a tuple (c, b_1..b_n).
 
     All arguments must be objects, or all morphisms, of the components
-    P_n, P_{k_1}, ..., P_{k_n}.
+    P_n, P_{k_1}, ..., P_{k_n}; a tuple that is both is read as objects.
     """
     args = tuple(args)
-    arities = P.check_args(g, args)
-    if all(P.is_object(n, a) for n, a in zip(arities, args)):
-        return P.apply_obj(g, args)
-    return P.apply_mor(g, args)
+    try:
+        return P.mu_for(g).obj_map[args]
+    except KeyError:
+        return P.apply_mor(g, args)
 
 
 def check_unitality(P: TruncatedOperad) -> Report:
@@ -211,7 +207,7 @@ def validate_structure(P: TruncatedOperad) -> list[Report]:
     reports.append(Report("mu coverage", PASS if not missing else FAIL,
                           checked=len(list(all_surjections_up_to(P.bound))),
                           witness=missing[:5] or None))
-    if not P.is_object(1, P.unit):
+    if P.unit not in P.component(1):
         reports.append(Report("unit", FAIL, 1, witness=P.unit))
     reports.append(_check_mu_typing(P))
     if all(r.ok for r in reports):
@@ -251,7 +247,7 @@ def _check_mu_typing(P: TruncatedOperad) -> Report:
         for tup in itertools.product(*slots):
             r.charge()
             value = lookup(P.mu[g].obj_map, tup)
-            if value is None or not P.is_object(g.dom, value):
+            if value is None or value not in P.component(g.dom):
                 return r.fail((str(g), tup, value))
     return r
 

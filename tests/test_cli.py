@@ -148,7 +148,7 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 DATA = pathlib.Path(__file__).parent / "data"
 
 
-@pytest.mark.parametrize("spec", ["terminal:3", "trees:3", "nat:3"])
+@pytest.mark.parametrize("spec", ["terminal:3", "trees:3", "trees:4", "nat:3"])
 def test_check_json_matches_golden(capsys, spec):
     # the files hold the verbatim output of an earlier release; any change
     # to a verdict, an instance count, a witness or the report order shows
@@ -157,7 +157,7 @@ def test_check_json_matches_golden(capsys, spec):
     assert out == (GOLDEN / ("check_%s.json" % spec.replace(":", ""))).read_text()
 
 
-@pytest.mark.parametrize("spec", ["trees:3", "nat:3"])
+@pytest.mark.parametrize("spec", ["trees:3", "trees:4", "nat:3"])
 def test_roundtrip_json_matches_golden(capsys, spec):
     # verbatim output of an earlier release, as for the check goldens
     code, out, _ = run(capsys, "roundtrip", "--operad", spec, "--json")
@@ -236,10 +236,11 @@ LIFT = ("lift", "--operad", "nat:3", "--surjection", "1->1:[1]", "--dst", "1")
     LIFT + ("--fibers", "[[1]]"),
     LIFT + ("--fibers", "[1]"),
     LIFT + ("--fibers", "5"),
+    LIFT + ("--fibers", "[[1, 7]]"),
     ("lift", "--operad", "nat:3", "--surjection", "bad", "--dst", "1",
      "--fibers", "[[1, 1]]"),
 ], ids=["arity-0", "unhashable", "short-fiber", "bare-fiber", "fibers-not-list",
-        "bad-surjection"])
+        "fiber-not-an-object", "bad-surjection"])
 def test_hostile_input_is_a_usage_error(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 2
@@ -277,9 +278,14 @@ def test_hostile_operad_files_exit_with_a_verdict(capsys, verb, name, problem):
     assert "Traceback" not in err
 
 
+# a bound below 1 and a JSON object as a value (unit or image) exit 2 at load
+REFUSED_AT_LOAD = {"bound0_no_components", "nat2_unit_unhashable", "nat2_value_unhashable"}
+
+
 @pytest.mark.parametrize("argv", [
     ("hom", "--src", "1", "--dst", "1"), ("factor", "--src", "1", "--dst", "0"),
-    ("lift",), ("extract",), ("roundtrip",),
+    ("lift",), ("lift", "--surjection", "1->1:[1]", "--dst", "1", "--fibers", "[[1,0]]"),
+    ("extract",), ("roundtrip",),
     ("export-dot", "--entity", "hom", "--src", "1", "--dst", "1"),
     ("export-dot", "--entity", "factorization", "--src", "1", "--dst", "0"),
 ], ids=" ".join)
@@ -289,6 +295,43 @@ def test_hostile_operad_files_end_in_a_verdict_on_every_verb(capsys, argv, path)
     # operad, a failed or capped check is a verdict
     code, _, err = run(capsys, *argv, "--operad", str(path))
     assert code <= 3 and "Traceback" not in err
+    if path.stem in REFUSED_AT_LOAD:
+        assert code == 2 and err.startswith("error: bad operad file")
+
+
+@pytest.mark.parametrize("field, key", [
+    ("graph", [[1, 0], [0, 0]]), ("graph", [1]), ("graph", 1), ("mor_graph", [0, 0])],
+    ids=["morphisms", "short", "not-a-tuple", "objects"])
+def test_table_key_that_is_not_an_operand_is_refused_at_load(field, key):
+    # dict tables hold only operand tuples, as rule-backed ones do, so that
+    # a lookup hit is an operand check
+    data = jsonio.operad_to_json(nat_operad(2))
+    data["mu"][0][field].append([key, 0])
+    with pytest.raises(ValueError, match="key .* of 1->1:\\[1\\] is not an operand tuple"):
+        jsonio.operad_from_json(data)
+
+
+def test_morphism_ids_named_like_objects_are_morphisms(tmp_path, capsys):
+    # nat:2 with the arrow 1 -> 0 renamed 2, the name of an object: whiskering
+    # promotes only the positions that hold objects, so nothing is misread
+    def rename(m):
+        return 2 if m == [1, 0] else m
+
+    data = jsonio.operad_to_json(nat_operad(2))
+    comp = data["components"][0]
+    comp["comp"] = [[rename(m) for m in t] for t in comp["comp"]]
+    for m in comp["morphisms"]:
+        m["id"] = rename(m["id"])
+    data["mu"][0]["mor_graph"] = [[[rename(m) for m in key], rename(image)]
+                                  for key, image in data["mu"][0]["mor_graph"]]
+    path = tmp_path / "nat2_renamed.json"
+    path.write_text(json.dumps(data))
+    for verb in ("validate", "check", "roundtrip"):
+        assert run(capsys, verb, "--operad", str(path))[0] == 0
+    I, J = integrate(jsonio.operad_from_json(data)), integrate(nat_operad(2))
+    assert I.zero_cells() == J.zero_cells()
+    assert [I.hom(x, y).counts() for x in I.zero_cells() for y in I.zero_cells()] == \
+        [J.hom(x, y).counts() for x in J.zero_cells() for y in J.zero_cells()]
 
 
 @pytest.mark.parametrize("spec", ["nat:3", "trees:3", "terminal:3"])

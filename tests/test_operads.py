@@ -1,7 +1,7 @@
 import pytest
 
 from opint.fincat import Functor, RuleMap, validate_functor
-from opint.integration import InvalidOperad, integrate
+from opint.integration import InvalidOperad, ZeroCell, integrate
 from opint.operads import (
     ArityMismatch, TruncationOverflow, check_associativity, check_unitality,
     identity_operad_morphism, morphism_to_terminal, mu_apply, nat_operad,
@@ -40,6 +40,13 @@ def test_mu_apply_on_morphisms_and_errors():
         mu_apply(P, g, (2,))
     with pytest.raises(TruncationOverflow):
         mu_apply(P, identity_surjection(2), (2, 3, 3))
+    # the table is the operand check: a tuple it lacks is an ArityMismatch
+    for apply, args in [(P.apply_obj, (2, 7)), (P.apply_obj, (2, (3, 1))),
+                        (P.apply_mor, ((3, 1), 2)), (P.apply_mor, ((3, 1),))]:
+        with pytest.raises(ArityMismatch, match=r"^mu_1->1:\[1\] has no value at"):
+            apply(g, args)
+    with pytest.raises(ArityMismatch):
+        integrate(P).one_cell(g, (7,), (5, 5), ZeroCell(1, 2))
 
 
 def test_axiom_suite_nat():
