@@ -4,12 +4,11 @@ executable checks certifying the equivalence between the two."""
 from .surjections import (
     CompositionError, Surjection, bang, block_cut, compose, enumerate_surjections,
     from_fiber_sizes, identity_surjection, induced_map, ordinal_sum, parse_surjection,
-    preimage, reconstruct_triangle,
+    reconstruct_triangle,
 )
 from .fincat import (
-    FinCat, Functor, IsoResult, categories_isomorphic, enumerate_functors,
-    poset_category, product, is_terminal, terminal_category, terminal_object,
-    validate_category, validate_functor,
+    FinCat, Functor, enumerate_functors, poset_category, product, is_terminal,
+    terminal_category, terminal_object, validate_category, validate_functor,
 )
 from .trees import (
     LEAF, contracts_to, corolla, enumerate_trees, graft, leaves, tree_from_json,
@@ -18,7 +17,7 @@ from .trees import (
 from .operads import (
     ArityMismatch, OperadMorphism, TruncatedOperad, TruncationOverflow,
     check_associativity, check_unitality, identity_operad_morphism,
-    morphism_to_terminal, mu_apply, nat_operad, terminal_operad, tree_operad,
+    morphism_to_terminal, nat_operad, terminal_operad, tree_operad,
     validate_operad, validate_operad_morphism, validate_structure,
 )
 from .integration import (

@@ -214,9 +214,7 @@ def cmd_extract(args) -> int:
 def cmd_roundtrip(args) -> int:
     P = load_operad(args.operad)
     cert1 = roundtrip_operad(P, cap=args.cap)
-    # roundtrip_operad has validated P already
-    cert2 = roundtrip_2cat(canonical_fibration(integrate(P, validate=False)),
-                           cap=args.cap)
+    cert2 = roundtrip_2cat(canonical_fibration(integrate(P)), cap=args.cap)
     lines = [cert1.line(), cert2.line()]
     payload = {"operad": jsonio.certificate_to_json(cert1),
                "two_category": jsonio.certificate_to_json(cert2)}

@@ -46,10 +46,10 @@ def tree_dot_body(t, prefix: str, lines: list) -> str:
     return root
 
 
-def tree_to_dot(t, name: str = "tree") -> str:
+def tree_to_dot(t) -> str:
     if not T.is_tree(t):
         raise ValueError("not a tree: %r" % (t,))
-    lines = ["digraph %s {" % name, "  rankdir=TB;"]
+    lines = ["digraph tree {", "  rankdir=TB;"]
     tree_dot_body(t, "t0", lines)
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -74,12 +74,11 @@ def _tree_cell_cluster(cell: OneCell, prefix: str, lines: list):
     return anchor
 
 
-def hom_to_dot(I: Integration, src: ZeroCell, dst: ZeroCell,
-               name: str = "hom") -> str:
+def hom_to_dot(I: Integration, src: ZeroCell, dst: ZeroCell) -> str:
     """One digraph per hom-category: nodes 1-cells, edges 2-cells."""
     H = I.hom(src, dst)
     is_tree_operad = all(T.is_tree(x.obj) for x in I.zero_cells())
-    lines = ["digraph %s {" % name, "  rankdir=TB;", "  compound=true;"]
+    lines = ["digraph hom {", "  rankdir=TB;", "  compound=true;"]
     anchors = {}
     for idx, cell in enumerate(H.objects):
         if is_tree_operad:
@@ -99,10 +98,10 @@ def hom_to_dot(I: Integration, src: ZeroCell, dst: ZeroCell,
     return "\n".join(lines) + "\n"
 
 
-def factorization_to_dot(I: Integration, phi: OneCell, name: str = "factorization") -> str:
+def factorization_to_dot(I: Integration, phi: OneCell) -> str:
     """The component-then-cut factorization of one 1-cell."""
     e_part, m_part = I.factorize(phi)
-    lines = ["digraph %s {" % name, "  rankdir=LR;"]
+    lines = ["digraph factorization {", "  rankdir=LR;"]
     nodes = {
         "src": str(phi.src),
         "mid": str(e_part.dst),

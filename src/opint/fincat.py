@@ -11,7 +11,6 @@ Morphism equality is id equality throughout.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .report import FAIL, PASS, Report
 from .surjections import CompositionError
@@ -324,112 +323,3 @@ def terminal_object(C: FinCat):
         if is_terminal(C, t):
             return t, {x: C.hom(x, t)[0] for x in C.objects}
     return None
-
-
-@dataclass
-class IsoResult:
-    status: str  # "found" | "none" | "too-large"
-    forward: Functor | None = None
-    backward: Functor | None = None
-
-    @property
-    def found(self):
-        return self.status == "found"
-
-
-def categories_isomorphic(C: FinCat, D: FinCat, max_objects: int = 64,
-                          max_steps: int = 500_000) -> IsoResult:
-    """Search for an isomorphism of categories by exhaustive matching.
-
-    Object bijections are pruned by hom-set cardinality signatures; the
-    morphism bijection is forced on hom-sets of size one and backtracked
-    otherwise.  Searches beyond ``max_objects`` objects or ``max_steps``
-    candidate extensions abort with status ``too-large``.
-    """
-    if C.counts() != D.counts():
-        return IsoResult("none")
-    n = len(C.objects)
-    if n > max_objects:
-        return IsoResult("too-large")
-
-    def sig(cat, x):
-        profile = sorted((len(cat.hom(x, y)), len(cat.hom(y, x))) for y in cat.objects)
-        return tuple(profile), len(cat.hom(x, x))
-
-    c_sigs = {x: sig(C, x) for x in C.objects}
-    d_sigs = {y: sig(D, y) for y in D.objects}
-    if sorted(c_sigs.values()) != sorted(d_sigs.values()):
-        return IsoResult("none")
-
-    steps = [0]
-
-    def assign_objects(i, obj_map, used):
-        if steps[0] > max_steps:
-            raise _TooLarge
-        if i == n:
-            yield dict(obj_map)
-            return
-        x = C.objects[i]
-        for y in D.objects:
-            if y in used or d_sigs[y] != c_sigs[x]:
-                continue
-            ok = True
-            for x2, y2 in obj_map.items():
-                if len(C.hom(x, x2)) != len(D.hom(y, y2)) or \
-                   len(C.hom(x2, x)) != len(D.hom(y2, y)):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            steps[0] += 1
-            obj_map[x] = y
-            used.add(y)
-            yield from assign_objects(i + 1, obj_map, used)
-            del obj_map[x]
-            used.discard(y)
-
-    def assign_morphisms(obj_map):
-        pairs = [(a, b) for a in C.objects for b in C.objects if C.hom(a, b)]
-        mor_map = {}
-        for x in C.objects:
-            mor_map[C.id_of(x)] = D.id_of(obj_map[x])
-
-        def fill(idx):
-            if steps[0] > max_steps:
-                raise _TooLarge
-            if idx == len(pairs):
-                F = Functor(C, D, dict(obj_map), dict(mor_map))
-                if validate_functor(F).ok:
-                    yield F
-                return
-            a, b = pairs[idx]
-            src_hom = [m for m in C.hom(a, b) if m not in mor_map]
-            dst_hom = [m for m in D.hom(obj_map[a], obj_map[b])
-                       if m not in mor_map.values()]
-            if not src_hom:
-                yield from fill(idx + 1)
-                return
-            for perm in itertools.permutations(dst_hom):
-                steps[0] += 1
-                for m, fm in zip(src_hom, perm):
-                    mor_map[m] = fm
-                yield from fill(idx + 1)
-                for m in src_hom:
-                    del mor_map[m]
-
-        yield from fill(0)
-
-    try:
-        for obj_map in assign_objects(0, {}, set()):
-            for F in assign_morphisms(obj_map):
-                inverse = Functor(D, C,
-                                  {y: x for x, y in F.obj_map.items()},
-                                  {fm: m for m, fm in F.mor_map.items()})
-                return IsoResult("found", F, inverse)
-    except _TooLarge:
-        return IsoResult("too-large")
-    return IsoResult("none")
-
-
-class _TooLarge(Exception):
-    pass

@@ -74,11 +74,10 @@ class LaxTriangle(HashConsed):
 class Integration:
     """The 2-category integrating a valid truncated operad."""
 
-    def __init__(self, P: TruncatedOperad, validate: bool = True):
-        if validate:
-            bad = [r for r in validate_operad(P) if not r.ok]
-            if bad:
-                raise InvalidOperad("; ".join(r.line() for r in bad))
+    def __init__(self, P: TruncatedOperad):
+        bad = [r for r in validate_operad(P) if not r.ok]
+        if bad:
+            raise InvalidOperad("; ".join(r.line() for r in bad))
         self.P = P
         self._memos, self._hits = memo_tables(
             "hom", "out", "id1", "id2", "hcomp", "hcomp2", "vcomp", "fibtri")
@@ -314,9 +313,9 @@ class Integration:
                      for s, d, b in zip(src_fibers, dst_fibers, blocks))
 
 
-def integrate(P: TruncatedOperad, validate: bool = True) -> Integration:
+def integrate(P: TruncatedOperad) -> Integration:
     """Construct the integration 2-category of a structurally valid operad."""
-    return Integration(P, validate=validate)
+    return Integration(P)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 
 from .fincat import FinCat, Functor, lookup, poset_category
 from .integration import OneCell, TwoCell, ZeroCell
@@ -111,7 +112,8 @@ def _graph(table, slots) -> list:
 
 def operad_from_json(data) -> TruncatedOperad:
     """The operad a JSON file describes; ValueError on a bound below 1, a
-    JSON object as a value, or a table key that is not an operand tuple."""
+    JSON object as a value, a table key that is not an operand tuple, or a
+    ``mor_graph`` that lacks a tuple of morphism ids."""
     bound = int(data["bound"])
     components = {n + 1: fincat_from_json(c)
                   for n, c in enumerate(data["components"])}
@@ -127,6 +129,10 @@ def operad_from_json(data) -> TruncatedOperad:
         obj_map = _table(entry, "graph", [C.__contains__ for C in cats], g)
         if "mor_graph" in entry:
             mor_map = _table(entry, "mor_graph", [C.has_morphism for C in cats], g)
+            slots = [C.morphism_ids() for C in cats]
+            if len(mor_map) != math.prod(map(len, slots)):  # every key is an operand
+                gap = next(k for k in itertools.product(*slots) if k not in mor_map)
+                raise ValueError("mor_graph of %s lacks %r" % (g, gap))
         else:
             mor_map = _derive_mor_map(cats, target, obj_map)
         mu[g] = Functor(cats, target, obj_map, mor_map)

@@ -18,12 +18,10 @@ from typing import Any, Callable
 from .fincat import FinCat, Functor, enumerate_functors, is_terminal, validate_functor
 from .interning import _MISS, memo_tables, memoized
 from .integration import (
-    Integration, IntegrationMap, LaxTriangle, OneCell, ZeroCell, integrate,
+    Integration, IntegrationMap, InvalidOperad, LaxTriangle, OneCell, ZeroCell, integrate,
     lift_instances, two_cat_components,
 )
-from .operads import (
-    OperadMorphism, TruncatedOperad, _check_mu_squares, _composable_pairs, validate_operad,
-)
+from .operads import OperadMorphism, TruncatedOperad, _check_mu_squares, _composable_pairs
 from .report import DEFAULT_CAP, FAIL, Report
 from .surjections import (
     Surjection, all_surjections_up_to, bang, block_cut, compose, enumerate_surjections,
@@ -107,6 +105,9 @@ class OperadicTwoCat:
 
     @classmethod
     def from_integration(cls, I: Integration) -> "OperadicTwoCat":
+        # This builds every hom of I, which reads mu on every morphism tuple a
+        # hom needs: `lift`, check_full_faithfulness and check_integration_map
+        # rely on that full build to reject a mu that is not a functor on morphisms.
         comps = two_cat_components(I)
         if len(comps) != 1:
             raise ValueError("an integration should be connected")
@@ -828,11 +829,10 @@ def roundtrip_2cat(S: SplitFibrationData, cap: int | None = DEFAULT_CAP) -> Cert
     via the canonical bijective 2-functor dropping the cardinality tag."""
     O = S.operadic
     cert = Certificate("roundtrip 2-category", cap=cap)
-    P2 = extract_operad(S)
-    bad = [r for r in validate_operad(P2) if not r.ok]
-    if bad:
-        return cert.fail(("extracted operad invalid", bad[0].line()))
-    J = integrate(P2, validate=False)
+    try:
+        J = integrate(extract_operad(S))
+    except InvalidOperad as exc:
+        return cert.fail(("extracted operad invalid", str(exc)))
     details = cert.details
     details.update(zero_cells=0, one_cells=0, two_cells=0)
 

@@ -99,19 +99,6 @@ class TruncatedOperad:
         return self.component(n).compose(g, f)
 
 
-def mu_apply(P: TruncatedOperad, g: Surjection, args):
-    """Value of the composition functor mu_g on a tuple (c, b_1..b_n).
-
-    All arguments must be objects, or all morphisms, of the components
-    P_n, P_{k_1}, ..., P_{k_n}; a tuple that is both is read as objects.
-    """
-    args = tuple(args)
-    try:
-        return P.mu_for(g).obj_map[args]
-    except KeyError:
-        return P.apply_mor(g, args)
-
-
 def check_unitality(P: TruncatedOperad) -> Report:
     """Both unit laws, on every object and morphism of every component."""
     r = Report("unitality")
@@ -345,7 +332,7 @@ def _mu_functor(P_components, g, obj_rule, mor_rule) -> Functor:
                    RuleMap(cats, mor_rule, mor=True))
 
 
-def nat_operad(M: int, name: str | None = None) -> TruncatedOperad:
+def nat_operad(M: int) -> TruncatedOperad:
     """Saturating-addition operad on the chain 0..M.
 
     Concentrated in arity one: the single component is the poset
@@ -364,10 +351,10 @@ def nat_operad(M: int, name: str | None = None) -> TruncatedOperad:
     g = identity_surjection(1)
     mu = {g: _mu_functor(components, g, add,
                          lambda ms: (add(m[0] for m in ms), add(m[1] for m in ms)))}
-    return TruncatedOperad(1, components, 0, mu, name=name or ("nat:%d" % M))
+    return TruncatedOperad(1, components, 0, mu, name="nat:%d" % M)
 
 
-def tree_operad(N: int, name: str | None = None) -> TruncatedOperad:
+def tree_operad(N: int) -> TruncatedOperad:
     """The grafting operad of reduced planar rooted trees, up to N leaves.
 
     Component n is the poset of trees with n leaves ordered by edge
@@ -390,10 +377,10 @@ def tree_operad(N: int, name: str | None = None) -> TruncatedOperad:
 
     mu = {g: _mu_functor(components, g, obj_rule, mor_rule)
           for g in all_surjections_up_to(N)}
-    return TruncatedOperad(N, components, T.LEAF, mu, name=name or ("trees:%d" % N))
+    return TruncatedOperad(N, components, T.LEAF, mu, name="trees:%d" % N)
 
 
-def terminal_operad(N: int, name: str | None = None) -> TruncatedOperad:
+def terminal_operad(N: int) -> TruncatedOperad:
     """One object and one morphism in every arity; everything collapses."""
     if N < 1:
         raise ValueError("need N >= 1")
@@ -401,4 +388,4 @@ def terminal_operad(N: int, name: str | None = None) -> TruncatedOperad:
     star = "*"
     mu = {g: _mu_functor(components, g, lambda tup: star, lambda ms: ("id", star))
           for g in all_surjections_up_to(N)}
-    return TruncatedOperad(N, components, star, mu, name=name or ("terminal:%d" % N))
+    return TruncatedOperad(N, components, star, mu, name="terminal:%d" % N)

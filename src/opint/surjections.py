@@ -111,10 +111,6 @@ def compose(f: Surjection, g: Surjection) -> Surjection:
     return Surjection(f.dom, g.cod, tuple(g.values[v - 1] for v in f.values))
 
 
-def preimage(g: Surjection, i: int) -> tuple[int, tuple[int, ...]]:
-    return g.preimage(i)
-
-
 @lru_cache(maxsize=None)
 def induced_map(f: Surjection, g: Surjection, i: int) -> Surjection:
     """The map the composite induces between fibers over ``i``.

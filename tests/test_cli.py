@@ -278,11 +278,14 @@ def test_hostile_operad_files_exit_with_a_verdict(capsys, verb, name, problem):
     assert "Traceback" not in err
 
 
-# a bound below 1 and a JSON object as a value (unit or image) exit 2 at load
-REFUSED_AT_LOAD = {"bound0_no_components", "nat2_unit_unhashable", "nat2_value_unhashable"}
+# a bound below 1, a JSON object as a value (unit or image) and an incomplete
+# mor_graph exit 2 at load
+REFUSED_AT_LOAD = {"bound0_no_components", "nat2_unit_unhashable", "nat2_value_unhashable",
+                   "nat2_mor_graph_incomplete"}
 
 
 @pytest.mark.parametrize("argv", [
+    ("validate",), ("integrate",), ("check",),
     ("hom", "--src", "1", "--dst", "1"), ("factor", "--src", "1", "--dst", "0"),
     ("lift",), ("lift", "--surjection", "1->1:[1]", "--dst", "1", "--fibers", "[[1,0]]"),
     ("extract",), ("roundtrip",),
@@ -308,6 +311,15 @@ def test_table_key_that_is_not_an_operand_is_refused_at_load(field, key):
     data = jsonio.operad_to_json(nat_operad(2))
     data["mu"][0][field].append([key, 0])
     with pytest.raises(ValueError, match="key .* of 1->1:\\[1\\] is not an operand tuple"):
+        jsonio.operad_from_json(data)
+
+
+def test_incomplete_mor_graph_is_refused_at_load():
+    # nat:2 without its last three mor_graph pairs: the first missing tuple
+    # in product order is named
+    data = jsonio.operad_to_json(nat_operad(2))
+    del data["mu"][0]["mor_graph"][-3:]
+    with pytest.raises(ValueError, match=r"mor_graph of 1->1:\[1\] lacks \(\(2, 2\), \(2, 0\)\)"):
         jsonio.operad_from_json(data)
 
 
@@ -453,9 +465,8 @@ def test_poset_component_json():
     P = jsonio.operad_from_json(data)
     assert all(r.ok for r in validate_operad(P, deep=True))
     # the derived morphism graph agrees with the saturating sum
-    from opint.operads import mu_apply
     from opint.surjections import identity_surjection
-    assert mu_apply(P, identity_surjection(1), ((2, 1), (1, 0))) == (2, 1)
+    assert P.apply_mor(identity_surjection(1), ((2, 1), (1, 0))) == (2, 1)
 
 
 def test_surjection_text_in_json():

@@ -1,10 +1,9 @@
-import itertools
 import math
 
 import pytest
 
 from opint.fincat import (
-    FinCat, Functor, categories_isomorphic, enumerate_functors, poset_category, product,
+    FinCat, Functor, enumerate_functors, poset_category, product,
     terminal_category, terminal_object, validate_category, validate_functor,
 )
 from opint.surjections import CompositionError
@@ -126,11 +125,17 @@ def test_product_counts():
 
 
 def test_product_of_one_and_unit():
-    C = chain_ge(2)
-    P1 = product([C])
-    assert categories_isomorphic(P1, C).found
-    PT = product([terminal_category(), C])
-    assert categories_isomorphic(PT, C).found
+    # the explicit isomorphisms (x,) -> x and ("*", x) -> x: functors whose
+    # maps are total on the product and injective, so bijective
+    C, T = chain_ge(2), terminal_category()
+    (e,) = T.morphism_ids()
+    for P, obj, mor in [(product([C]), lambda x: (x,), lambda m: (m,)),
+                        (product([T, C]), lambda x: ("*", x), lambda m: (e, m))]:
+        F = Functor(P, C, {obj(x): x for x in C.objects},
+                    {mor(m): m for m in C.morphism_ids()})
+        assert set(F.obj_map) == set(P.objects)
+        assert set(F.mor_map) == set(P.morphism_ids())
+        assert validate_functor(F).ok
 
 
 def test_terminal_object_in_chain():
@@ -148,83 +153,6 @@ def test_no_terminal_in_discrete():
                {(("id", i), ("id", i)): ("id", i) for i in (0, 1)})
     assert validate_category(C).ok
     assert terminal_object(C) is None
-
-
-def test_isomorphic_to_self_and_relabeling():
-    C = chain_ge(1)
-    res = categories_isomorphic(C, C)
-    assert res.found
-    assert validate_functor(res.forward).ok
-    D = poset_category(["hi", "lo"], lambda a, b: (a, b) != ("hi", "lo"))
-    # D is the two-chain with lo <= hi, i.e. an arrow hi -> lo
-    res = categories_isomorphic(C, D)
-    assert res.found
-    assert res.forward.obj_map == {0: "lo", 1: "hi"}
-
-
-def test_non_isomorphic_by_hom_counts():
-    chain2 = chain_ge(2)
-    discrete3 = FinCat(range(3), [(("id", i), i, i) for i in range(3)],
-                       {i: ("id", i) for i in range(3)},
-                       {(("id", i), ("id", i)): ("id", i) for i in range(3)})
-    assert categories_isomorphic(chain2, discrete3).status == "none"
-
-
-def test_isomorphism_symmetry():
-    C, D = chain_ge(2), poset_category("abc", lambda a, b: a >= b)
-    fwd = categories_isomorphic(C, D)
-    bwd = categories_isomorphic(D, C)
-    assert fwd.found and bwd.found
-    assert validate_functor(fwd.backward).ok
-
-
-def brute_poset_isomorphic(elems1, le1, elems2, le2):
-    """Oracle: exhaustive search for an order isomorphism."""
-    if len(elems1) != len(elems2):
-        return False
-    for perm in itertools.permutations(elems2):
-        mapping = dict(zip(elems1, perm))
-        if all(le1(a, b) == le2(mapping[a], mapping[b])
-               for a in elems1 for b in elems1):
-            return True
-    return False
-
-
-def all_posets(n):
-    """Every partial order on range(n), as a frozenset of (a, b) pairs with a <= b."""
-    elems = list(range(n))
-    base = [(a, a) for a in elems]
-    candidates = [(a, b) for a in elems for b in elems if a != b]
-    for extra in itertools.chain.from_iterable(
-            itertools.combinations(candidates, k) for k in range(len(candidates) + 1)):
-        rel = set(base) | set(extra)
-        if any((a, b) in rel and (b, a) in rel and a != b for a, b in candidates):
-            continue
-        if any((a, b) in rel and (b, c) in rel and (a, c) not in rel
-               for a in elems for b in elems for c in elems):
-            continue
-        yield rel
-
-
-def test_category_iso_agrees_with_poset_iso_oracle():
-    posets = [list(all_posets(n)) for n in range(5)]
-    for n in range(1, 5):
-        rels = posets[n]
-        for r1 in rels[:8]:
-            for r2 in rels[:8]:
-                C = poset_category(range(n), lambda a, b, r=r1: (a, b) in r)
-                D = poset_category(range(n), lambda a, b, r=r2: (a, b) in r)
-                expected = brute_poset_isomorphic(
-                    range(n), lambda a, b, r=r1: (a, b) in r,
-                    range(n), lambda a, b, r=r2: (a, b) in r)
-                assert categories_isomorphic(C, D).found == expected
-
-
-def test_iso_search_too_large():
-    big = FinCat(range(100), [(("id", i), i, i) for i in range(100)],
-                 {i: ("id", i) for i in range(100)},
-                 lambda g, f: g)
-    assert categories_isomorphic(big, big).status == "too-large"
 
 
 def test_validate_functor_catches_bad_map():

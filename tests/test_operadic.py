@@ -1,14 +1,22 @@
 import dataclasses
+import json
+import pathlib
 from collections import Counter
 
 import pytest
 
-from opint.fincat import FinCat, categories_isomorphic, poset_category
-from opint.integration import LaxTriangle, ZeroCell, integrate, lali_terminals
-from opint.operads import nat_operad, terminal_operad, tree_operad, validate_operad
+from opint.fincat import FinCat, Functor, poset_category, validate_functor
+from opint.integration import (
+    InvalidOperad, LaxTriangle, OneCell, ZeroCell, integrate, integrate_morphism,
+    lali_terminals,
+)
+from opint.jsonio import operad_from_json
+from opint.operads import (
+    OperadMorphism, nat_operad, terminal_operad, tree_operad, validate_operad,
+)
 from opint.operadic import (
-    DeltaSTwoCat, ExtractionError, canonical_fibration,
-    check_all_lifts_cartesian, check_full_faithfulness, check_operadic_axioms,
+    DeltaSTwoCat, ExtractionError, canonical_fibration, check_all_lifts_cartesian,
+    check_full_faithfulness, check_integration_map, check_operadic_axioms,
     check_splitting, check_trivial_subcategory, delta_s,
     enumerate_lift_preserving_2functors, enumerate_operad_morphisms, extract_operad,
     is_operadic_cartesian, is_trivial, roundtrip_2cat, roundtrip_operad,
@@ -349,8 +357,17 @@ def test_extracted_operad_is_valid_and_isomorphic():
     P2 = extract_operad(fibration(P))
     # deep validation: composition functors are functorial on morphisms too
     assert all(r.ok for r in validate_operad(P2, deep=True))
-    # per-arity categories agree up to isomorphism (independent search)
-    assert categories_isomorphic(P.component(1), P2.component(1)).found
+    # the explicit isomorphism a -> ZeroCell(1, a), alpha: a -> b to the trivial
+    # 1-cell [1; 0; alpha]: b -> a, is a functor bijective on objects and morphisms
+    C, D = P.component(1), P2.component(1)
+    F = Functor(C, D, {a: ZeroCell(1, a) for a in C.objects},
+                {m: OneCell(identity_surjection(1), (0,), m, ZeroCell(1, C.dst(m)),
+                            ZeroCell(1, C.src(m)))
+                 for m in C.morphism_ids()})
+    for image, target in [(F.obj_map.values(), D.objects),
+                          (F.mor_map.values(), D.morphism_ids())]:
+        assert len(set(image)) == len(image) and set(image) == set(target)
+    assert validate_functor(F).ok
     assert P2.unit == ZeroCell(1, 0)
 
 
@@ -400,7 +417,6 @@ def test_roundtrip_with_relabeled_objects():
                        lambda a, b: ["zero", "one", "two"].index(a) <=
                        ["zero", "one", "two"].index(b))
     names = {0: "zero", 1: "one", 2: "two"}
-    from opint.fincat import Functor
     from opint.operads import TruncatedOperad
     g = identity_surjection(1)
     mu_obj = {(names[a], names[b]): names[min(a + b, 2)]
@@ -442,8 +458,6 @@ def test_full_faithfulness_poset_instances():
 def test_morphism_enumeration_matches_validator_oracle():
     # independent cross-check: filter all object maps by the full validator
     import itertools
-    from opint.fincat import Functor
-    from opint.operads import OperadMorphism
     P = nat_operad(2)
     C = P.component(1)
     expected = 0
@@ -471,7 +485,6 @@ def endpoint_respecting_maps(C, D):
     """Every object map with one arrow of D per arrow of C between the
     images of its endpoints: the candidates, before any functor law."""
     import itertools
-    from opint.fincat import Functor
     for values in itertools.product(D.objects, repeat=len(C.objects)):
         fn = dict(zip(C.objects, values))
         for images in itertools.product(*[D.hom(fn[s], fn[d]) for _, s, d in C.morphisms()]):
@@ -492,7 +505,6 @@ def test_full_faithfulness_on_cyclic_operads(k, k2):
 
 def test_full_faithfulness_on_a_chaotic_operad():
     import itertools
-    from opint.operads import OperadMorphism
     from test_cells import chaotic_operad
     P = chaotic_operad()
     r = check_full_faithfulness(P, P)
@@ -510,7 +522,6 @@ def fiber_action_operad(k, acts):
     ``acts``, else x: arity-1 morphisms reach arity 2 only through the
     fiber slots of mu_{2->2}, which only the 2-cells of the integration see."""
     import itertools
-    from opint.jsonio import operad_from_json
     rules = {("1->1:[1]", 1): sum, ("2->1:[1,1]", 1): lambda ms: ms[1],
              ("2->2:[1,2]", 2): sum if acts else (lambda ms: ms[0])}
     component = {"objects": ["*"],
@@ -599,3 +610,31 @@ def test_delta_s_presentation_basics():
     O = delta_s(3)
     assert O.fib0(2, Surjection(3, 2, (1, 2, 2))) == (1, 2)
     assert O.eps(3) == bang(3)
+
+
+MU_NOT_FUNCTOR = pathlib.Path(__file__).parent / "data" / "nat2_mu_not_functor.json"
+
+
+@pytest.fixture
+def mu_not_functor():
+    # nat:2 whose mu is a functor on objects only: light validation passes it
+    return operad_from_json(json.loads(MU_NOT_FUNCTOR.read_text()))
+
+
+@pytest.mark.parametrize("broken_side", ["source", "target"])
+def test_full_faithfulness_rejects_a_mu_that_is_not_a_functor(mu_not_functor, broken_side):
+    # caught only because building the fibration builds every hom
+    pair = (nat_operad(2), mu_not_functor)
+    P, Q = pair if broken_side == "target" else pair[::-1]
+    with pytest.raises(InvalidOperad, match="is not a functor"):
+        check_full_faithfulness(P, Q)
+
+
+def test_integration_map_rejects_a_target_mu_that_is_not_a_functor(mu_not_functor):
+    Q = mu_not_functor
+    T = terminal_operad(1)
+    F = OperadMorphism(T, Q, {1: Functor(T.component(1), Q.component(1), {"*": Q.unit},
+                                         {T.unit_morphism(): Q.unit_morphism()})})
+    assert validate_operad_morphism(F).ok
+    with pytest.raises(InvalidOperad, match="is not a functor"):
+        check_integration_map(integrate_morphism(F))

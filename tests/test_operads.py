@@ -4,7 +4,7 @@ from opint.fincat import Functor, RuleMap, validate_functor
 from opint.integration import InvalidOperad, ZeroCell, integrate
 from opint.operads import (
     ArityMismatch, TruncationOverflow, check_associativity, check_unitality,
-    identity_operad_morphism, morphism_to_terminal, mu_apply, nat_operad,
+    identity_operad_morphism, morphism_to_terminal, nat_operad,
     terminal_operad, tree_operad, validate_operad, validate_operad_morphism,
 )
 from opint.surjections import Surjection, bang, identity_surjection
@@ -22,24 +22,24 @@ def test_nat_operad_shape():
 def test_nat_operad_saturating_mu():
     P = nat_operad(5)
     g = identity_surjection(1)
-    assert mu_apply(P, g, (2, 3)) == 5
-    assert mu_apply(P, g, (4, 3)) == 5
-    assert mu_apply(P, g, (0, 4)) == 4
+    assert P.apply_obj(g, (2, 3)) == 5
+    assert P.apply_obj(g, (4, 3)) == 5
+    assert P.apply_obj(g, (0, 4)) == 4
     # below the bound the operation is true addition
     Q = nat_operad(50)
     for a in range(10):
         for b in range(10):
-            assert mu_apply(Q, identity_surjection(1), (a, b)) == a + b
+            assert Q.apply_obj(identity_surjection(1), (a, b)) == a + b
 
 
-def test_mu_apply_on_morphisms_and_errors():
+def test_apply_on_morphisms_and_errors():
     P = nat_operad(5)
     g = identity_surjection(1)
-    assert mu_apply(P, g, ((3, 1), (2, 2))) == (5, 3)
+    assert P.apply_mor(g, ((3, 1), (2, 2))) == (5, 3)
     with pytest.raises(ArityMismatch):
-        mu_apply(P, g, (2,))
+        P.apply_obj(g, (2,))
     with pytest.raises(TruncationOverflow):
-        mu_apply(P, identity_surjection(2), (2, 3, 3))
+        P.apply_obj(identity_surjection(2), (2, 3, 3))
     # the table is the operand check: a tuple it lacks is an ArityMismatch
     for apply, args in [(P.apply_obj, (2, 7)), (P.apply_obj, (2, (3, 1))),
                         (P.apply_mor, ((3, 1), 2)), (P.apply_mor, ((3, 1),))]:
@@ -72,7 +72,7 @@ def test_tree_mu_grafting_example():
     # graft a corolla and a bare leaf onto the two leaves of a corolla
     P = tree_operad(3)
     g = Surjection(3, 2, (1, 1, 2))
-    out = mu_apply(P, g, (corolla(2), corolla(2), LEAF))
+    out = P.apply_obj(g, (corolla(2), corolla(2), LEAF))
     assert out == ((LEAF, LEAF), LEAF)
 
 
@@ -119,8 +119,8 @@ def test_nat_operad_computes_mu_on_demand():
     assert len(F.obj_map) + len(F.mor_map) == 0
     for a in range(0, 201, 20):
         for b in range(0, 201, 25):
-            assert mu_apply(P, g, (a, b)) == min(a + b, 200)
-    assert mu_apply(P, g, ((3, 1), (2, 2))) == (5, 3)
+            assert P.apply_obj(g, (a, b)) == min(a + b, 200)
+    assert P.apply_mor(g, ((3, 1), (2, 2))) == (5, 3)
     assert len(F.mor_map) == 1
     # a key outside the source has no image, as in a full table
     with pytest.raises(KeyError):
@@ -196,7 +196,7 @@ def test_morphism_failing_unit_preservation():
 def test_bang_law_example():
     P = nat_operad(5)
     for a in range(6):
-        assert mu_apply(P, bang(1), (0, a)) == a
+        assert P.apply_obj(bang(1), (0, a)) == a
     T = tree_operad(3)
     for t in T.component(3).objects:
-        assert mu_apply(T, identity_surjection(3), (t, LEAF, LEAF, LEAF)) == t
+        assert T.apply_obj(identity_surjection(3), (t, LEAF, LEAF, LEAF)) == t
