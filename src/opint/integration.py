@@ -16,8 +16,9 @@ equal those of a live cell returns that very cell, so two cells are
 equal exactly when they are identical.  The checkers compare and hash
 cells millions of times; identity makes each O(1), not a deep
 structural walk.  The tables hold cells weakly, so a dropped
-integration's cells are freed.  Homs, identities, composites and
-triangle fibers are ``memoized``; ``Integration.stats()`` reads the memos.
+integration's cells are freed.  Homs, identities, composites, the
+fibers of 1-cells and of triangles, and the chosen lifts are
+``memoized``; ``Integration.stats()`` reads the memos.
 """
 
 from __future__ import annotations
@@ -80,7 +81,8 @@ class Integration:
             raise InvalidOperad("; ".join(r.line() for r in bad))
         self.P = P
         self._memos, self._hits = memo_tables(
-            "hom", "out", "id1", "id2", "hcomp", "hcomp2", "vcomp", "fibtri")
+            "hom", "out", "id1", "id2", "hcomp", "hcomp2", "vcomp", "fibtri",
+            "fib0", "lift")
         self._zero = tuple(ZeroCell(n, a)
                            for n in range(1, P.bound + 1)
                            for a in P.component(n).objects)
@@ -181,7 +183,10 @@ class Integration:
 
     def stats(self) -> dict:
         """Live cells per class (process-wide) and, per memo of this
-        integration, its size and its hit count."""
+        integration, its size and its hit count.  The memos: homs (``hom``),
+        1-cells out of a 0-cell (``out``), identities (``id1``, ``id2``),
+        compositions (``hcomp``, ``hcomp2``, ``vcomp``), fibers of triangles
+        (``fibtri``) and of 1-cells (``fib0``), chosen lifts (``lift``)."""
         cells = (ZeroCell, OneCell, TwoCell, LaxTriangle)
         return {"live_cells": {cls.__name__: len(cls._live) for cls in cells},
                 "memos": {name: {"size": len(memo), "hits": self._hits[name]}
@@ -265,12 +270,16 @@ class Integration:
     def in_m_subcategory(self, cell: OneCell) -> bool:
         return self.P.component(cell.f.dom).is_identity(cell.alpha)
 
+    @memoized("fib0")
     def fibers_of_1cell(self, phi: OneCell) -> tuple[ZeroCell, ...]:
         return tuple(ZeroCell(s, a) for s, a in zip(phi.f.fiber_sizes(), phi.args))
 
     def cartesian_lift(self, g: Surjection, c_cell: ZeroCell, fiber_cells) -> OneCell:
         """The canonical lift [g; b_1..b_n; 1] with source [k, mu_g(c, b)]."""
-        fiber_cells = tuple(fiber_cells)
+        return self._lift(g, c_cell, tuple(fiber_cells))
+
+    @memoized("lift")
+    def _lift(self, g: Surjection, c_cell: ZeroCell, fiber_cells: tuple) -> OneCell:
         arities = tuple(fc.arity for fc in fiber_cells)
         if arities != g.fiber_sizes():
             raise ValueError("fiber arities %r do not match %s" % (list(arities), g))

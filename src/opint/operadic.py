@@ -61,7 +61,7 @@ class OperadicTwoCat:
     _hits: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self._memos, self._hits = memo_tables("triangles")
+        self._memos, self._hits = memo_tables("triangles", "trivial")
 
     def component_of(self, x):
         for comp in self.lali:
@@ -359,14 +359,17 @@ def _fiber_axiom_on_one_cells(O, x, phi, g, fibs_phi, triangles, r) -> bool:
     A 1-cell from the triangle ``a1`` to the triangle ``a2`` is a
     connecting triangle ``sigma`` between their left faces plus a slice
     2-cell from ``a2 o sigma`` to ``a1``; both routes around the square
-    must then send it to the same blocks of fiber data.  Tables are local
-    to ``phi`` and reused only for an identical key, never assumed.  Per
-    1-cell: the fibers of triangles into ``x`` and the routes
-    ``block_cut(fib1(y, tri_a), g)``, keyed on all of ``tri_a``.  Per
+    must then send it to the same blocks of fiber data.  Five tables are
+    local to ``phi`` and reused only for an identical key, never assumed:
+    the fibers of triangles into ``x``; the routes
+    ``block_cut(fib1(y, tri_a), g)``, keyed on all of ``tri_a``; per
     ``(comp_slice, a1, gamma)``, with ``x`` and ``phi`` every argument of
-    ``fib2``: the filler test and the slice fibers (``slices``).  Per
-    ``(a2, sigma)``: the composite triangle, the candidates and the
-    composed fibers.  Per instance: a charge, the lookups and the square
+    ``fib2``, the filler test and the slice fibers (``slices``); the
+    candidates ``(a1, gamma)``, which depend only on ``sigma.d1`` and
+    ``a2.d2 o sigma.d2`` (``candidates``); and the squares that passed
+    (``verified``).  Per ``(a2, sigma)``: the composite triangle, and the
+    composed fibers once a square of the pair misses ``verified``.  Per
+    instance: a charge, the lookups and the square
     ``(sig_f, a1_f, a2_f, xi_f, route_a)``, which fixes the fiber loop
     (``fibs_phi`` is fixed, ``composed_f`` follows from ``a2_f`` and
     ``sig_f``); the loop runs unless an equal square passed before, and
@@ -380,7 +383,7 @@ def _fiber_axiom_on_one_cells(O, x, phi, g, fibs_phi, triangles, r) -> bool:
         by_d1.setdefault(tri.d1, []).append(tri)
     n_fib = len(fibs_phi)
     id2_phi = O.tc.identity2(phi)
-    fibers, routes, slices, verified = {}, {}, {}, set()   # local to this 1-cell
+    fibers, routes, slices, candidates, verified = {}, {}, {}, {}, set()   # local to phi
 
     def fibers_of(tri):
         return fibers.get(tri) or fibers.setdefault(tri, O.fib1_cached(x, tri))
@@ -391,18 +394,18 @@ def _fiber_axiom_on_one_cells(O, x, phi, g, fibs_phi, triangles, r) -> bool:
             sources = by_d1.get(sigma.d1)
             if not sources:
                 continue
-            z1 = O.src0(sigma.d1)
-            hom_up = O.tc.hom(z1, y)
             d2comp = O.tc.compose1(a2.d2, sigma.d2)
-            candidates = [(a1, gamma) for a1 in sources
-                          for gamma in hom_up.hom(d2comp, a1.d2)]
-            if not candidates:
+            pairs = candidates.get((sigma.d1, d2comp))
+            if pairs is None:
+                hom_up = O.tc.hom(O.src0(sigma.d1), y)
+                pairs = candidates[sigma.d1, d2comp] = [
+                    (a1, gamma) for a1 in sources for gamma in hom_up.hom(d2comp, a1.d2)]
+            if not pairs:
                 continue
             comp_slice = O.slice_compose(a2, sigma)
             sig_f = fibers_of(sigma)
-            composed_f = tuple(O.tc.compose1(a2_f[i], sig_f[i])
-                               for i in range(n_fib))
-            for a1, gamma in candidates:       # a1: source object of the 1-cell
+            composed_f = None
+            for a1, gamma in pairs:            # a1: source object of the 1-cell
                 if not r.charge():
                     return False
                 xi_f = slices.get((comp_slice, a1, gamma), _MISS)
@@ -420,6 +423,9 @@ def _fiber_axiom_on_one_cells(O, x, phi, g, fibs_phi, triangles, r) -> bool:
                 square = (sig_f, a1_f, a2_f, xi_f, route_a)
                 if square in verified:
                     continue
+                if composed_f is None:
+                    composed_f = tuple(O.tc.compose1(a2_f[i], sig_f[i])
+                                       for i in range(n_fib))
                 for i in range(n_fib):
                     if O.src2(xi_f[i]) != composed_f[i]:
                         r.fail(("fiber functoriality", i, str(phi)))
@@ -576,9 +582,11 @@ class TrivialityVerdict:
         return self.value
 
 
+@memoized("trivial")
 def is_trivial(O: OperadicTwoCat, phi) -> TrivialityVerdict:
     """A cardinality-preserving cell all of whose unit triangles have
-    terminal fibers; these are the morphisms the extraction keeps."""
+    terminal fibers; these are the morphisms the extraction keeps.  The
+    verdict is memoized on ``O``."""
     x, y = O.dst0(phi), O.src0(phi)
     if O.card0(x) != O.card0(y):
         return TrivialityVerdict(False, "cardinality precondition",

@@ -187,12 +187,18 @@ def enumerate_surjections(m: int, n: int) -> list[Surjection]:
     """All order-preserving surjections ``m -> n`` in lexicographic order.
 
     There are C(m-1, n-1) of them, one per composition of ``m`` into
-    ``n`` positive parts; the list is empty when ``n > m``.
+    ``n`` positive parts; the list is empty when ``n > m``.  Each call
+    returns a fresh list.
     """
+    return list(_surjections(m, n))
+
+
+@lru_cache(maxsize=None)
+def _surjections(m: int, n: int) -> tuple[Surjection, ...]:
     if m < 1 or n < 1:
         raise ValueError("ordinals are non-empty")
     if n > m:
-        return []
+        return ()
     out = []
     for cuts in itertools.combinations(range(1, m), n - 1):
         bounds = (0,) + cuts + (m,)
@@ -200,7 +206,7 @@ def enumerate_surjections(m: int, n: int) -> list[Surjection]:
         out.append(from_fiber_sizes(sizes))
     out.sort(key=lambda s: s.values)
     assert len(out) == comb(m - 1, n - 1)
-    return out
+    return tuple(out)
 
 
 def all_surjections_up_to(bound: int):

@@ -15,7 +15,7 @@ from opint.integration import (
     lali_terminals,
 )
 from opint.operadic import OperadicTwoCat, canonical_fibration, check_operadic_axioms, \
-    roundtrip_2cat, roundtrip_operad
+    check_splitting, check_trivial_subcategory, roundtrip_2cat, roundtrip_operad
 from opint.operads import nat_operad, tree_operad
 from opint.surjections import Surjection, all_surjections_up_to, bang, compose, \
     from_fiber_sizes, identity_surjection, induced_map
@@ -186,8 +186,30 @@ def test_stats_count_memo_hits():
         assert stats["memos"][name]["hits"] > 0, name
     assert stats["memos"]["fibtri"] == {"size": 0, "hits": 0}
     assert set(stats["memos"]) == {"hom", "out", "id1", "id2", "hcomp", "hcomp2",
-                                   "vcomp", "fibtri"}
+                                   "vcomp", "fibtri", "fib0", "lift"}
     assert stats["memos"]["hom"]["hits"] > 0
     live = stats["live_cells"]
     assert set(live) == {"ZeroCell", "OneCell", "TwoCell", "LaxTriangle"}
     assert live["OneCell"] >= sum(1 for _ in I.all_one_cells())
+
+
+def test_lifts_and_fibers_of_1cells_are_memoized():
+    # the splitting and the triviality test (through eps) ask for the same
+    # chosen lifts and 1-cell fibers again and again
+    I = integrate(tree_operad(3))
+    S = canonical_fibration(I)
+    assert check_splitting(S).ok and check_trivial_subcategory(S.operadic).ok
+    memos = I.stats()["memos"]
+    for name in ("lift", "fib0"):
+        assert memos[name]["size"] > 0 and memos[name]["hits"] > 0, name
+    # the memo keys the fibers as a tuple, so a list finds the same lift
+    g, c, fibers = bang(3), ZeroCell(1, "L"), (ZeroCell(3, corolla(3)),)
+    assert I.cartesian_lift(g, c, list(fibers)) is I.cartesian_lift(g, c, fibers)
+
+
+def test_triviality_is_memoized_per_operadic_structure():
+    O = canonical_fibration(integrate(tree_operad(3))).operadic
+    assert check_trivial_subcategory(O).ok
+    assert len(O._memos["trivial"]) > 0 and O._hits["trivial"] > 0
+    copy = replace(O)
+    assert copy._memos["trivial"] == {} and copy._hits["trivial"] == 0

@@ -148,7 +148,7 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 DATA = pathlib.Path(__file__).parent / "data"
 
 
-@pytest.mark.parametrize("spec", ["terminal:3", "trees:3", "trees:4", "nat:3"])
+@pytest.mark.parametrize("spec", ["terminal:3", "trees:3", "trees:4", "trees:5", "nat:3"])
 def test_check_json_matches_golden(capsys, spec):
     # the files hold the verbatim output of an earlier release; any change
     # to a verdict, an instance count, a witness or the report order shows

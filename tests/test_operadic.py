@@ -352,6 +352,25 @@ def test_trivial_subcategory_checks():
         assert check_trivial_subcategory(fibration(P).operadic).ok
 
 
+def test_replaced_eps_is_not_served_from_the_triviality_memo():
+    # O's memo says every identity is trivial; a copy with a wrong terminal
+    # map at [3, corolla(3)] starts with an empty memo, so the identity of
+    # the unit object, whose unit triangles have that map as a fiber, fails
+    O = fibration(tree_operad(3)).operadic
+    assert check_trivial_subcategory(O).ok and O._memos["trivial"]
+    I, u, x = O.tc, ZeroCell(1, LEAF), ZeroCell(3, corolla(3))
+    wrong = next(c for c in I.hom(x, u).objects if c != O.eps(x))
+
+    def bad_eps(c):
+        return wrong if c == x else O.eps(c)
+
+    broken = dataclasses.replace(O, eps=bad_eps)
+    r = check_trivial_subcategory(broken)
+    assert (r.status, r.witness) == ("fail", ("identity", str(u)))
+    reports = {r.name: r for r in check_operadic_axioms(broken)}
+    assert (reports["axiom (ii)"].status, reports["axiom (ii)"].witness) == ("fail", str(x))
+
+
 def test_extracted_operad_is_valid_and_isomorphic():
     P = nat_operad(3)
     P2 = extract_operad(fibration(P))

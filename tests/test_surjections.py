@@ -133,6 +133,17 @@ def test_enumerate_surjections():
             assert len(set(found)) == len(found)
 
 
+def test_enumerate_surjections_returns_a_fresh_list():
+    # the surjections are cached per (m, n); a caller may change its list
+    first = enumerate_surjections(4, 2)
+    first.clear()
+    second = enumerate_surjections(4, 2)
+    assert second is not first and len(second) == 3
+    for m, n in [(0, 1), (1, 0), (-1, 2)]:
+        with pytest.raises(ValueError, match="^ordinals are non-empty$"):
+            enumerate_surjections(m, n)
+
+
 def test_exhaustive_associativity_small():
     # all composable triples with outer domain <= 6
     for m in range(1, 7):
