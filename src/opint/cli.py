@@ -5,7 +5,7 @@ check, trees, export-dot.  Operads come from builtins ("nat:M", "trees:N",
 "terminal:N") or JSON files.  Exit codes: 0 all checks pass, 1 a check
 failed with a located witness (an operad failing validation included),
 2 usage or input error, 3 a search hit its cap and was inconclusive.
-OPINT_CAP overrides the default cap.
+OPINT_CAP overrides the default cap; a cap is a non-negative integer.
 """
 
 from __future__ import annotations
@@ -62,6 +62,21 @@ def load_operad(spec: str) -> TruncatedOperad:
         return jsonio.operad_from_json(data)
     except (KeyError, ValueError, TypeError) as exc:
         raise UsageError("bad operad file %r: %s" % (spec, exc))
+
+
+def resolve_cap(flag) -> int:
+    """The cap given by --cap, else by OPINT_CAP, else DEFAULT_CAP."""
+    name, text = ("--cap", flag) if flag is not None else \
+        ("OPINT_CAP", os.environ.get("OPINT_CAP", str(DEFAULT_CAP)))
+    if not text.strip().isdecimal():
+        raise UsageError("%s must be a non-negative integer, not %r" % (name, text))
+    return int(text)
+
+
+def hom_request(args):
+    """The integration of --operad, with its 0-cells --src and --dst."""
+    P = load_operad(args.operad)
+    return integrate(P), parse_zero_cell(args.src, P), parse_zero_cell(args.dst, P)
 
 
 def parse_zero_cell(text: str, P: TruncatedOperad) -> ZeroCell:
@@ -125,10 +140,7 @@ def cmd_integrate(args) -> int:
 
 
 def cmd_hom(args) -> int:
-    P = load_operad(args.operad)
-    I = integrate(P)
-    src = parse_zero_cell(args.src, P)
-    dst = parse_zero_cell(args.dst, P)
+    I, src, dst = hom_request(args)
     H = I.hom(src, dst)
     term = terminal_object(H)
     # every terminal cell receives an arrow from the first one
@@ -148,10 +160,7 @@ def cmd_hom(args) -> int:
 
 
 def cmd_factor(args) -> int:
-    P = load_operad(args.operad)
-    I = integrate(P)
-    src = parse_zero_cell(args.src, P)
-    dst = parse_zero_cell(args.dst, P)
+    I, src, dst = hom_request(args)
     lines = []
     payload = []
     for cell in I.hom(src, dst).objects:
@@ -241,8 +250,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_trees(args) -> int:
-    if args.leaves is None:
-        raise UsageError("trees needs --leaves N")
+    if args.leaves is None or args.leaves < 1:
+        raise UsageError("trees needs --leaves N, with N >= 1")
     ts = enumerate_trees(args.leaves)
     lines = ["%d trees with %d leaves" % (len(ts), args.leaves)]
     lines += ["  %s" % json.dumps(tree_to_json(t)) for t in ts]
@@ -259,27 +268,19 @@ def cmd_export_dot(args) -> int:
         except (json.JSONDecodeError, ValueError) as exc:
             raise UsageError("bad tree: %s" % exc)
         text = dot.tree_to_dot(t)
-    elif args.entity == "hom":
+    else:   # hom or factorization, as argparse's choices allow
         if not args.operad or not args.src or not args.dst:
-            raise UsageError("export-dot --entity hom needs --operad, --src, --dst")
-        P = load_operad(args.operad)
-        I = integrate(P)
-        text = dot.hom_to_dot(I, parse_zero_cell(args.src, P),
-                              parse_zero_cell(args.dst, P))
-    elif args.entity == "factorization":
-        if not args.operad or not args.src or not args.dst:
-            raise UsageError("export-dot --entity factorization needs "
-                             "--operad, --src, --dst")
-        P = load_operad(args.operad)
-        I = integrate(P)
-        cells = I.hom(parse_zero_cell(args.src, P),
-                      parse_zero_cell(args.dst, P)).objects
-        if not 0 <= args.index < len(cells):
+            raise UsageError("export-dot --entity %s needs --operad, --src, --dst"
+                             % args.entity)
+        I, src, dst = hom_request(args)
+        cells = I.hom(src, dst).objects
+        if args.entity == "hom":
+            text = dot.hom_to_dot(I, src, dst)
+        elif not 0 <= args.index < len(cells):
             raise UsageError("--index %d outside 0..%d"
                              % (args.index, len(cells) - 1))
-        text = dot.factorization_to_dot(I, cells[args.index])
-    else:
-        raise UsageError("unknown entity %r" % args.entity)
+        else:
+            text = dot.factorization_to_dot(I, cells[args.index])
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -299,9 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
         if needs_operad:
             p.add_argument("--operad", required=True,
                            help="builtin (nat:M, trees:N, terminal:N) or JSON file")
-        p.add_argument("--cap", type=int,
-                       default=int(os.environ.get("OPINT_CAP", DEFAULT_CAP)),
-                       help="instance cap for exhaustive searches")
+        p.add_argument("--cap", help="instance cap for exhaustive searches, a "
+                       "non-negative integer (default: OPINT_CAP, else %d)" % DEFAULT_CAP)
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.add_argument("--out", help="write output to this path")
 
@@ -367,6 +367,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        args.cap = resolve_cap(args.cap)
         return args.fn(args)
     except UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)

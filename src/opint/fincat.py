@@ -17,6 +17,8 @@ from .surjections import CompositionError
 
 
 class FinCat:
+    __slots__ = ("_objects", "_obj_set", "_mor", "_identity", "_compose", "_hom")
+
     def __init__(self, objects, morphisms, identity, compose):
         """A finite category.
 

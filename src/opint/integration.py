@@ -8,17 +8,18 @@ alpha: mu_f(b, a_1..a_k) -> a of P_m.  2-cells exist only between
 delta_i: a'_i -> a''_i subject to  alpha'' o mu_f(1, delta) = alpha'.
 
 Every hom is materialized on demand as a finite category of 1-cells and
-2-cells; the projection to the surjection calculus is carried on the
-cells themselves (the ``f`` field), never recomputed.
+2-cells, and every hom with no 1-cells is one shared empty category; the
+projection to the surjection calculus is carried on the cells themselves
+(the ``f`` field), never recomputed.
 
 Cells are hash-consed (see ``interning``): building a cell whose fields
 equal those of a live cell returns that very cell, so two cells are
 equal exactly when they are identical.  The checkers compare and hash
 cells millions of times; identity makes each O(1), not a deep
-structural walk.  The tables hold cells weakly, so a dropped
-integration's cells are freed.  Homs, identities, composites, the
-fibers of 1-cells and of triangles, and the chosen lifts are
-``memoized``; ``Integration.stats()`` reads the memos.
+structural walk.  The tables hold cells weakly, one entry per live
+cell, so a dropped integration's cells and entries are freed.  Homs,
+identities, composites, the fibers of 1-cells and of triangles, and the
+chosen lifts are ``memoized``; ``Integration.stats()`` reads the memos.
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ from .operads import OperadMorphism, TruncatedOperad, validate_operad, \
 from .report import DEFAULT_CAP, FAIL, Report
 from .surjections import CompositionError, Surjection, all_surjections_up_to, \
     block_cut, compose, enumerate_surjections, identity_surjection, induced_map
+
+_EMPTY_HOM = FinCat((), (), {}, {})   # every hom with no 1-cells; holds no integration
 
 
 class InvalidOperad(ValueError):
@@ -219,6 +222,8 @@ class Integration:
         """The hom-category x -> y: objects 1-cells, morphisms 2-cells."""
         P = self.P
         cells = self.one_cells(x, y)
+        if not cells:
+            return _EMPTY_HOM
         twos = []
         by_f: dict = {}
         for c in cells:

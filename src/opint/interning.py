@@ -3,44 +3,51 @@
 Records are hash-consed, after Filliâtre & Conchon, *Type-Safe Modular
 Hash-Consing* (ML Workshop 2006): building one whose fields equal those
 of a live one returns that very record, so equality and hashing are
-identity.  Methods are memoized per instance, with a hit count.
+identity; the table files each live record under one weak entry, freed
+with it.  Methods are memoized per instance, with a hit count.
 """
 
 from __future__ import annotations
 
 import weakref
-from functools import partial, wraps
+from functools import wraps
+
+
+class _Entry(weakref.ref):
+    """A weak reference to a record, holding the fields it is filed under."""
+    __slots__ = ("fields",)
 
 
 class HashConsed:
     """An immutable record, hash-consed on its fields (one table per class).
 
     A subclass names its fields in ``__slots__`` and is built with
-    positional fields only.  The table holds records weakly, so a record
-    nothing else refers to is freed.
+    positional fields only.  The table holds each live record weakly, in one
+    88-byte ``_Entry``, and drops the entry once the record is freed.
     """
 
     __slots__ = ("__weakref__",)
 
     def __init_subclass__(cls):
-        cls._live = {}   # fields -> weak reference to the live record
+        live = cls._live = {}   # fields -> _Entry of the live record
         cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
 
+        def forget(entry):
+            # the slot may already hold a newer record, built after entry died
+            if live.get(entry.fields) is entry:
+                del live[entry.fields]
+        cls._forget = forget
+
     def __new__(cls, *fields):
-        ref = cls._live.get(fields)
-        obj = ref() if ref is not None else None
+        entry = cls._live.get(fields)
+        obj = entry() if entry is not None else None
         if obj is None:
             obj = object.__new__(cls)
             for set_field, value in zip(cls._setters, fields, strict=True):
                 set_field(obj, value)
-            cls._live[fields] = weakref.ref(obj, partial(cls._forget, fields))
+            entry = cls._live[fields] = _Entry(obj, cls._forget)
+            entry.fields = fields
         return obj
-
-    @classmethod
-    def _forget(cls, fields, ref):
-        # the entry may already hold a newer record, built after ref died
-        if cls._live.get(fields) is ref:
-            del cls._live[fields]
 
     def __setattr__(self, name, value):
         raise AttributeError("%s is immutable" % type(self).__name__)

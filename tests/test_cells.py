@@ -9,11 +9,12 @@ from dataclasses import replace
 import pytest
 
 from opint import jsonio
-from opint.fincat import is_terminal
+from opint.fincat import FinCat, is_terminal, terminal_object, validate_category
 from opint.integration import (
     LaxTriangle, OneCell, TwoCell, ZeroCell, check_two_category_laws, integrate,
-    lali_terminals,
+    lali_terminals, two_cat_components,
 )
+from opint.interning import HashConsed
 from opint.operadic import OperadicTwoCat, canonical_fibration, check_operadic_axioms, \
     check_splitting, check_trivial_subcategory, roundtrip_2cat, roundtrip_operad
 from opint.operads import nat_operad, tree_operad
@@ -132,17 +133,67 @@ def test_cells_of_two_integrations_compare_equal():
             assert I.hom(x, y).morphisms() == J.hom(x, y).morphisms()
 
 
+def live_sizes():
+    gc.collect()
+    return {cls: len(cls._live) for cls in HashConsed.__subclasses__()}
+
+
 def test_cells_of_a_dropped_integration_are_freed():
-    # the object name is used by no other test, so nothing else holds
+    # the object names are used by no other test, so nothing else holds
     # these cells; the operadic checks route them through every cache
-    I = integrate(z2_operad("freed"))
-    assert all(r.ok for r in check_two_category_laws(I))
-    assert all(r.ok for r in check_operadic_axioms(OperadicTwoCat.from_integration(I)))
+    def checked(name):
+        I = integrate(z2_operad(name))
+        assert all(r.ok for r in check_two_category_laws(I))
+        assert all(r.ok for r in check_operadic_axioms(OperadicTwoCat.from_integration(I)))
+        return I
+
+    checked("warm")   # fills the process-wide caches of surjections
+    before = live_sizes()
+    I = checked("freed")
     refs = [weakref.ref(c) for c in I.all_one_cells()]
     refs.append(weakref.ref(I.zero_cells()[0]))
+    assert live_sizes()[OneCell] > before[OneCell]
     del I
-    gc.collect()
+    # the records are freed, and their table entries forgotten
+    assert live_sizes() == before
     assert refs and all(ref() is None for ref in refs)
+
+
+def test_a_rebuilt_record_is_live_and_alone_under_its_fields():
+    fields = (1, "rebuilt")
+    ref = weakref.ref(ZeroCell(*fields))
+    gc.collect()
+    assert ref() is None and fields not in ZeroCell._live
+    x = ZeroCell(*fields)
+    assert ZeroCell._live[fields]() is x and ZeroCell(*fields) is x
+    # rebuilt by a callback that runs after the old entry is cleared and
+    # before that entry's own callback: the late callback keeps the new entry
+    kept = []
+    hook = weakref.ref(x, lambda _: kept.append(ZeroCell(*fields)))
+    del x
+    assert hook() is None and len(kept) == 1
+    entry = ZeroCell._live.get(fields)
+    assert entry is not None and entry() is kept[0] and ZeroCell(*fields) is kept[0]
+
+
+def test_empty_homs_share_one_category():
+    P = tree_operad(4)
+    integrations = (integrate(P), integrate(P))
+    homs = [I.hom(x, y) for I in integrations
+            for x in I.zero_cells() for y in I.zero_cells()]
+    empty = {id(H): H for H in homs if not H.objects}
+    full = [H for H in homs if H.objects]
+    assert len(empty) == 1 and len({id(H) for H in full}) == len(full)
+    # the shared category behaves as the one each empty hom built before
+    (H,) = empty.values()
+    assert validate_category(H).line() == \
+        validate_category(FinCat((), [], {}, integrations[0].v_compose)).line() == \
+        "category: pass (0 instances)"
+    assert H.objects == H.morphism_ids() == () and terminal_object(H) is None
+    for I in integrations:
+        components = two_cat_components(I)
+        assert len(components) == 1
+        assert sorted(map(str, components[0])) == sorted(map(str, I.zero_cells()))
 
 
 @pytest.mark.parametrize("built", [True, False])

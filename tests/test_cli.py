@@ -126,6 +126,13 @@ def test_trees_verb(capsys):
     assert "11 trees with 4 leaves" in out
 
 
+@pytest.mark.parametrize("leaves", ["0", "-2"])
+def test_trees_with_no_leaf_is_a_usage_error(capsys, leaves):
+    code, out, err = run(capsys, "trees", "--leaves", leaves)
+    assert (code, out) == (2, "")
+    assert err == "error: trees needs --leaves N, with N >= 1\n"
+
+
 def test_integrate_verb(capsys):
     code, out, _ = run(capsys, "integrate", "--operad", "terminal:2")
     assert code == 0
@@ -142,6 +149,30 @@ def test_check_verb_small(capsys):
 def test_capped_exit_code(capsys):
     code, out, _ = run(capsys, "check", "--operad", "nat:3", "--cap", "50")
     assert code == 3
+
+
+@pytest.mark.parametrize("argv, env, source, text", [
+    (("check", "--operad", "nat:2", "--cap", "-1"), None, "--cap", "-1"),
+    (("check", "--operad", "nat:2", "--cap", "1e3"), "5", "--cap", "1e3"),
+    (("check", "--operad", "nat:2"), "-5", "OPINT_CAP", "-5"),
+    (("trees", "--leaves", "2"), "abc", "OPINT_CAP", "abc"),
+], ids=["negative-flag", "non-integer-flag", "negative-env", "non-integer-env"])
+def test_a_bad_cap_is_a_usage_error(capsys, monkeypatch, argv, env, source, text):
+    if env is not None:
+        monkeypatch.setenv("OPINT_CAP", env)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: %s must be a non-negative integer, not %r\n" % (source, text)
+
+
+def test_cap_zero_and_the_environment_cap_still_apply(capsys, monkeypatch):
+    code, out, _ = run(capsys, "validate", "--operad", "nat:2", "--cap", "0")
+    assert code == 3 and "associativity: capped (1 instances) [cap 0 reached]" in out
+    monkeypatch.setenv("OPINT_CAP", "7")
+    code, out, _ = run(capsys, "validate", "--operad", "nat:2")
+    assert code == 3 and "[cap 7 reached]" in out
+    code, out, _ = run(capsys, "validate", "--operad", "nat:2", "--cap", "100000000")
+    assert code == 0 and "associativity: pass" in out
 
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
