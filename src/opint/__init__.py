@@ -23,7 +23,7 @@ from .operads import (
 from .integration import (
     Integration, IntegrationMap, InvalidOperad, LaxTriangle, OneCell, TwoCell,
     ZeroCell, check_factorization, check_projection, check_two_category_laws,
-    integrate, integrate_morphism, lali_terminals, two_cat_components,
+    integrate, integrate_morphism, lali_terminals,
 )
 from .operadic import (
     Certificate, DeltaSTwoCat, ExtractionError, OperadicTwoCat, SplitFibrationData,

@@ -39,8 +39,8 @@ _EMPTY_HOM = FinCat((), (), {}, {})   # every hom with no 1-cells; holds no inte
 
 
 class InvalidOperad(ValueError):
-    """The operad handed to ``integrate`` failed structural validation, or a
-    hom built later found a ``mu`` that is not a functor on morphisms."""
+    """The operad handed to ``integrate`` failed light validation, which
+    includes a ``mu`` given by a table that is not a functor on morphisms."""
 
 
 class ZeroCell(HashConsed):
@@ -236,13 +236,7 @@ class Integration:
                              for s, a1, a2 in zip(sizes, src.args, dst.args)]
                     for deltas in itertools.product(*slots):
                         whisker = P.apply_mixed(f, (y.obj,) + deltas, (0,))
-                        try:
-                            alpha = P.compose_in(f.dom, dst.alpha, whisker)
-                        except CompositionError as exc:
-                            # light validation reads mu on objects only
-                            raise InvalidOperad("mu_%s is not a functor at %r: %s"
-                                                % (f, (y.obj,) + deltas, exc)) from None
-                        if alpha == src.alpha:
+                        if P.compose_in(f.dom, dst.alpha, whisker) == src.alpha:
                             twos.append(TwoCell(src, dst, deltas))
         identity = {c: self.identity_two_cell(c) for c in cells}
         return FinCat(cells, [(t, t.src, t.dst) for t in twos], identity, self.v_compose)
@@ -349,36 +343,27 @@ def lift_instances(zero_cells, card, bound: int):
                 yield g, c, bs
 
 
-def two_cat_components(tc) -> list[tuple]:
-    """Connected components of the 0-cells, via hom non-emptiness."""
-    cells = list(tc.zero_cells())
-    parent = {c: c for c in cells}
-
-    def find(c):
-        while parent[c] != c:
-            parent[c] = parent[parent[c]]
-            c = parent[c]
-        return c
-
-    for x in cells:
-        for y in cells:
-            if x is not y and tc.hom(x, y).objects:
-                parent[find(x)] = find(y)
-    groups: dict = {}
-    for c in cells:
-        groups.setdefault(find(c), []).append(c)
-    return [tuple(v) for v in groups.values()]
-
-
 def lali_terminals(tc) -> dict:
-    """Choose, per connected component, an object into which every hom has
-    a terminal object, the identity being terminal in its endo-hom.
+    """Choose, per connected component of the 0-cells (joined where a hom is
+    non-empty), an object into which every hom has a terminal object, the
+    identity being terminal in its endo-hom.
 
     Returns ``{component: (object, {x: terminal 1-cell}) or None}``, the
     witness for the object itself being its identity.
     """
-    out = {}
-    for comp in two_cat_components(tc):
+    cells, seen, out = tc.zero_cells(), set(), {}
+    for first in cells:
+        if first in seen:
+            continue
+        comp, todo = {first}, [first]
+        while todo:
+            y = todo.pop()
+            for z in cells:
+                if z not in comp and (tc.hom(y, z).objects or tc.hom(z, y).objects):
+                    comp.add(z)
+                    todo.append(z)
+        seen |= comp
+        comp = tuple(c for c in cells if c in comp)
         choice = None
         for v in comp:
             ident = tc.identity1(v)

@@ -13,7 +13,7 @@ import itertools
 import json
 import math
 
-from .fincat import FinCat, Functor, lookup, poset_category
+from .fincat import FinCat, Functor, RuleMap, lookup, poset_category
 from .integration import OneCell, TwoCell, ZeroCell
 from .operads import TruncatedOperad
 from .surjections import Surjection, all_surjections_up_to, parse_surjection
@@ -154,16 +154,27 @@ def _table(entry, field, member, g) -> dict:
     return table
 
 
-def _derive_mor_map(cats, target, obj_map) -> dict:
-    """Fill in the morphism graph when every target hom has one element."""
-    mor_map = {}
-    hom, slots = target.hom, [C.morphisms() for C in cats]
+def _derive_mor_map(cats, target, obj_map) -> RuleMap:
+    """The morphism table when every target hom between images has one
+    arrow: a RuleMap whose rule is that arrow, so a functor by construction.
+    It is filled here, so that a graph that cannot be derived is refused at load."""
+    def arrow(mid, src, dst):
+        arrows = target.hom(obj_map[src], obj_map[dst])
+        if len(arrows) != 1:
+            raise ValueError("cannot derive morphism graph at %r" % (mid,))
+        return arrows[0]
+
+    sides = [C.src for C in cats], [C.dst for C in cats]
+
+    def rule(mid):
+        return arrow(mid, *[tuple(end(m) for end, m in zip(side, mid)) for side in sides])
+
+    mor_map, slots = RuleMap(cats, rule, mor=True), [C.morphisms() for C in cats]
+    hom = target.hom   # arrow() inlined where it holds: a call per entry slows a load by 1/4
     for mid, src, dst in zip(*[itertools.product(*[[t[k] for t in s] for s in slots])
                                for k in range(3)]):  # ids, sources, targets in step
         arrows = hom(obj_map[src], obj_map[dst])
-        if len(arrows) != 1:
-            raise ValueError("cannot derive morphism graph at %r" % (mid,))
-        mor_map[mid] = arrows[0]
+        mor_map[mid] = arrows[0] if len(arrows) == 1 else arrow(mid, src, dst)
     return mor_map
 
 

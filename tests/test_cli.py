@@ -1,3 +1,4 @@
+import itertools
 import json
 import pathlib
 
@@ -6,6 +7,7 @@ import pytest
 from opint import jsonio
 from opint.cli import main
 from opint.dot import hom_to_dot, tree_to_dot
+from opint.fincat import RuleMap
 from opint.integration import ZeroCell, integrate
 from opint.operads import nat_operad, terminal_operad, tree_operad, validate_operad
 from opint.trees import LEAF
@@ -291,18 +293,21 @@ def test_invalid_operad_exits_with_report(tmp_path, capsys, verb):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("verb", ["validate", "integrate", "check"])
+@pytest.mark.parametrize("verb", [
+    ("validate",), ("integrate",), ("check",), ("hom", "--src", "1", "--dst", "1"),
+    ("factor", "--src", "1", "--dst", "0"), ("lift",)], ids=" ".join)
 @pytest.mark.parametrize("name, problem", [
     ("trees3_missing_graph_entry", "mu typing: fail"),
     ("nat3_value_outside_chain", "mu typing: fail"),
-    ("nat2_mu_not_functor", "mu_1->1:[1] is not a functor at (1, (2, 1))"),
+    ("nat2_mu_not_functor", "mu_1->1:[1] is not a functor: "
+                            "morphism ((1, 0), (1, 0)) is sent across wrong endpoints"),
 ])
 def test_hostile_operad_files_exit_with_a_verdict(capsys, verb, name, problem):
-    # check validates before any check reads the operad, and hom
-    # materialization reports a mu that is not a functor on morphisms
-    code, out, err = run(capsys, verb, "--operad", str(DATA / (name + ".json")))
+    # every verb that integrates validates first, and light validation checks
+    # that a mu given by a table is a functor on morphisms
+    code, out, err = run(capsys, *verb, "--operad", str(DATA / (name + ".json")))
     assert code == 1
-    if verb == "validate":
+    if verb == ("validate",):
         assert "fail" in out and err == ""
     else:
         assert err.startswith("error: invalid operad: ") and problem in err
@@ -411,6 +416,22 @@ def test_cold_queries_build_no_product_category(tmp_path, capsys, monkeypatch):
                  ("factor", "--operad", "trees:4", "--src", '[3, ["L", "L", "L"]]',
                   "--dst", '[1, "L"]')):
         assert run(capsys, *argv)[0] == 0
+
+
+def test_derived_mor_graph_is_a_rule_filled_at_load():
+    # a table the loader derives is a functor by construction: a RuleMap,
+    # so light validation skips it, holding every entry its rule gives
+    data = jsonio.operad_to_json(tree_operad(3))
+    for entry in data["mu"]:
+        del entry["mor_graph"]
+    P, Q = jsonio.operad_from_json(data), tree_operad(3)
+    for g, F in P.mu.items():
+        assert type(F.mor_map) is RuleMap
+        table = dict(F.mor_map)
+        assert len(table) == len(list(itertools.product(
+            *[P.component(a).morphism_ids() for a in P.arg_arities(g)])))
+        assert table == {k: F.mor_map.rule(k) for k in table} == \
+            {k: Q.mu[g].mor_map[k] for k in table}
 
 
 def test_missing_graph_entry_fails_mu_typing():

@@ -67,10 +67,9 @@ def test_unit_only_integration_is_a_point():
 
 
 def test_integrations_are_connected_across_arities():
-    from opint.integration import two_cat_components
     for P in (nat_operad(4), tree_operad(3)):
         I = integrate(P)
-        comps = two_cat_components(I)
+        comps = list(lali_terminals(I))
         assert len(comps) == 1
         arities = {x.arity for x in comps[0]}
         assert arities == set(range(1, P.bound + 1))
@@ -367,6 +366,19 @@ def cyclic_operad(N, k):
           for g in all_surjections_up_to(N)]
     return operad_from_json({"bound": N, "unit": "*", "name": "cyclic:%d:%d" % (N, k),
                              "components": [component] * N, "mu": mu})
+
+
+def test_integrate_rejects_a_mu_table_that_breaks_composition():
+    # cyclic:2:3 with mu_1->1(1, 1) = 0, not 2: every endpoint is right (one
+    # object), the unit laws read other entries, but (1, 1) o (1, 1) = (2, 2)
+    # goes to 1 while 0 o 0 = 0
+    g = identity_surjection(1)
+    assert integrate(cyclic_operad(2, 3)).P.mu[g].mor_map[(1, 1)] == 2
+    P = cyclic_operad(2, 3)
+    P.mu[g].mor_map[(1, 1)] = 0
+    with pytest.raises(InvalidOperad, match=r"mu_1->1:\[1\] is not a functor: "
+                                            r"composition not preserved on "):
+        integrate(P)
 
 
 def misrouted(P, wrong):

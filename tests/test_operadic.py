@@ -636,7 +636,7 @@ MU_NOT_FUNCTOR = pathlib.Path(__file__).parent / "data" / "nat2_mu_not_functor.j
 
 @pytest.fixture
 def mu_not_functor():
-    # nat:2 whose mu is a functor on objects only: light validation passes it
+    # nat:2 whose mu is a functor on objects only: light validation rejects it
     return operad_from_json(json.loads(MU_NOT_FUNCTOR.read_text()))
 
 

@@ -155,12 +155,18 @@ def test_wrong_unit_fails_unitality():
     assert not report.ok
 
 
-def test_validate_operad_light_and_deep():
-    P = tree_operad(3)
+@pytest.mark.parametrize("build", [nat_operad, terminal_operad, tree_operad],
+                         ids=lambda b: b.__name__)
+def test_validate_operad_light_and_deep(build):
+    # the light pass skips rule-backed mu tables; the deep pass checks that
+    # each is a functor on morphisms
+    P = build(3)
     light = validate_operad(P)
     assert all(r.ok for r in light)
     deep = validate_operad(P, deep=True)
     assert all(r.ok for r in deep)
+    functors = [(r.checked > 0) for r in light + deep if r.name == "mu on morphisms"]
+    assert functors == [False, True]
 
 
 def test_terminal_operad():

@@ -1,6 +1,7 @@
 import importlib
 import importlib.util
 import pathlib
+from types import SimpleNamespace
 
 import pytest
 
@@ -18,47 +19,54 @@ from opint.operads import check_associativity, identity_operad_morphism, tree_op
 from opint.report import CAPPED, Report
 from opint.trees import LEAF
 
-P = tree_operad(3)
-I = integrate(P)
-S = canonical_fibration(I)
-O = S.operadic
 UNIT = ZeroCell(1, LEAF)
 
-# each capping checker on trees:3 with cap=1, and the reports it caps;
-# each capped law and axiom has a budget of its own
+
+@pytest.fixture(scope="module")
+def trees3():
+    """trees:3 (``P``), its integration ``I`` and canonical fibration ``S``
+    with its operadic structure ``O``, built once for the tests that read them."""
+    P = tree_operad(3)
+    I = integrate(P)
+    S = canonical_fibration(I)
+    return SimpleNamespace(P=P, I=I, S=S, O=S.operadic)
+
+
+# each capping checker on the ``trees3`` fixture with cap=1, and the
+# reports it caps; each capped law and axiom has a budget of its own
 CAPPING = {
-    "associativity": (lambda: [check_associativity(P, cap=1)], {"associativity"}),
-    "two-category laws": (lambda: check_two_category_laws(I, cap=1),
+    "associativity": (lambda t: [check_associativity(t.P, cap=1)], {"associativity"}),
+    "two-category laws": (lambda t: check_two_category_laws(t.I, cap=1),
                           {"horizontal associativity", "interchange"}),
-    "projection": (lambda: [check_projection(I, cap=1)], {"projection"}),
-    "factorization": (lambda: [check_factorization(I, cap=1)],
+    "projection": (lambda t: [check_projection(t.I, cap=1)], {"projection"}),
+    "factorization": (lambda t: [check_factorization(t.I, cap=1)],
                       {"strict factorization"}),
-    "integration map": (lambda: [check_integration_map(
-        integrate_morphism(identity_operad_morphism(P), I, I), cap=1)],
+    "integration map": (lambda t: [check_integration_map(
+        integrate_morphism(identity_operad_morphism(t.P), t.I, t.I), cap=1)],
         {"integration 2-functor"}),
-    "operadic axioms": (lambda: check_operadic_axioms(O, cap=1),
+    "operadic axioms": (lambda t: check_operadic_axioms(t.O, cap=1),
                         {"lali choice", "axiom (i)", "axiom (ii)", "axiom (iii)",
                          "axiom (iv)", "axiom (v)", "axiom (v) one-cells"}),
-    "operadic cartesian": (lambda: [is_operadic_cartesian(
-        O, I.identity_one_cell(UNIT), cap=1)], {"operadic cartesian"}),
-    "splitting": (lambda: [check_splitting(S, cap=1)], {"splitting"}),
-    "cartesian lifts": (lambda: [check_all_lifts_cartesian(S, cap=1)],
+    "operadic cartesian": (lambda t: [is_operadic_cartesian(
+        t.O, t.I.identity_one_cell(UNIT), cap=1)], {"operadic cartesian"}),
+    "splitting": (lambda t: [check_splitting(t.S, cap=1)], {"splitting"}),
+    "cartesian lifts": (lambda t: [check_all_lifts_cartesian(t.S, cap=1)],
                         {"cartesian lifts"}),
-    "trivial subcategory": (lambda: [check_trivial_subcategory(O, cap=1)],
+    "trivial subcategory": (lambda t: [check_trivial_subcategory(t.O, cap=1)],
                             {"trivial subcategory"}),
-    "operad morphism": (lambda: [validate_operad_morphism(
-        identity_operad_morphism(P), cap=1, name="operad morphism")],
+    "operad morphism": (lambda t: [validate_operad_morphism(
+        identity_operad_morphism(t.P), cap=1, name="operad morphism")],
         {"operad morphism"}),
-    "roundtrip operad": (lambda: [roundtrip_operad(P, cap=1)], {"roundtrip operad"}),
-    "roundtrip 2-category": (lambda: [roundtrip_2cat(S, cap=1)],
+    "roundtrip operad": (lambda t: [roundtrip_operad(t.P, cap=1)], {"roundtrip operad"}),
+    "roundtrip 2-category": (lambda t: [roundtrip_2cat(t.S, cap=1)],
                              {"roundtrip 2-category"}),
 }
 
 
 @pytest.mark.parametrize("checker", sorted(CAPPING))
-def test_capped_reports_carry_the_cap_note(checker):
+def test_capped_reports_carry_the_cap_note(trees3, checker):
     run, expected = CAPPING[checker]
-    reports = run()
+    reports = run(trees3)
     assert {r.name for r in reports if r.status == CAPPED} == expected
     for r in reports:
         if r.status == CAPPED:
@@ -67,18 +75,19 @@ def test_capped_reports_carry_the_cap_note(checker):
             assert r.ok, r.line()
 
 
-def test_each_capped_law_and_axiom_has_its_own_cap():
+def test_each_capped_law_and_axiom_has_its_own_cap(trees3):
     # one instance within the cap, the second charged and refused, even in
     # a check that runs after another one capped
-    reports = check_two_category_laws(I, cap=1) + check_operadic_axioms(O, cap=1)
+    reports = check_two_category_laws(trees3.I, cap=1) + \
+        check_operadic_axioms(trees3.O, cap=1)
     assert {r.name: r.checked for r in reports if r.status == CAPPED} == {
         "horizontal associativity": 2, "interchange": 2, "lali choice": 2,
         "axiom (i)": 2, "axiom (ii)": 2, "axiom (iii)": 2,
         "axiom (iv)": 2, "axiom (v)": 2, "axiom (v) one-cells": 2}
 
 
-def test_capped_roundtrip_2cat_stops_at_the_cap():
-    cert = roundtrip_2cat(S, cap=1)
+def test_capped_roundtrip_2cat_stops_at_the_cap(trees3):
+    cert = roundtrip_2cat(trees3.S, cap=1)
     assert (cert.status, cert.checked, cert.notes) == (CAPPED, 2, ["cap 1 reached"])
     # one 2-cell within the cap, then no further work
     assert cert.details["two_cells"] == 1
@@ -94,20 +103,20 @@ def test_charge_counts_before_capping():
     assert unbounded.charge(10 ** 9) and unbounded.checked == 10 ** 9
 
 
-def test_every_capped_report_reads_cap_plus_one():
+def test_every_capped_report_reads_cap_plus_one(trees3):
     # every instance is charged, so a capped report has counted exactly one
     # instance past the cap; the operad morphism charges a whole component
     # functor check (4 instances on trees:3) at once and stops there
-    counts = {r.name: r.checked for run, _ in CAPPING.values() for r in run()
+    counts = {r.name: r.checked for run, _ in CAPPING.values() for r in run(trees3)
               if r.status == CAPPED}
     assert counts.pop("operad morphism") == 4
     assert counts and set(counts.values()) == {2}, counts
 
 
-def test_splitting_charges_each_unit_lift():
+def test_splitting_charges_each_unit_lift(trees3):
     # the identity lift of the first 0-cell and its terminal lift fit in
     # the cap; the identity lift of the second is refused
-    r = check_splitting(S, cap=2)
+    r = check_splitting(trees3.S, cap=2)
     assert r.line() == "splitting: capped (3 instances) [cap 2 reached]"
 
 
