@@ -4,7 +4,6 @@ executable checks certifying the equivalence between the two."""
 from .surjections import (
     CompositionError, Surjection, bang, block_cut, compose, enumerate_surjections,
     from_fiber_sizes, identity_surjection, induced_map, ordinal_sum, parse_surjection,
-    reconstruct_triangle,
 )
 from .fincat import (
     FinCat, Functor, enumerate_functors, poset_category, product, is_terminal,
@@ -23,7 +22,7 @@ from .operads import (
 from .integration import (
     Integration, IntegrationMap, InvalidOperad, LaxTriangle, OneCell, TwoCell,
     ZeroCell, check_factorization, check_projection, check_two_category_laws,
-    integrate, integrate_morphism, lali_terminals,
+    integrate, integrate_morphism,
 )
 from .operadic import (
     Certificate, DeltaSTwoCat, ExtractionError, OperadicTwoCat, SplitFibrationData,

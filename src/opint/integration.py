@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .fincat import FinCat, is_terminal, terminal_object, validate_category
+from .fincat import FinCat, validate_category
 from .interning import HashConsed, memo_tables, memoized
 from .operads import OperadMorphism, TruncatedOperad, validate_operad, \
     validate_operad_morphism
@@ -341,45 +341,6 @@ def lift_instances(zero_cells, card, bound: int):
         for c in by_card[g.cod]:
             for bs in itertools.product(*slots):
                 yield g, c, bs
-
-
-def lali_terminals(tc) -> dict:
-    """Choose, per connected component of the 0-cells (joined where a hom is
-    non-empty), an object into which every hom has a terminal object, the
-    identity being terminal in its endo-hom.
-
-    Returns ``{component: (object, {x: terminal 1-cell}) or None}``, the
-    witness for the object itself being its identity.
-    """
-    cells, seen, out = tc.zero_cells(), set(), {}
-    for first in cells:
-        if first in seen:
-            continue
-        comp, todo = {first}, [first]
-        while todo:
-            y = todo.pop()
-            for z in cells:
-                if z not in comp and (tc.hom(y, z).objects or tc.hom(z, y).objects):
-                    comp.add(z)
-                    todo.append(z)
-        seen |= comp
-        comp = tuple(c for c in cells if c in comp)
-        choice = None
-        for v in comp:
-            ident = tc.identity1(v)
-            if not is_terminal(tc.hom(v, v), ident):
-                continue
-            witnesses = {}
-            for x in comp:
-                term = terminal_object(tc.hom(x, v))
-                if term is None:
-                    break
-                witnesses[x] = ident if x == v else term[0]
-            else:
-                choice = (v, witnesses)
-                break
-        out[comp] = choice
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 An operadic structure on a finite 2-category presentation consists of a
 cardinality labelling into the surjection calculus, fiber assignments on
-the lax slices (0-, 1- and 2-dimensional), and a chosen object per
-connected component into which every hom has a terminal object.  The
+the lax slices (0-, 1- and 2-dimensional), and one chosen unit: a
+0-cell of cardinality 1 into which every hom has a terminal object.  The
 integration of an operad carries a canonical such structure; the checks
 here verify the axioms, identify cartesian cells, verify a chosen
 splitting, and extract an operad back from any split-fibered structure.
@@ -40,7 +40,9 @@ class OperadicTwoCat:
     The presentation ``tc`` must provide ``zero_cells()``, ``hom(x, y)``
     (a FinCat of 1-cells and 2-cells), ``compose1``, ``identity1``,
     ``identity2``, ``vcompose2`` and ``hcompose2``.  The remaining fields
-    interpret its cells in the surjection calculus.
+    interpret its cells in the surjection calculus.  The presentation is
+    connected, as Delta_s is: ``eps`` sends every 0-cell into the one
+    chosen ``unit``.
     """
 
     tc: Any
@@ -53,8 +55,8 @@ class OperadicTwoCat:
     fib1: Callable          # (x, lax triangle over x) -> tuple of 1-cells
     fib2: Callable          # (x, phi, src, dst, gamma) -> tuple of 2-cells, for
                             # a slice 2-cell gamma: src => dst onto phi into x
-    lali: dict              # component tuple -> chosen 0-cell
-    eps: Callable           # 0-cell -> terminal 1-cell into the chosen object
+    unit: Any               # the chosen 0-cell of cardinality 1
+    eps: Callable           # 0-cell -> terminal 1-cell into the unit
     label: str = "operadic 2-category"
     # not init fields, so that dataclasses.replace starts with empty memos
     _memos: dict = field(init=False, repr=False, compare=False)
@@ -62,13 +64,6 @@ class OperadicTwoCat:
 
     def __post_init__(self):
         self._memos, self._hits = memo_tables("triangles", "trivial")
-
-    def unit_of(self, x):
-        """The chosen object of the component of x."""
-        for comp, u in self.lali.items():
-            if x in comp:
-                return u
-        raise KeyError(x)
 
     def one_cells_into(self, x):
         for z in self.tc.zero_cells():
@@ -103,8 +98,8 @@ class OperadicTwoCat:
 
     @classmethod
     def from_integration(cls, I: Integration) -> "OperadicTwoCat":
-        # one component, chosen object [1, unit]: the lali choice check
-        # proves it, since eps(x) is a 1-cell from each 0-cell x into it
+        # chosen unit [1, unit]: the lali choice check proves it, since
+        # eps(x) is a 1-cell from each 0-cell x into it
         u = ZeroCell(1, I.P.unit)
 
         def eps(x):
@@ -120,7 +115,7 @@ class OperadicTwoCat:
             fib0=lambda x, c: I.fibers_of_1cell(c),
             fib1=lambda x, tri: I.fibers_of_lax_triangle(tri),
             fib2=lambda x, *parts: I.fibers_of_slice_2cell(*parts),
-            lali={I.zero_cells(): u},
+            unit=u,
             eps=eps,
             label="integration of %s" % I.P.name,
         )
@@ -170,7 +165,6 @@ class DeltaSTwoCat:
 
 def delta_s(N: int) -> OperadicTwoCat:
     tc = DeltaSTwoCat(N)
-    comp = tuple(range(1, N + 1))
 
     def fib0(x, g):
         return tuple(g.fiber_sizes())
@@ -191,7 +185,7 @@ def delta_s(N: int) -> OperadicTwoCat:
         fib0=fib0,
         fib1=fib1,
         fib2=fib2,
-        lali={comp: 1},
+        unit=1,
         eps=lambda n: bang(n),
         label="surjection calculus up to %d" % N,
     )
@@ -225,16 +219,16 @@ def check_operadic_axioms(O: OperadicTwoCat, cap: int | None = DEFAULT_CAP) -> l
 
 def _check_lali_choice(O, r) -> Report:
     # eps(x) must be a terminal object of hom(x, u), not a particular one
-    for comp, u in O.lali.items():
-        if O.card0(u) != 1:
-            return r.fail(("cardinality", str(u)))
-        for x in comp:
-            if not r.charge():
-                return r
-            if not is_terminal(O.tc.hom(x, u), O.eps(x)):
-                return r.fail(("terminal map", str(x)))
-        if O.eps(u) != O.tc.identity1(u):
-            return r.fail(("endo terminal", str(u)))
+    u = O.unit
+    if O.card0(u) != 1:
+        return r.fail(("cardinality", str(u)))
+    for x in O.tc.zero_cells():
+        if not r.charge():
+            return r
+        if not is_terminal(O.tc.hom(x, u), O.eps(x)):
+            return r.fail(("terminal map", str(x)))
+    if O.eps(u) != O.tc.identity1(u):
+        return r.fail(("endo terminal", str(u)))
     return r
 
 
@@ -265,24 +259,21 @@ def _check_axiom_cardinality(O, r) -> Report:
 
 
 def _check_axiom_unit_fibers(O, r) -> Report:
-    # over the chosen object, the fiber of each terminal map is its domain
-    for comp, u in O.lali.items():
-        for x in comp:
-            if not r.charge():
-                return r
-            if O.fib0(u, O.eps(x)) != (x,):
-                return r.fail(str(x))
+    # over the unit, the fiber of each terminal map is its domain
+    for x in O.tc.zero_cells():
+        if not r.charge():
+            return r
+        if O.fib0(O.unit, O.eps(x)) != (x,):
+            return r.fail(str(x))
     return r
 
 
 def _check_axiom_identity_fibers(O, r) -> Report:
-    for comp, u in O.lali.items():
-        for x in comp:
-            if not r.charge():
-                return r
-            expected = (u,) * O.card0(x)
-            if O.fib0(x, O.tc.identity1(x)) != expected:
-                return r.fail(str(x))
+    for x in O.tc.zero_cells():
+        if not r.charge():
+            return r
+        if O.fib0(x, O.tc.identity1(x)) != (O.unit,) * O.card0(x):
+            return r.fail(str(x))
     return r
 
 
@@ -507,13 +498,13 @@ def check_splitting(S: SplitFibrationData, cap: int | None = DEFAULT_CAP) -> Rep
     the lift of the composite surjection at the blockwise lift sources.
     """
     O = S.operadic
+    u = O.unit
     r = Report("splitting", cap=cap)
     for n in range(1, S.bound + 1):
+        units = (u,) * n
         for c in _cells_of_card(O, n):
             if not r.charge():
                 return r
-            u = O.unit_of(c)
-            units = (u,) * n
             if S.lift(identity_surjection(n), c, units) != O.tc.identity1(c):
                 return r.fail(("identity lift", str(c)))
             if not r.charge():
@@ -618,19 +609,13 @@ def check_trivial_subcategory(O: OperadicTwoCat,
     """Identities are trivial and trivial cells compose; additionally the
     fiber-matching property of trivial cells holds instance-wise."""
     r = Report("trivial subcategory", cap=cap)
-    trivial = []
     for x in O.tc.zero_cells():
         if not r.charge():
             return r
         if not is_trivial(O, O.tc.identity1(x)):
             return r.fail(("identity", str(x)))
-    for x in O.tc.zero_cells():
-        for y in O.tc.zero_cells():
-            if O.card0(x) != O.card0(y):
-                continue
-            for t in O.tc.hom(x, y).objects:
-                if is_trivial(O, t):
-                    trivial.append(t)
+    cards = dict.fromkeys(O.card0(x) for x in O.tc.zero_cells())
+    trivial = [t for n in cards for t in trivial_subcategory(O, n).morphism_ids()]
     for t1 in trivial:
         for t2 in trivial:
             if O.src0(t2) != O.dst0(t1):
@@ -673,14 +658,8 @@ def extract_operad(S: SplitFibrationData) -> TruncatedOperad:
         if not cat.objects:
             raise ExtractionError("no objects of cardinality %d" % n)
         components[n] = cat
-    units = {O.lali[comp] for comp in O.lali
-             if any(O.card0(x) >= 1 for x in comp)}
-    if len(units) != 1:
-        raise ExtractionError("expected a single chosen unit, got %r" % units)
-    unit = units.pop()
-
     mu = {g: _extracted_mu(S, g, components) for g in all_surjections_up_to(bound)}
-    return TruncatedOperad(bound, components, unit, mu,
+    return TruncatedOperad(bound, components, O.unit, mu,
                            name="extracted(%s)" % O.label)
 
 

@@ -142,28 +142,6 @@ def ordinal_sum(maps) -> Surjection:
     return Surjection(sum(m.dom for m in maps), shift, tuple(values))
 
 
-def reconstruct_triangle(g: Surjection, h: Surjection, parts) -> Surjection:
-    """The unique ``f`` with ``g o f = h`` inducing the given fiber maps.
-
-    ``parts[i-1]`` must be a map ``h^{-1}(i) -> g^{-1}(i)``.  Because the
-    fibers of monotone surjections are consecutive blocks, ``f`` is the
-    ordinal sum of the parts.
-    """
-    if g.cod != h.cod:
-        raise ValueError("targets differ: %s vs %s" % (g, h))
-    parts = list(parts)
-    if len(parts) != g.cod:
-        raise ValueError("expected %d parts, got %d" % (g.cod, len(parts)))
-    for i, part in enumerate(parts, start=1):
-        if part.dom != h.preimage(i)[0] or part.cod != g.preimage(i)[0]:
-            raise ValueError("part %d has type %s, expected %d -> %d"
-                             % (i, part, h.preimage(i)[0], g.preimage(i)[0]))
-    f = ordinal_sum(parts)
-    if compose(f, g) != h:
-        raise ValueError("parts do not assemble into a triangle over %s" % g)
-    return f
-
-
 def block_cut(seq, g: Surjection) -> tuple[tuple, ...]:
     """Cut a length-``k`` sequence into ``cod(g)`` blocks along ``g``.
 

@@ -100,12 +100,6 @@ def contracts_to(s, t) -> bool:
     return t in contraction_closure(s)
 
 
-def is_binary(t) -> bool:
-    if t == LEAF:
-        return True
-    return len(t) == 2 and all(is_binary(c) for c in t)
-
-
 def graft(c, subtrees):
     """Replace the leaves of c, left to right, by the given subtrees."""
     subtrees = list(subtrees)

@@ -12,7 +12,6 @@ from opint import jsonio
 from opint.fincat import FinCat, is_terminal, terminal_object, validate_category
 from opint.integration import (
     LaxTriangle, OneCell, TwoCell, ZeroCell, check_two_category_laws, integrate,
-    lali_terminals,
 )
 from opint.interning import HashConsed
 from opint.operadic import OperadicTwoCat, canonical_fibration, check_operadic_axioms, \
@@ -63,22 +62,31 @@ def test_lali_choice_accepts_any_terminal_object():
     u = ZeroCell(1, 0)
     H = I.hom(ZeroCell(1, 1), u)
     assert len(H.objects) == 2 and all(is_terminal(H, c) for c in H.objects)
-    (_, (v, witnesses)), = lali_terminals(I).items()
-    assert v == u and witnesses[u] == I.identity_one_cell(u)
-    assert all(r.ok for r in check_two_category_laws(I)), "laws"
     O = OperadicTwoCat.from_integration(I)
+    assert O.unit == u and O.eps(u) == I.identity_one_cell(u)
+    assert all(r.ok for r in check_two_category_laws(I)), "laws"
     assert [r.line() for r in check_operadic_axioms(O) if not r.ok] == []
     assert roundtrip_operad(P).ok and roundtrip_2cat(canonical_fibration(I)).ok
-    # a cell of hom(x, u) that is not terminal still fails the choice
-    O = OperadicTwoCat.from_integration(integrate(nat_operad(3)))
+    # each way of breaking the choice fails it with its own witness:
+    # a cell of hom(x, u) that is not terminal (on nat:3),
+    N = OperadicTwoCat.from_integration(integrate(nat_operad(3)))
 
-    def eps(x):
-        H = O.tc.hom(x, u)
-        return next((c for c in H.objects if not is_terminal(H, c)), O.eps(x))
+    def not_terminal(x):
+        H = N.tc.hom(x, u)
+        return next((c for c in H.objects if not is_terminal(H, c)), N.eps(x))
 
-    lali = check_operadic_axioms(replace(O, eps=eps))[0]
-    assert (lali.name, lali.status, lali.witness[0]) == \
-        ("lali choice", "fail", "terminal map")
+    # a unit of arity 2, and the other terminal cell of hom(u, u) as eps(u)
+    two = next(x for x in I.zero_cells() if x.arity == 2)
+    other, = (c for c in I.hom(u, u).objects if c != I.identity_one_cell(u))
+
+    def other_endo(x):
+        return other if x == u else O.eps(x)
+
+    assert [check_operadic_axioms(broken)[0].line() for broken in (
+        replace(N, eps=not_terminal), replace(O, unit=two), replace(O, eps=other_endo))] == [
+        "lali choice: fail (1 instances) witness=('terminal map', '[1,0]')",
+        "lali choice: fail (0 instances) witness=('cardinality', '[2,0]')",
+        "lali choice: fail (4 instances) witness=('endo terminal', '[1,0]')"]
 
 
 def test_cells_built_twice_are_identical():
@@ -190,10 +198,9 @@ def test_empty_homs_share_one_category():
         validate_category(FinCat((), [], {}, integrations[0].v_compose)).line() == \
         "category: pass (0 instances)"
     assert H.objects == H.morphism_ids() == () and terminal_object(H) is None
-    for I in integrations:
-        components = list(lali_terminals(I))
-        assert len(components) == 1
-        assert sorted(map(str, components[0])) == sorted(map(str, I.zero_cells()))
+    for I in integrations:   # connected: a terminal 1-cell into the unit from every 0-cell
+        O = OperadicTwoCat.from_integration(I)
+        assert all(is_terminal(I.hom(x, O.unit), O.eps(x)) for x in I.zero_cells())
 
 
 @pytest.mark.parametrize("built", [True, False])

@@ -3,9 +3,10 @@ from dataclasses import dataclass, field
 
 import pytest
 
+from opint.fincat import is_terminal
 from opint.integration import (
     IntegrationMap, InvalidOperad, ZeroCell, check_factorization, check_projection,
-    check_two_category_laws, integrate, integrate_morphism, lali_terminals,
+    check_two_category_laws, integrate, integrate_morphism,
 )
 from opint.jsonio import operad_from_json
 from opint.operadic import OperadicTwoCat, check_integration_map
@@ -66,13 +67,22 @@ def test_unit_only_integration_is_a_point():
     assert H.objects == (I.identity_one_cell(ZeroCell(1, LEAF)),)
 
 
+def lali_choice(I):
+    """The operadic view of I, once eps(x) is checked terminal in
+    hom(x, unit) for every 0-cell x and eps(unit) is the identity."""
+    O = OperadicTwoCat.from_integration(I)
+    for x in I.zero_cells():
+        assert is_terminal(I.hom(x, O.unit), O.eps(x)), x
+    assert O.eps(O.unit) == I.identity_one_cell(O.unit)
+    return O
+
+
 def test_integrations_are_connected_across_arities():
+    # every 0-cell has a 1-cell into the one unit
     for P in (nat_operad(4), tree_operad(3)):
         I = integrate(P)
-        comps = list(lali_terminals(I))
-        assert len(comps) == 1
-        arities = {x.arity for x in comps[0]}
-        assert arities == set(range(1, P.bound + 1))
+        lali_choice(I)
+        assert {x.arity for x in I.zero_cells()} == set(range(1, P.bound + 1))
 
 
 def test_identity_cell_is_a_unit():
@@ -199,15 +209,11 @@ def test_triangle_fiber_endpoints_match_block_cut():
 
 def test_lali_terminal_of_trees_is_the_leaf():
     I = integrate(tree_operad(3))
-    out = lali_terminals(I)
-    assert len(out) == 1
-    (comp, choice), = out.items()
-    assert choice is not None
-    v, witnesses = choice
-    assert v == ZeroCell(1, LEAF)
+    O = lali_choice(I)
+    assert O.unit == ZeroCell(1, LEAF)
     # terminal map out of [n, c] is the bang cell carrying c itself
-    for x in comp:
-        eps = witnesses[x]
+    for x in I.zero_cells():
+        eps = O.eps(x)
         assert eps.f == bang(x.arity)
         assert eps.args == (x.obj,)
         assert I.in_m_subcategory(eps)
@@ -215,18 +221,16 @@ def test_lali_terminal_of_trees_is_the_leaf():
 
 def test_lali_terminal_of_saturating_chain():
     I = integrate(nat_operad(6))
-    (comp, choice), = lali_terminals(I).items()
-    v, witnesses = choice
-    assert v == ZeroCell(1, 0)
+    O = lali_choice(I)
+    assert O.unit == ZeroCell(1, 0)
     # hom([1,a],[1,0]) has terminal the cell carrying a itself
-    for x in comp:
-        assert witnesses[x].args == (x.obj,)
+    for x in I.zero_cells():
+        assert O.eps(x).args == (x.obj,)
 
 
 def test_lali_terminal_one_object_two_cat():
     I = integrate(terminal_operad(1))
-    (comp, choice), = lali_terminals(I).items()
-    assert choice[0] == ZeroCell(1, "*")
+    assert lali_choice(I).unit == ZeroCell(1, "*")
 
 
 def test_cartesian_lift_degenerate_shapes():

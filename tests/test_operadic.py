@@ -5,10 +5,9 @@ from collections import Counter
 
 import pytest
 
-from opint.fincat import FinCat, Functor, poset_category, validate_functor
+from opint.fincat import Functor, poset_category, validate_functor
 from opint.integration import (
     InvalidOperad, LaxTriangle, OneCell, ZeroCell, integrate, integrate_morphism,
-    lali_terminals,
 )
 from opint.jsonio import operad_from_json
 from opint.operads import (
@@ -582,45 +581,6 @@ def test_morphism_enumeration_needs_equal_bounds():
         enumerate_lift_preserving_2functors(fibration(nat_operad(2)), fibration(tree_operad(3)))
 
 
-def test_lali_absent_on_discrete_presentation():
-    class DiscreteTwoCat:
-        def zero_cells(self):
-            return (0, 1)
-
-        def hom(self, x, y):
-            if x == y:
-                cell = ("one", x)
-                return FinCat([cell], [(("two", x), cell, cell)],
-                              {cell: ("two", x)},
-                              {(("two", x), ("two", x)): ("two", x)})
-            return FinCat([], [], {}, {})
-
-        def identity1(self, x):
-            return ("one", x)
-
-    # two isolated objects: the two-object presentation has no maps across,
-    # so each component must choose its own object, which does qualify; a
-    # genuinely failing component needs a hom without a terminal object
-    out = lali_terminals(DiscreteTwoCat())
-    assert len(out) == 2
-    assert all(choice is not None for choice in out.values())
-
-    class NoTerminal(DiscreteTwoCat):
-        def zero_cells(self):
-            return (0, 1)
-
-        def hom(self, x, y):
-            # two parallel 1-cells with no 2-cells: no terminal anywhere
-            cells = [("a", x, y), ("b", x, y)]
-            return FinCat(cells,
-                          [(("id2", c), c, c) for c in cells],
-                          {c: ("id2", c) for c in cells},
-                          {(("id2", c), ("id2", c)): ("id2", c) for c in cells})
-
-    out = lali_terminals(NoTerminal())
-    assert all(choice is None for choice in out.values())
-
-
 def test_delta_s_presentation_basics():
     D = DeltaSTwoCat(3)
     assert D.hom(3, 2).counts() == (2, 2)
@@ -642,7 +602,7 @@ def mu_not_functor():
 
 @pytest.mark.parametrize("broken_side", ["source", "target"])
 def test_full_faithfulness_rejects_a_mu_that_is_not_a_functor(mu_not_functor, broken_side):
-    # caught only because building the fibration builds every hom
+    # light validation rejects the broken operad as soon as it is integrated
     pair = (nat_operad(2), mu_not_functor)
     P, Q = pair if broken_side == "target" else pair[::-1]
     with pytest.raises(InvalidOperad, match="is not a functor"):

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from opint.surjections import (
     CompositionError, Surjection, bang, block_cut, compose, enumerate_surjections,
     from_fiber_sizes, identity_surjection, induced_map, ordinal_sum, parse_surjection,
-    reconstruct_triangle,
 )
 
 
@@ -97,19 +96,19 @@ def test_ordinal_sum():
         ordinal_sum([])
 
 
-def test_reconstruct_triangle_example():
+def test_triangle_from_fiber_maps_example():
+    # the top map of a triangle g o f = h is the ordinal sum of its fiber maps
     g = Surjection(3, 2, (1, 1, 2))
     h = Surjection(4, 2, (1, 1, 1, 2))
-    f = reconstruct_triangle(g, h, [Surjection(3, 2, (1, 1, 2)), identity_surjection(1)])
+    parts = [Surjection(3, 2, (1, 1, 2)), identity_surjection(1)]
+    f = ordinal_sum(parts)
     assert f == Surjection(4, 3, (1, 1, 2, 3))
     assert compose(f, g) == h
+    assert [induced_map(f, g, i) for i in (1, 2)] == parts
     # degenerate cases
-    assert reconstruct_triangle(g, g, [identity_surjection(2), identity_surjection(1)]) \
-        == identity_surjection(3)
+    assert ordinal_sum([identity_surjection(2), identity_surjection(1)]) == identity_surjection(3)
     part = Surjection(4, 2, (1, 2, 2, 2))
-    assert reconstruct_triangle(bang(2), bang(4), [part]) == part
-    with pytest.raises(ValueError):
-        reconstruct_triangle(g, h, [identity_surjection(3), identity_surjection(1)])
+    assert ordinal_sum([part]) == part and induced_map(part, bang(2), 1) == part
 
 
 def test_block_cut():
@@ -203,20 +202,20 @@ def test_induced_map_coherence(g, data):
 
 
 @given(surjections(), st.data())
-def test_reconstruct_is_inverse_to_parts(g, data):
+def test_ordinal_sum_of_induced_maps_is_the_top_map(g, data):
+    # what is_operadic_cartesian relies on: fiber maps determine the top map
     m = data.draw(st.integers(g.dom, g.dom + 3))
     f = data.draw(st.sampled_from(enumerate_surjections(m, g.dom)))
-    h = compose(f, g)
-    parts = [induced_map(f, g, i) for i in range(1, g.cod + 1)]
-    assert reconstruct_triangle(g, h, parts) == f
+    assert ordinal_sum([induced_map(f, g, i) for i in range(1, g.cod + 1)]) == f
 
 
-def test_parts_of_reconstruct_roundtrip():
+def test_induced_maps_of_an_ordinal_sum_are_its_parts():
     g = Surjection(4, 2, (1, 1, 2, 2))
     h = Surjection(5, 2, (1, 1, 1, 2, 2))
     for p1 in enumerate_surjections(3, 2):
         for p2 in enumerate_surjections(2, 2):
-            f = reconstruct_triangle(g, h, [p1, p2])
+            f = ordinal_sum([p1, p2])
+            assert compose(f, g) == h
             assert induced_map(f, g, 1) == p1
             assert induced_map(f, g, 2) == p2
 

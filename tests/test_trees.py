@@ -1,7 +1,7 @@
 import pytest
 
 from opint.trees import (
-    LEAF, contracts_to, corolla, enumerate_trees, graft, is_binary, leaves,
+    LEAF, contracts_to, corolla, enumerate_trees, graft, leaves,
     one_step_contractions, tree_from_json, tree_to_json,
 )
 
@@ -110,6 +110,10 @@ def test_contraction_partial_order():
                 for c in ts:
                     if contracts_to(a, b) and contracts_to(b, c):
                         assert contracts_to(a, c)
+
+
+def is_binary(t) -> bool:
+    return t == LEAF or (len(t) == 2 and all(is_binary(c) for c in t))
 
 
 def test_corolla_is_bottom_and_binaries_are_maximal():
