@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from opint.fincat import Functor, poset_category, validate_functor
+from opint.fincat import FinCat, Functor, poset_category, validate_functor
 from opint.integration import (
     InvalidOperad, LaxTriangle, OneCell, ZeroCell, integrate, integrate_morphism,
 )
@@ -19,7 +19,7 @@ from opint.operadic import (
     check_splitting, check_trivial_subcategory, delta_s,
     enumerate_lift_preserving_2functors, enumerate_operad_morphisms, extract_operad,
     is_operadic_cartesian, is_trivial, roundtrip_2cat, roundtrip_operad,
-    _check_fiber_axiom_one_cells,
+    OperadicTwoCat, _check_fiber_axiom_one_cells, _check_lali_choice,
 )
 from opint.operads import validate_operad_morphism
 from opint.report import Report
@@ -579,6 +579,49 @@ def test_morphism_enumeration_needs_equal_bounds():
         enumerate_operad_morphisms(nat_operad(2), tree_operad(3))
     with pytest.raises(ValueError):
         enumerate_lift_preserving_2functors(fibration(nat_operad(2)), fibration(tree_operad(3)))
+
+
+def test_lali_absent_on_discrete_presentation():
+    class DiscreteTwoCat:
+        def zero_cells(self):
+            return (0, 1)
+
+        def hom(self, x, y):
+            if x == y:
+                cell = ("one", x)
+                return FinCat([cell], [(("two", x), cell, cell)],
+                              {cell: ("two", x)},
+                              {(("two", x), ("two", x)): ("two", x)})
+            return FinCat([], [], {}, {})
+
+        def identity1(self, x):
+            return ("one", x)
+
+    def view(tc):
+        # only the fields the lali choice reads are meaningful
+        return OperadicTwoCat(tc, card0=lambda x: 1, card1=None, src0=None, dst0=None,
+                              src2=None, fib0=None, fib1=None, fib2=None,
+                              unit=0, eps=tc.identity1)
+
+    # two isolated objects: hom(1, 0) is empty, so no 1-cell from 1 is
+    # terminal into the chosen unit and the presentation has no lali
+    r = _check_lali_choice(view(DiscreteTwoCat()), Report("lali choice"))
+    assert r.line() == "lali choice: fail (2 instances) witness=('terminal map', '1')"
+
+    class NoTerminal(DiscreteTwoCat):
+        def hom(self, x, y):
+            # two parallel 1-cells with no 2-cells: no terminal anywhere
+            cells = [("a", x, y), ("b", x, y)]
+            return FinCat(cells,
+                          [(("id2", c), c, c) for c in cells],
+                          {c: ("id2", c) for c in cells},
+                          {(("id2", c), ("id2", c)): ("id2", c) for c in cells})
+
+        def identity1(self, x):
+            return ("a", x, x)
+
+    r = _check_lali_choice(view(NoTerminal()), Report("lali choice"))
+    assert r.line() == "lali choice: fail (1 instances) witness=('terminal map', '0')"
 
 
 def test_delta_s_presentation_basics():
