@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from .fincat import FinCat, Functor, enumerate_functors, is_terminal, validate_functor
-from .interning import _MISS, memo_tables, memoized
+from .interning import memo_tables, memoized
 from .integration import (
     Integration, IntegrationMap, InvalidOperad, LaxTriangle, OneCell, ZeroCell, integrate,
     lift_instances,
@@ -343,17 +343,21 @@ def _fiber_axiom_on_one_cells(O, x, phi, g, fibs_phi, triangles, r) -> bool:
     A 1-cell from the triangle ``a1`` to the triangle ``a2`` is a
     connecting triangle ``sigma`` between their left faces plus a slice
     2-cell from ``a2 o sigma`` to ``a1``; both routes around the square
-    must then send it to the same blocks of fiber data.  Five tables are
+    must then send it to the same blocks of fiber data.  Four tables are
     local to ``phi`` and reused only for an identical key, never assumed:
     the fibers of triangles into ``x``; the routes
-    ``block_cut(fib1(y, tri_a), g)``, keyed on all of ``tri_a``; per
-    ``(comp_slice, a1, gamma)``, with ``x`` and ``phi`` every argument of
-    ``fib2``, the filler test and the slice fibers (``slices``); the
-    candidates ``(a1, gamma)``, which depend only on ``sigma.d1`` and
-    ``a2.d2 o sigma.d2`` (``candidates``); and the squares that passed
-    (``verified``).  Per ``(a2, sigma)``: the composite triangle, and the
+    ``block_cut(fib1(y, tri_a), g)``, keyed on all of ``tri_a``; the
+    candidates, which depend only on ``sigma.d1`` and ``a2.d2 o sigma.d2``
+    (``candidates``), each an entry ``[a1, gamma, fibers of a1, filled,
+    slice fibers]`` with ``filled = a1.filler o (1_phi * gamma)``; and the
+    squares that passed (``verified``).  An instance passes the filler
+    test when ``filled`` is the filler of the composite ``a2 o sigma``;
+    the composite slice is then ``(a2.d2 o sigma.d2, sigma.d1, phi,
+    filled)``, so with ``x`` and ``phi`` the candidate fixes every
+    argument of ``fib2``, asked at its first passing instance and kept in
+    the entry.  Per ``(a2, sigma)``: the composite's filler, and the
     composed fibers once a square of the pair misses ``verified``.  Per
-    instance: a charge, the lookups and the square
+    instance: a charge, the filler test, the route lookup and the square
     ``(sig_f, a1_f, a2_f, xi_f, route_a)``, which fixes the fiber loop
     (``fibs_phi`` is fixed, ``composed_f`` follows from ``a2_f`` and
     ``sig_f``); the loop runs unless an equal square passed before, and
@@ -361,16 +365,20 @@ def _fiber_axiom_on_one_cells(O, x, phi, g, fibs_phi, triangles, r) -> bool:
     evaluated at its first instance.  Counts on ``r`` and returns False
     once ``r`` holds its verdict (capped or failed).
     """
+    tc, fib1, fib2, src2 = O.tc, O.fib1, O.fib2, O.src2
     y = O.src0(phi)
     by_d1: dict = {}
     for tri in triangles:
         by_d1.setdefault(tri.d1, []).append(tri)
     n_fib = len(fibs_phi)
-    id2_phi = O.tc.identity2(phi)
-    fibers, routes, slices, candidates, verified = {}, {}, {}, {}, set()   # local to phi
+    id2_phi = tc.identity2(phi)
+    fibers, routes, candidates, verified = {}, {}, {}, set()   # local to phi
 
     def fibers_of(tri):
-        return fibers.get(tri) or fibers.setdefault(tri, O.fib1_cached(x, tri))
+        tri_f = fibers.get(tri)
+        if tri_f is None:
+            tri_f = fibers[tri] = fib1(x, tri)
+        return tri_f
 
     for a2 in triangles:                       # target object of the 1-cell
         a2_f = fibers_of(a2)
@@ -378,44 +386,45 @@ def _fiber_axiom_on_one_cells(O, x, phi, g, fibs_phi, triangles, r) -> bool:
             sources = by_d1.get(sigma.d1)
             if not sources:
                 continue
-            d2comp = O.tc.compose1(a2.d2, sigma.d2)
-            pairs = candidates.get((sigma.d1, d2comp))
-            if pairs is None:
-                hom_up = O.tc.hom(O.src0(sigma.d1), y)
-                pairs = candidates[sigma.d1, d2comp] = [
-                    (a1, gamma) for a1 in sources for gamma in hom_up.hom(d2comp, a1.d2)]
-            if not pairs:
+            d2comp = tc.compose1(a2.d2, sigma.d2)
+            entries = candidates.get((sigma.d1, d2comp))
+            if entries is None:
+                hom_up = tc.hom(O.src0(sigma.d1), y)
+                entries = candidates[sigma.d1, d2comp] = [
+                    [a1, gamma, fibers_of(a1),
+                     tc.vcompose2(a1.filler, tc.hcompose2(id2_phi, gamma)), None]
+                    for a1 in sources for gamma in hom_up.hom(d2comp, a1.d2)]
+            if not entries:
                 continue
-            comp_slice = O.slice_compose(a2, sigma)
+            comp_filler = tc.vcompose2(
+                sigma.filler, tc.hcompose2(a2.filler, tc.identity2(sigma.d2)))
             sig_f = fibers_of(sigma)
             composed_f = None
-            for a1, gamma in pairs:            # a1: source object of the 1-cell
+            for entry in entries:              # a1: source object of the 1-cell
                 if not r.charge():
                     return False
-                xi_f = slices.get((comp_slice, a1, gamma), _MISS)
-                if xi_f is _MISS:              # None: the filler test fails
-                    filled = O.tc.vcompose2(a1.filler, O.tc.hcompose2(id2_phi, gamma))
-                    xi_f = slices[comp_slice, a1, gamma] = (
-                        O.fib2(x, phi, comp_slice, a1, gamma)
-                        if filled == comp_slice.filler else None)
-                if xi_f is None:
+                a1, gamma, a1_f, filled, xi_f = entry
+                if filled != comp_filler:
                     continue
+                if xi_f is None:
+                    xi_f = entry[4] = fib2(
+                        x, phi, LaxTriangle(d2comp, sigma.d1, phi, filled), a1, gamma)
                 tri_a = (sigma.d2, a1.d2, a2.d2, gamma)
-                route_a = routes.get(tri_a) or routes.setdefault(
-                    tri_a, block_cut(O.fib1_cached(y, LaxTriangle(*tri_a)), g))
-                a1_f = fibers_of(a1)
+                route_a = routes.get(tri_a)
+                if route_a is None:
+                    route_a = routes[tri_a] = block_cut(fib1(y, LaxTriangle(*tri_a)), g)
                 square = (sig_f, a1_f, a2_f, xi_f, route_a)
                 if square in verified:
                     continue
                 if composed_f is None:
-                    composed_f = tuple(O.tc.compose1(a2_f[i], sig_f[i])
+                    composed_f = tuple(tc.compose1(a2_f[i], sig_f[i])
                                        for i in range(n_fib))
                 for i in range(n_fib):
-                    if O.src2(xi_f[i]) != composed_f[i]:
+                    if src2(xi_f[i]) != composed_f[i]:
                         r.fail(("fiber functoriality", i, str(phi)))
                         return False
                     tri_b = LaxTriangle(sig_f[i], a1_f[i], a2_f[i], xi_f[i])
-                    if O.fib1_cached(fibs_phi[i], tri_b) != route_a[i]:
+                    if fib1(fibs_phi[i], tri_b) != route_a[i]:
                         r.fail(("one-cells", i, str(phi)))
                         return False
                 verified.add(square)
