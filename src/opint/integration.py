@@ -7,10 +7,11 @@ alpha: mu_f(b, a_1..a_k) -> a of P_m.  2-cells exist only between
 1-cells with the same surjection and are tuples of component morphisms
 delta_i: a'_i -> a''_i subject to  alpha'' o mu_f(1, delta) = alpha'.
 
-Every hom is materialized on demand as a finite category of 1-cells and
-2-cells, and every hom with no 1-cells is one shared empty category; the
-projection to the surjection calculus is carried on the cells themselves
-(the ``f`` field), never recomputed.
+A 1-cell into [k, b] is fixed by f, the a_i and a morphism out of
+mu_f(b, a_1..a_k), so the 1-cells into each 0-cell are listed once, by
+source, and pair walks visit only non-empty homs.  A hom is materialized
+from that list on demand, and every empty hom is one shared empty category;
+the projection to the surjection calculus is carried on the cells (``f``).
 
 Cells are hash-consed (see ``interning``): building a cell whose fields
 equal those of a live cell returns that very cell, so two cells are
@@ -33,7 +34,7 @@ from .operads import OperadMorphism, TruncatedOperad, validate_operad, \
     validate_operad_morphism
 from .report import DEFAULT_CAP, FAIL, Report
 from .surjections import CompositionError, Surjection, all_surjections_up_to, \
-    block_cut, compose, enumerate_surjections, identity_surjection, induced_map
+    block_cut, compose, identity_surjection, induced_map
 
 _EMPTY_HOM = FinCat((), (), {}, {})   # every hom with no 1-cells; holds no integration
 
@@ -84,11 +85,12 @@ class Integration:
             raise InvalidOperad("; ".join(r.line() for r in bad))
         self.P = P
         self._memos, self._hits = memo_tables(
-            "hom", "out", "id1", "id2", "hcomp", "hcomp2", "vcomp", "fibtri",
-            "fib0", "lift")
+            "alphas", "into", "hom", "out", "id1", "id2", "hcomp", "hcomp2", "vcomp",
+            "fibtri", "fib0", "lift")
         self._zero = tuple(ZeroCell(n, a)
                            for n in range(1, P.bound + 1)
                            for a in P.component(n).objects)
+        self._rank = {x: i for i, x in enumerate(self._zero)}
 
     # -- cells ------------------------------------------------------------
 
@@ -186,8 +188,9 @@ class Integration:
 
     def stats(self) -> dict:
         """Live cells per class (process-wide) and, per memo of this
-        integration, its size and its hit count.  The memos: homs (``hom``),
-        1-cells out of a 0-cell (``out``), identities (``id1``, ``id2``),
+        integration, its size and its hit count.  The memos: P_m's morphisms
+        by source (``alphas``), 1-cells into (``into``) and out of (``out``)
+        a 0-cell, homs (``hom``), identities (``id1``, ``id2``),
         compositions (``hcomp``, ``hcomp2``, ``vcomp``), fibers of triangles
         (``fibtri``) and of 1-cells (``fib0``), chosen lifts (``lift``)."""
         cells = (ZeroCell, OneCell, TwoCell, LaxTriangle)
@@ -204,32 +207,43 @@ class Integration:
 
     # -- homs ---------------------------------------------------------------
 
-    def one_cells(self, x: ZeroCell, y: ZeroCell):
-        """All 1-cells x -> y, in deterministic order."""
-        P = self.P
-        out = []
-        Cm = P.component(x.arity)
-        for f in enumerate_surjections(x.arity, y.arity):
-            sizes = f.fiber_sizes()
-            for args in itertools.product(*[P.component(s).objects for s in sizes]):
-                source_obj = P.apply_obj(f, (y.obj,) + args)
-                for alpha in Cm.hom(source_obj, x.obj):
-                    out.append(OneCell(f, args, alpha, x, y))
+    @memoized("alphas")
+    def _alphas(self, m: int) -> dict:
+        """The morphisms of P_m out of each object, each with its target 0-cell."""
+        out: dict = {}
+        for alpha, s, a in self.P.component(m).morphisms():
+            out.setdefault(s, []).append((alpha, ZeroCell(m, a)))
         return out
+
+    @memoized("into")
+    def _into(self, y: ZeroCell) -> dict:
+        """The 1-cells into y by source, in ``zero_cells()`` order, each hom by f,
+        args, then alpha, a morphism out of mu_f(y, args) into the source's object."""
+        P = self.P
+        by_src: dict = {}
+        for f in (f for f in all_surjections_up_to(P.bound) if f.cod == y.arity):
+            alphas = self._alphas(f.dom)
+            for args in itertools.product(*[P.component(s).objects for s in f.fiber_sizes()]):
+                for alpha, x in alphas.get(P.apply_obj(f, (y.obj,) + args), ()):
+                    by_src.setdefault(x, []).append(OneCell(f, args, alpha, x, y))
+        return {x: tuple(by_src[x]) for x in sorted(by_src, key=self._rank.__getitem__)}
+
+    def sources(self, y: ZeroCell) -> tuple:
+        return tuple(self._into(y))
+
+    def targets(self, x: ZeroCell) -> tuple:
+        return tuple(dict.fromkeys(c.dst for c in self.one_cells_from(x)))
 
     @memoized("hom")
     def hom(self, x: ZeroCell, y: ZeroCell) -> FinCat:
         """The hom-category x -> y: objects 1-cells, morphisms 2-cells."""
         P = self.P
-        cells = self.one_cells(x, y)
-        if not cells:
+        cells = self._into(y).get(x)
+        if cells is None:
             return _EMPTY_HOM
         twos = []
-        by_f: dict = {}
-        for c in cells:
-            by_f.setdefault(c.f, []).append(c)
-        for f, group in by_f.items():
-            sizes = f.fiber_sizes()
+        for f, group in itertools.groupby(cells, lambda c: c.f):   # cells run by f
+            group, sizes = tuple(group), f.fiber_sizes()
             for src in group:
                 for dst in group:
                     slots = [P.hom(s, a1, a2)
@@ -248,7 +262,7 @@ class Integration:
     @memoized("out")
     def one_cells_from(self, x: ZeroCell) -> tuple:
         """The 1-cells out of x, in the order of ``all_one_cells``."""
-        return tuple(c for y in self._zero for c in self.hom(x, y).objects)
+        return tuple(c for y in self._zero for c in self._into(y).get(x, ()))
 
     # -- factorization, fibers, lifts --------------------------------------
 
@@ -361,7 +375,7 @@ def check_two_category_laws(I: Integration, cap: int | None = DEFAULT_CAP) -> li
 def _check_hom_categories(I: Integration) -> Report:
     r = Report("hom categories")
     for x in I.zero_cells():
-        for y in I.zero_cells():
+        for y in I.targets(x):
             sub = validate_category(I.hom(x, y))
             r.charge(sub.checked)
             if not sub.ok:
@@ -392,28 +406,24 @@ def _check_horizontal_associativity(I: Integration, r: Report) -> Report:
 
 
 def _check_interchange(I: Integration, r: Report) -> Report:
-    twos_by_hom: dict = {}
+    twos_by_hom: dict = {}   # the non-empty homs, x then y in 0-cell order
     for x in I.zero_cells():
-        for y in I.zero_cells():
+        for y in I.targets(x):
             H = I.hom(x, y)
             twos_by_hom[(x, y)] = [(t2, t1) for t1, _, _ in H.morphisms()
                                    for t2, _, _ in H.morphisms() if t1.dst == t2.src]
-    for x in I.zero_cells():
-        for y in I.zero_cells():
-            inner = twos_by_hom[(x, y)]
-            if not inner:
-                continue
-            for z in I.zero_cells():
-                for e2, e1 in twos_by_hom[(y, z)]:
-                    for d2, d1 in inner:
-                        if not r.charge():
-                            return r
-                        lhs = I.h_compose_2cells(I.v_compose(e2, e1),
-                                                 I.v_compose(d2, d1))
-                        rhs = I.v_compose(I.h_compose_2cells(e2, d2),
-                                          I.h_compose_2cells(e1, d1))
-                        if lhs != rhs:
-                            return r.fail((str(e2), str(e1), str(d2), str(d1)))
+    for (_, y), inner in twos_by_hom.items():
+        for z in I.targets(y):
+            for e2, e1 in twos_by_hom[(y, z)]:
+                for d2, d1 in inner:
+                    if not r.charge():
+                        return r
+                    lhs = I.h_compose_2cells(I.v_compose(e2, e1),
+                                             I.v_compose(d2, d1))
+                    rhs = I.v_compose(I.h_compose_2cells(e2, d2),
+                                      I.h_compose_2cells(e1, d1))
+                    if lhs != rhs:
+                        return r.fail((str(e2), str(e1), str(d2), str(d1)))
     return r
 
 
@@ -432,7 +442,7 @@ def check_projection(I: Integration, cap: int | None = DEFAULT_CAP) -> Report:
             if I.h_compose(g_cell, f_cell).f != compose(f_cell.f, g_cell.f):
                 return r.fail((str(f_cell), str(g_cell)))
     for x in I.zero_cells():
-        for y in I.zero_cells():
+        for y in I.targets(x):
             for t, _, _ in I.hom(x, y).morphisms():
                 if not r.charge():
                     return r
@@ -452,16 +462,15 @@ def check_factorization(I: Integration, cap: int | None = DEFAULT_CAP) -> Report
            not I.in_e_subcategory(e_part) or not I.in_m_subcategory(m_part):
             return r.fail(str(phi))
         found = 0
-        for w in I.zero_cells():
-            for e_cand in I.hom(phi.src, w).objects:
-                if not I.in_e_subcategory(e_cand):
-                    continue
-                for m_cand in I.hom(w, phi.dst).objects:
-                    if not r.charge():
-                        return r
-                    if I.in_m_subcategory(m_cand) and \
-                       I.h_compose(m_cand, e_cand) == phi:
-                        found += 1
+        for e_cand in I.one_cells_from(phi.src):
+            if not I.in_e_subcategory(e_cand):
+                continue
+            for m_cand in I.hom(e_cand.dst, phi.dst).objects:
+                if not r.charge():
+                    return r
+                if I.in_m_subcategory(m_cand) and \
+                   I.h_compose(m_cand, e_cand) == phi:
+                    found += 1
         if found != 1:
             return r.fail((str(phi), "%d factorizations" % found))
     return r

@@ -210,16 +210,13 @@ def integration_to_json(I) -> dict:
     homs = {}
     pi = {}
     for x in I.zero_cells():
-        for y in I.zero_cells():
+        for y in I.targets(x):
             H = I.hom(x, y)
-            if not H.objects:
-                continue
             key = "%s|%s" % (_key(zero_cell_to_json(x)), _key(zero_cell_to_json(y)))
             cells = [one_cell_to_json(c) for c in H.objects]
             twos = [two_cell_to_json(t) for t, _, _ in H.morphisms()]
             homs[key] = {"one_cells": cells, "two_cells": twos}
-            for c in H.objects:
-                pi[_key(one_cell_to_json(c))] = str(c.f)
+            pi.update((_key(j), str(c.f)) for j, c in zip(cells, H.objects))
     return {
         "zero_cells": [zero_cell_to_json(x) for x in I.zero_cells()],
         "homs": homs,

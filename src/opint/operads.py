@@ -377,7 +377,7 @@ def tree_operad(N: int) -> TruncatedOperad:
     components = {}
     for n in range(1, N + 1):
         elems = T.enumerate_trees(n)
-        components[n] = poset_category(elems, lambda t, s: T.contracts_to(s, t))
+        components[n] = poset_category(elems, lambda t, s: t in T.contraction_closure(s))
 
     def obj_rule(tup):
         return T.graft(tup[0], tup[1:])

@@ -18,7 +18,7 @@ from opint.operadic import OperadicTwoCat, canonical_fibration, check_operadic_a
     check_splitting, check_trivial_subcategory, roundtrip_2cat, roundtrip_operad
 from opint.operads import nat_operad, tree_operad
 from opint.surjections import Surjection, all_surjections_up_to, bang, compose, \
-    from_fiber_sizes, identity_surjection, induced_map
+    enumerate_surjections, from_fiber_sizes, identity_surjection, induced_map
 from opint.trees import corolla
 
 
@@ -203,6 +203,31 @@ def test_empty_homs_share_one_category():
         assert all(is_terminal(I.hom(x, O.unit), O.eps(x)) for x in I.zero_cells())
 
 
+def brute_force_one_cells(I, x, y):
+    """The 1-cells x -> y found pair by pair: every surjection, every tuple
+    of fiber objects, every alpha: mu_f(y, args) -> x, in that order."""
+    P = I.P
+    return [OneCell(f, args, alpha, x, y)
+            for f in enumerate_surjections(x.arity, y.arity)
+            for args in itertools.product(*[P.component(s).objects
+                                            for s in f.fiber_sizes()])
+            for alpha in P.hom(x.arity, P.apply_obj(f, (y.obj,) + args), x.obj)]
+
+
+@pytest.mark.parametrize("make", [lambda: tree_operad(4), lambda: nat_operad(3),
+                                  chaotic_operad], ids=["trees:4", "nat:3", "chaotic:2:2"])
+def test_target_index_matches_brute_force(make):
+    I = integrate(make())
+    Z = I.zero_cells()
+    cells = {(x, y): brute_force_one_cells(I, x, y) for x in Z for y in Z}
+    for (x, y), expected in cells.items():
+        assert list(I.hom(x, y).objects) == expected, (str(x), str(y))
+    for z in Z:
+        assert I.sources(z) == tuple(x for x in Z if cells[x, z])
+        assert I.targets(z) == tuple(y for y in Z if cells[z, y])
+        assert list(I.one_cells_from(z)) == [c for y in Z for c in cells[z, y]]
+
+
 @pytest.mark.parametrize("built", [True, False])
 def test_two_cell_rejects_a_failing_condition(built):
     # in Z/2, e o mu(1, s) = s, not e: well typed, but no 2-cell
@@ -243,9 +268,12 @@ def test_stats_count_memo_hits():
         assert stats["memos"][name]["size"] > 0
         assert stats["memos"][name]["hits"] > 0, name
     assert stats["memos"]["fibtri"] == {"size": 0, "hits": 0}
-    assert set(stats["memos"]) == {"hom", "out", "id1", "id2", "hcomp", "hcomp2",
-                                   "vcomp", "fibtri", "fib0", "lift"}
+    assert set(stats["memos"]) == {"alphas", "into", "hom", "out", "id1", "id2", "hcomp",
+                                   "hcomp2", "vcomp", "fibtri", "fib0", "lift"}
     assert stats["memos"]["hom"]["hits"] > 0
+    # one index per target and one out-index per arity, each built once
+    assert stats["memos"]["into"]["size"] == len(I.zero_cells())
+    assert stats["memos"]["alphas"]["size"] == I.P.bound
     live = stats["live_cells"]
     assert set(live) == {"ZeroCell", "OneCell", "TwoCell", "LaxTriangle"}
     assert live["OneCell"] >= sum(1 for _ in I.all_one_cells())

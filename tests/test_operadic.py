@@ -24,7 +24,7 @@ from opint.operadic import (
 )
 from opint.operads import validate_operad_morphism
 from opint.report import Report
-from opint.surjections import Surjection, bang, identity_surjection
+from opint.surjections import Surjection, bang, enumerate_surjections, identity_surjection
 from opint.trees import LEAF, corolla
 
 
@@ -442,6 +442,35 @@ def test_roundtrip_2cat_certificates():
         assert cert.ok, (P.name, cert.line())
 
 
+def test_roundtrip_2cat_sees_a_hom_empty_on_the_extracted_side():
+    # the presentation gains a 1-cell [1,L] -> [2,(L,L)], where the
+    # integration of the extracted operad has an empty hom: the pair walk
+    # must reach it through the presentation's own targets (the ghost is
+    # not among the sources of [2,(L,L)], so the extraction never meets it)
+    S = fibration(tree_operad(2))
+    I = S.operadic.tc
+    x, y = ZeroCell(1, LEAF), ZeroCell(2, corolla(2))
+    assert not I.hom(x, y).objects
+
+    class Ghost:
+        def __getattr__(self, name):
+            return getattr(I, name)
+
+        def hom(self, a, b):
+            if (a, b) != (x, y):
+                return I.hom(a, b)
+            return FinCat(["ghost"], [("id2", "ghost", "ghost")], {"ghost": "id2"},
+                          {("id2", "id2"): "id2"})
+
+        def targets(self, a):
+            return I.targets(a) + (y,) * (a == x)
+
+    ghost = dataclasses.replace(S, operadic=dataclasses.replace(S.operadic, tc=Ghost()))
+    cert = roundtrip_2cat(ghost)
+    assert (cert.status, cert.witness) == \
+        ("fail", ("1-cell bijection", str(ZeroCell(1, x)), str(ZeroCell(2, y))))
+
+
 def test_roundtrip_with_relabeled_objects():
     # rename the chain objects; everything should be invariant under ids
     base = nat_operad(2)
@@ -646,6 +675,14 @@ def test_delta_s_presentation_basics():
     O = delta_s(3)
     assert O.fib0(2, Surjection(3, 2, (1, 2, 2))) == (1, 2)
     assert O.eps(3) == bang(3)
+
+
+def test_delta_s_sources_and_targets_are_the_non_empty_homs():
+    D = DeltaSTwoCat(4)
+    Z = D.zero_cells()
+    for n in Z:
+        assert D.sources(n) == tuple(m for m in Z if enumerate_surjections(m, n))
+        assert D.targets(n) == tuple(k for k in Z if enumerate_surjections(n, k))
 
 
 MU_NOT_FUNCTOR = pathlib.Path(__file__).parent / "data" / "nat2_mu_not_functor.json"
