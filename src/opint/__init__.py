@@ -26,7 +26,7 @@ from .integration import (
 )
 from .operadic import (
     Certificate, DeltaSTwoCat, ExtractionError, OperadicTwoCat, SplitFibrationData,
-    TrivialityVerdict, canonical_fibration, check_all_lifts_cartesian,
+    canonical_fibration, check_all_lifts_cartesian,
     check_full_faithfulness, check_integration_map, check_operadic_axioms,
     check_splitting, check_trivial_subcategory, delta_s,
     enumerate_lift_preserving_2functors, enumerate_operad_morphisms, extract_operad,

@@ -98,9 +98,9 @@ class FinCat:
         return len(self._objects), len(self._mor)
 
 
-def terminal_category(obj="*") -> FinCat:
-    mid = ("id", obj)
-    return FinCat([obj], [(mid, obj, obj)], {obj: mid}, {(mid, mid): mid})
+def terminal_category() -> FinCat:
+    mid = ("id", "*")
+    return FinCat(["*"], [(mid, "*", "*")], {"*": mid}, {(mid, mid): mid})
 
 
 def poset_category(elements, le) -> FinCat:

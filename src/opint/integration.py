@@ -198,13 +198,6 @@ class Integration:
                 "memos": {name: {"size": len(memo), "hits": self._hits[name]}
                           for name, memo in self._memos.items()}}
 
-    # protocol aliases used by the operadic layer
-    compose1 = h_compose
-    identity1 = identity_one_cell
-    vcompose2 = v_compose
-    hcompose2 = h_compose_2cells
-    identity2 = identity_two_cell
-
     # -- homs ---------------------------------------------------------------
 
     @memoized("alphas")
@@ -299,13 +292,6 @@ class Integration:
         bs = tuple(fc.obj for fc in fiber_cells)
         s = self.P.apply_obj(g, (c_cell.obj,) + bs)
         return self.one_cell(g, bs, self.P.component(g.dom).id_of(s), c_cell)
-
-    def lax_triangle(self, d2: OneCell, d1: OneCell, d0: OneCell,
-                     filler: TwoCell) -> LaxTriangle:
-        composite = self.h_compose(d0, d2)
-        if filler.src != composite or filler.dst != d1:
-            raise ValueError("filler does not run from the composite to d1")
-        return LaxTriangle(d2, d1, d0, filler)
 
     @memoized("fibtri")
     def fibers_of_lax_triangle(self, tri: LaxTriangle) -> tuple[OneCell, ...]:
@@ -503,12 +489,8 @@ class IntegrationMap:
         return self.target.two_cell(self.on1(t.src), self.on1(t.dst), deltas)
 
 
-def integrate_morphism(F: OperadMorphism, source: Integration | None = None,
-                       target: Integration | None = None,
-                       cap: int | None = DEFAULT_CAP) -> IntegrationMap:
+def integrate_morphism(F: OperadMorphism, cap: int | None = DEFAULT_CAP) -> IntegrationMap:
     report = validate_operad_morphism(F, cap=cap)
     if report.status == FAIL:
         raise ValueError("invalid operad morphism: %s" % report.line())
-    source = source or integrate(F.source)
-    target = target or integrate(F.target)
-    return IntegrationMap(F, source, target)
+    return IntegrationMap(F, integrate(F.source), integrate(F.target))

@@ -40,8 +40,9 @@ class OperadicTwoCat:
     The presentation ``tc`` must provide ``zero_cells()``, ``hom(x, y)``
     (a FinCat of 1-cells and 2-cells), ``sources(y)`` and ``targets(x)``
     (the 0-cells with a 1-cell into y, out of x, in 0-cell order),
-    ``compose1``, ``identity1``, ``identity2``, ``vcompose2`` and
-    ``hcompose2``.  The remaining fields interpret its cells in the
+    ``h_compose(g, f)``, ``identity_one_cell(x)``, ``identity_two_cell(f)``,
+    ``v_compose(t2, t1)`` and ``h_compose_2cells(e, d)``, named as on
+    :class:`Integration`.  The remaining fields interpret its cells in the
     surjection calculus.  The presentation is connected, as Delta_s is:
     ``eps`` sends every 0-cell into the one chosen ``unit``.
     """
@@ -76,7 +77,7 @@ class OperadicTwoCat:
         for z in self.tc.sources(y):   # each has a 1-cell into x too, through phi
             hom_zx = self.tc.hom(z, x)
             for psi in self.tc.hom(z, y).objects:
-                composite = self.tc.compose1(phi, psi)
+                composite = self.tc.h_compose(phi, psi)
                 for theta in hom_zx.objects:
                     for filler in hom_zx.hom(composite, theta):
                         yield LaxTriangle(psi, theta, phi, filler)
@@ -91,9 +92,9 @@ class OperadicTwoCat:
 
     def slice_compose(self, second: LaxTriangle, first: LaxTriangle) -> LaxTriangle:
         """Composition of lax-slice morphisms over a common vertex."""
-        d2 = self.tc.compose1(second.d2, first.d2)
-        whisk = self.tc.hcompose2(second.filler, self.tc.identity2(first.d2))
-        filler = self.tc.vcompose2(first.filler, whisk)
+        d2 = self.tc.h_compose(second.d2, first.d2)
+        whisk = self.tc.h_compose_2cells(second.filler, self.tc.identity_two_cell(first.d2))
+        filler = self.tc.v_compose(first.filler, whisk)
         return LaxTriangle(d2, first.d1, second.d0, filler)
 
     @classmethod
@@ -151,21 +152,21 @@ class DeltaSTwoCat:
         comp = {((("id2", c)), ("id2", c)): ("id2", c) for c in cells}
         return FinCat(cells, morphisms, identity, comp)
 
-    def compose1(self, g, f):
+    def h_compose(self, g, f):
         return compose(f, g)
 
-    def identity1(self, n):
+    def identity_one_cell(self, n):
         return identity_surjection(n)
 
-    def identity2(self, cell):
+    def identity_two_cell(self, cell):
         return ("id2", cell)
 
-    def vcompose2(self, t2, t1):
+    def v_compose(self, t2, t1):
         if t1 != t2:
             raise ValueError("only identity 2-cells exist here")
         return t1
 
-    def hcompose2(self, e, d):
+    def h_compose_2cells(self, e, d):
         return ("id2", compose(d[1], e[1]))
 
 
@@ -233,7 +234,7 @@ def _check_lali_choice(O, r) -> Report:
             return r
         if not is_terminal(O.tc.hom(x, u), O.eps(x)):
             return r.fail(("terminal map", str(x)))
-    if O.eps(u) != O.tc.identity1(u):
+    if O.eps(u) != O.tc.identity_one_cell(u):
         return r.fail(("endo terminal", str(u)))
     return r
 
@@ -278,7 +279,7 @@ def _check_axiom_identity_fibers(O, r) -> Report:
     for x in O.tc.zero_cells():
         if not r.charge():
             return r
-        if O.fib0(x, O.tc.identity1(x)) != (O.unit,) * O.card0(x):
+        if O.fib0(x, O.tc.identity_one_cell(x)) != (O.unit,) * O.card0(x):
             return r.fail(str(x))
     return r
 
@@ -286,13 +287,13 @@ def _check_axiom_identity_fibers(O, r) -> Report:
 def _check_axiom_terminal_fibers(O, r) -> Report:
     # fibers of the unit triangle on phi are the terminal maps of its fibers
     for x in O.tc.zero_cells():
-        ident = O.tc.identity1(x)
+        ident = O.tc.identity_one_cell(x)
         for phi in O.one_cells_into(x):
             if not r.charge():
                 return r
-            if O.tc.compose1(ident, phi) != phi:
+            if O.tc.h_compose(ident, phi) != phi:
                 return r.fail(("strict unit law", str(phi)))
-            tri = LaxTriangle(phi, phi, ident, O.tc.identity2(phi))
+            tri = LaxTriangle(phi, phi, ident, O.tc.identity_two_cell(phi))
             fib1s = O.fib1(x, tri)
             expected = tuple(O.eps(c) for c in O.fib0(x, phi))
             if fib1s != expected:
@@ -377,7 +378,7 @@ def _fiber_axiom_on_one_cells(O, x, phi, g, fibs_phi, triangles, r) -> bool:
     for tri in triangles:
         by_d1.setdefault(tri.d1, []).append(tri)
     n_fib = len(fibs_phi)
-    id2_phi = tc.identity2(phi)
+    id2_phi = tc.identity_two_cell(phi)
     fibers, routes, candidates, verified = {}, {}, {}, set()   # local to phi
 
     def fibers_of(tri):
@@ -392,18 +393,18 @@ def _fiber_axiom_on_one_cells(O, x, phi, g, fibs_phi, triangles, r) -> bool:
             sources = by_d1.get(sigma.d1)
             if not sources:
                 continue
-            d2comp = tc.compose1(a2.d2, sigma.d2)
+            d2comp = tc.h_compose(a2.d2, sigma.d2)
             entries = candidates.get((sigma.d1, d2comp))
             if entries is None:
                 hom_up = tc.hom(O.src0(sigma.d1), y)
                 entries = candidates[sigma.d1, d2comp] = [
                     [a1, gamma, fibers_of(a1),
-                     tc.vcompose2(a1.filler, tc.hcompose2(id2_phi, gamma)), None]
+                     tc.v_compose(a1.filler, tc.h_compose_2cells(id2_phi, gamma)), None]
                     for a1 in sources for gamma in hom_up.hom(d2comp, a1.d2)]
             if not entries:
                 continue
-            comp_filler = tc.vcompose2(
-                sigma.filler, tc.hcompose2(a2.filler, tc.identity2(sigma.d2)))
+            comp_filler = tc.v_compose(
+                sigma.filler, tc.h_compose_2cells(a2.filler, tc.identity_two_cell(sigma.d2)))
             sig_f = fibers_of(sigma)
             composed_f = None
             for entry in entries:              # a1: source object of the 1-cell
@@ -423,7 +424,7 @@ def _fiber_axiom_on_one_cells(O, x, phi, g, fibs_phi, triangles, r) -> bool:
                 if square in verified:
                     continue
                 if composed_f is None:
-                    composed_f = tuple(tc.compose1(a2_f[i], sig_f[i])
+                    composed_f = tuple(tc.h_compose(a2_f[i], sig_f[i])
                                        for i in range(n_fib))
                 for i in range(n_fib):
                     if src2(xi_f[i]) != composed_f[i]:
@@ -477,7 +478,7 @@ def _fillers(O, phi, theta, psis, base):
     for d2 in O.tc.hom(z, O.src0(phi)).objects:
         if O.card1(d2) != base:
             continue
-        composite = O.tc.compose1(phi, d2)
+        composite = O.tc.h_compose(phi, d2)
         for filler in hom_zt.hom(composite, theta):
             tri = LaxTriangle(d2, theta, phi, filler)
             if O.fib1(t, tri) == psis:
@@ -520,7 +521,7 @@ def check_splitting(S: SplitFibrationData, cap: int | None = DEFAULT_CAP) -> Rep
         for c in _cells_of_card(O, n):
             if not r.charge():
                 return r
-            if S.lift(identity_surjection(n), c, units) != O.tc.identity1(c):
+            if S.lift(identity_surjection(n), c, units) != O.tc.identity_one_cell(c):
                 return r.fail(("identity lift", str(c)))
             if not r.charge():
                 return r
@@ -538,7 +539,7 @@ def check_splitting(S: SplitFibrationData, cap: int | None = DEFAULT_CAP) -> Rep
                 for as_ in itertools.product(*a_slots):
                     if not r.charge():
                         return r
-                    lhs = O.tc.compose1(outer, S.lift(f, mid, as_))
+                    lhs = O.tc.h_compose(outer, S.lift(f, mid, as_))
                     blocks = block_cut(as_, g)
                     inner_sources = tuple(
                         S.lift_source(induced_map(f, g, i), bs[i - 1], blocks[i - 1])
@@ -571,33 +572,20 @@ def check_all_lifts_cartesian(S: SplitFibrationData,
 # trivial cells and extraction
 
 
-@dataclass
-class TrivialityVerdict:
-    value: bool
-    reason: str = "checked"
-    witness: object = None
-
-    def __bool__(self):
-        return self.value
-
-
 @memoized("trivial")
-def is_trivial(O: OperadicTwoCat, phi) -> TrivialityVerdict:
+def is_trivial(O: OperadicTwoCat, phi) -> bool:
     """A cardinality-preserving cell all of whose unit triangles have
     terminal fibers; these are the morphisms the extraction keeps.  The
     verdict is memoized on ``O``."""
     x, y = O.dst0(phi), O.src0(phi)
     if O.card0(x) != O.card0(y):
-        return TrivialityVerdict(False, "cardinality precondition",
-                                 (O.card0(y), O.card0(x)))
+        return False
     for psi in O.one_cells_into(y):
-        theta = O.tc.compose1(phi, psi)
-        tri = LaxTriangle(psi, theta, phi, O.tc.identity2(theta))
-        fibs = O.fib1(x, tri)
-        expected = tuple(O.eps(c) for c in O.fib0(y, psi))
-        if fibs != expected:
-            return TrivialityVerdict(False, "checked", str(psi))
-    return TrivialityVerdict(True)
+        theta = O.tc.h_compose(phi, psi)
+        tri = LaxTriangle(psi, theta, phi, O.tc.identity_two_cell(theta))
+        if O.fib1(x, tri) != tuple(O.eps(c) for c in O.fib0(y, psi)):
+            return False
+    return True
 
 
 def trivial_subcategory(O: OperadicTwoCat, n: int) -> FinCat:
@@ -607,10 +595,10 @@ def trivial_subcategory(O: OperadicTwoCat, n: int) -> FinCat:
     objects = _cells_of_card(O, n)
     morphisms = [(t, y, x) for x in objects for y in O.tc.targets(x) if O.card0(y) == n
                  for t in O.tc.hom(x, y).objects if is_trivial(O, t)]
-    identity = {x: O.tc.identity1(x) for x in objects}
+    identity = {x: O.tc.identity_one_cell(x) for x in objects}
 
     def comp(t2, t1):
-        return O.tc.compose1(t1, t2)
+        return O.tc.h_compose(t1, t2)
 
     return FinCat(objects, morphisms, identity, comp)
 
@@ -623,24 +611,25 @@ def check_trivial_subcategory(O: OperadicTwoCat,
     for x in O.tc.zero_cells():
         if not r.charge():
             return r
-        if not is_trivial(O, O.tc.identity1(x)):
+        if not is_trivial(O, O.tc.identity_one_cell(x)):
             return r.fail(("identity", str(x)))
     cards = dict.fromkeys(O.card0(x) for x in O.tc.zero_cells())
     trivial = [t for n in cards for t in trivial_subcategory(O, n).morphism_ids()]
+    by_src: dict = {}
+    for t in trivial:
+        by_src.setdefault(O.src0(t), []).append(t)
     for t1 in trivial:
-        for t2 in trivial:
-            if O.src0(t2) != O.dst0(t1):
-                continue
+        for t2 in by_src.get(O.dst0(t1), ()):
             if not r.charge():
                 return r
-            if not is_trivial(O, O.tc.compose1(t2, t1)):
+            if not is_trivial(O, O.tc.h_compose(t2, t1)):
                 return r.fail(("composite", str(t1), str(t2)))
     for t in trivial:
         x, y = O.dst0(t), O.src0(t)
         for psi in O.one_cells_into(y):
             if not r.charge():
                 return r
-            if O.fib0(x, O.tc.compose1(t, psi)) != O.fib0(y, psi):
+            if O.fib0(x, O.tc.h_compose(t, psi)) != O.fib0(y, psi):
                 return r.fail(("fiber matching", str(t), str(psi)))
     return r
 
@@ -692,7 +681,7 @@ def _extracted_mu(S: SplitFibrationData, g: Surjection, components) -> Functor:
         bs_src = tuple(O.dst0(t) for t in t_bs)
         bs_dst = tuple(O.src0(t) for t in t_bs)
         cartesian = S.lift(g, c_src, bs_src)
-        theta = O.tc.compose1(t_c, S.lift(g, c_dst, bs_dst))
+        theta = O.tc.h_compose(t_c, S.lift(g, c_dst, bs_dst))
         tri = _unique_filler(O, cartesian, theta, t_bs, base)
         d2 = tri.d2
         if not target.has_morphism(d2):
@@ -724,7 +713,7 @@ def _check_cell_map(I: Integration, S: SplitFibrationData, on0, on1,
     for x in I.zero_cells():
         if not r.charge():
             return r
-        if on1(I.identity_one_cell(x)) != O.tc.identity1(on0(x)):
+        if on1(I.identity_one_cell(x)) != O.tc.identity_one_cell(on0(x)):
             return r.fail(("identity", str(x)))
     for f_cell in I.all_one_cells():
         if not r.charge():
@@ -742,7 +731,7 @@ def _check_cell_map(I: Integration, S: SplitFibrationData, on0, on1,
         for g_cell in I.one_cells_from(f_cell.dst):
             if not r.charge():
                 return r
-            if on1(I.h_compose(g_cell, f_cell)) != O.tc.compose1(on1(g_cell), image):
+            if on1(I.h_compose(g_cell, f_cell)) != O.tc.h_compose(on1(g_cell), image):
                 return r.fail(("composition", str(f_cell), str(g_cell)))
     for g, c, fibers in lift_instances(I.zero_cells(), lambda x: x.arity, I.P.bound):
         if not r.charge():
@@ -832,7 +821,7 @@ def roundtrip_2cat(S: SplitFibrationData, cap: int | None = DEFAULT_CAP) -> Cert
 
     def g1(cell: OneCell):
         lift = S.lift(cell.f, g0(cell.dst), cell.args)
-        return O.tc.compose1(lift, cell.alpha)
+        return O.tc.h_compose(lift, cell.alpha)
 
     # 0-cells are in bijection
     if not _bijective(map(g0, J.zero_cells()), O.tc.zero_cells()):
@@ -868,7 +857,7 @@ def _image_two_cell(O, src_cell, dst_cell, deltas):
     z = O.src0(src_cell)
     x = O.dst0(src_cell)
     H = O.tc.hom(z, x)
-    ident = O.tc.identity1(z)
+    ident = O.tc.identity_one_cell(z)
     found = None
     for xi in H.hom(src_cell, dst_cell):
         tri = LaxTriangle(ident, dst_cell, src_cell, xi)
@@ -933,7 +922,7 @@ def _forced_extension_valid(IP: Integration, SQ: SplitFibrationData, functors) -
         component = IQ.one_cell(e_part.f, (IQ.P.unit,) * m,
                                 functors[m].mor_map[e_part.alpha], h0(e_part.dst))
         lift = SQ.lift(m_part.f, h0(m_part.dst), tuple(map(h0, IP.fibers_of_1cell(m_part))))
-        return IQ.compose1(lift, component)
+        return IQ.h_compose(lift, component)
 
     cells = tuple(IP.all_one_cells())  # builds IP's homs outside the try
     try:

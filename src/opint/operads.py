@@ -202,30 +202,25 @@ def validate_structure(P: TruncatedOperad) -> list[Report]:
     return reports
 
 
-def validate_operad(P: TruncatedOperad, deep: bool = False,
-                    cap: int | None = DEFAULT_CAP) -> list[Report]:
-    """Structural validation; with ``deep`` also the full axiom checks.
+def validate_operad(P: TruncatedOperad) -> list[Report]:
+    """Structural validation, light enough to run on every construction.
 
-    The light pass adds object-level associativity to
-    :func:`validate_structure`, and checks that each ``mu_g`` given by a
-    plain table is a functor on morphisms (a :class:`fincat.RuleMap` is one
-    by its rule).  That keeps construction of large integrations cheap
-    while still rejecting malformed input.  The deep pass checks every
-    ``mu_g``; the witness names the first that fails.
+    Adds object-level associativity to :func:`validate_structure`, and
+    checks that each ``mu_g`` given by a plain table is a functor on
+    morphisms (a :class:`fincat.RuleMap` is one by its rule); the witness
+    names the first that fails.  :func:`check_associativity` is the full
+    associativity check.
     """
     reports = validate_structure(P)
     if reports[-1].name == "unitality":  # the structure is sound
-        if deep:
-            reports.append(check_associativity(P, cap=cap))
-        else:
-            obj_only = Report("associativity (objects)")
-            for f, g in _composable_pairs(P.bound):
-                if not _assoc_sweep(P, f, g, False, obj_only):
-                    break
-            reports.append(obj_only)
+        obj_only = Report("associativity (objects)")
+        for f, g in _composable_pairs(P.bound):
+            if not _assoc_sweep(P, f, g, False, obj_only):
+                break
+        reports.append(obj_only)
         functors = Report("mu on morphisms")
         for g in all_surjections_up_to(P.bound):
-            if deep or type(P.mu[g].mor_map) is dict:
+            if type(P.mu[g].mor_map) is dict:
                 sub = validate_functor(P.mu[g])
                 functors.charge(sub.checked)
                 if not sub.ok:
@@ -267,12 +262,11 @@ class OperadMorphism:
         return self.functors[n].mor_map[m]
 
 
-def validate_operad_morphism(F: OperadMorphism, cap: int | None = DEFAULT_CAP,
-                             name: str | None = None) -> Report:
+def validate_operad_morphism(F: OperadMorphism, cap: int | None = DEFAULT_CAP) -> Report:
     """Check functoriality per arity, unit preservation, and both
     compatibility squares with the composition functors."""
     P, Q = F.source, F.target
-    r = Report(name or ("operad morphism %s" % F.name), cap=cap)
+    r = Report("operad morphism %s" % F.name, cap=cap)
     if P.bound != Q.bound:
         return r.fail("bounds differ")
     for n in range(1, P.bound + 1):
@@ -394,7 +388,7 @@ def terminal_operad(N: int) -> TruncatedOperad:
     """One object and one morphism in every arity; everything collapses."""
     if N < 1:
         raise ValueError("need N >= 1")
-    components = {n: terminal_category("*") for n in range(1, N + 1)}
+    components = {n: terminal_category() for n in range(1, N + 1)}
     star = "*"
     mu = {g: _mu_functor(components, g, lambda tup: star, lambda ms: ("id", star))
           for g in all_surjections_up_to(N)}

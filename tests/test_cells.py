@@ -107,8 +107,8 @@ def test_cells_built_twice_are_identical():
         assert TwoCell(t.src, t.dst, t.deltas) is t
         assert I.two_cell(t.src, t.dst, list(t.deltas)) is t
     ident = I.identity_one_cell(y)
-    tri = I.lax_triangle(cell, cell, ident, I.identity_two_cell(cell))
-    assert LaxTriangle(cell, cell, ident, I.identity_two_cell(cell)) is tri
+    tri = LaxTriangle(cell, cell, ident, I.identity_two_cell(cell))
+    assert LaxTriangle(H.objects[0], cell, I.identity_one_cell(y), tri.filler) is tri
 
 
 def test_cells_are_immutable_and_keep_their_repr():

@@ -7,9 +7,10 @@ import pytest
 from opint import jsonio
 from opint.cli import main
 from opint.dot import hom_to_dot, tree_to_dot
-from opint.fincat import RuleMap
+from opint.fincat import RuleMap, validate_functor
 from opint.integration import ZeroCell, integrate
-from opint.operads import nat_operad, terminal_operad, tree_operad, validate_operad
+from opint.operads import check_associativity, nat_operad, terminal_operad, tree_operad, \
+    validate_operad
 from opint.trees import LEAF
 
 
@@ -501,7 +502,9 @@ def test_operad_json_roundtrip(tmp_path, capsys):
     assert code == 0
     Q = jsonio.operad_from_json(json.loads(path.read_text()))
     assert Q.bound == P.bound and Q.unit == P.unit
-    assert all(r.ok for r in validate_operad(Q, deep=True))
+    assert all(r.ok for r in validate_operad(Q))
+    assert check_associativity(Q).ok
+    assert all(validate_functor(mu).ok for mu in Q.mu.values())
 
 
 def test_poset_component_json():
@@ -515,7 +518,9 @@ def test_poset_component_json():
                           for a in range(3) for b in range(3)]}],
     }
     P = jsonio.operad_from_json(data)
-    assert all(r.ok for r in validate_operad(P, deep=True))
+    assert all(r.ok for r in validate_operad(P))
+    assert check_associativity(P).ok
+    assert all(validate_functor(mu).ok for mu in P.mu.values())
     # the derived morphism graph agrees with the saturating sum
     from opint.surjections import identity_surjection
     assert P.apply_mor(identity_surjection(1), ((2, 1), (1, 0))) == (2, 1)

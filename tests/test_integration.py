@@ -5,8 +5,8 @@ import pytest
 
 from opint.fincat import is_terminal
 from opint.integration import (
-    IntegrationMap, InvalidOperad, ZeroCell, check_factorization, check_projection,
-    check_two_category_laws, integrate, integrate_morphism,
+    IntegrationMap, InvalidOperad, LaxTriangle, ZeroCell, check_factorization,
+    check_projection, check_two_category_laws, integrate, integrate_morphism,
 )
 from opint.jsonio import operad_from_json
 from opint.operadic import OperadicTwoCat, check_integration_map
@@ -188,8 +188,9 @@ def test_fibers_of_cut_cell_are_the_cut_off_subtrees():
 def test_identity_triangle_fibers_are_terminal_maps():
     I = integrate(tree_operad(3))
     for phi in I.all_one_cells():
-        tri = I.lax_triangle(phi, phi, I.identity_one_cell(phi.dst),
-                             I.identity_two_cell(phi))
+        ident = I.identity_one_cell(phi.dst)
+        assert I.h_compose(ident, phi) == phi   # the filler runs from the composite
+        tri = LaxTriangle(phi, phi, ident, I.identity_two_cell(phi))
         fibers = I.fibers_of_lax_triangle(tri)
         for fiber_cell, fiber0 in zip(fibers, I.fibers_of_1cell(phi)):
             assert fiber_cell == I.cartesian_lift(
@@ -297,10 +298,12 @@ def test_integrate_rejects_invalid_operad():
 def test_integration_of_identity_morphism():
     P = tree_operad(2)
     I = integrate(P)
-    im = integrate_morphism(identity_operad_morphism(P), I, I)
+    im = integrate_morphism(identity_operad_morphism(P))
     assert check_integration_map(im).ok
+    # hash-consing: both integrations of P hold the very cells of I
+    assert list(im.source.all_one_cells()) == list(I.all_one_cells())
     for cell in I.all_one_cells():
-        assert im.on1(cell) == cell
+        assert im.on1(cell) is cell
 
 
 def test_integration_of_terminal_collapse():

@@ -8,11 +8,13 @@ import pytest
 from opint.cli import load_operad
 from opint.fincat import FinCat, Functor, poset_category, validate_functor
 from opint.integration import (
-    InvalidOperad, LaxTriangle, OneCell, ZeroCell, integrate, integrate_morphism,
+    Integration, InvalidOperad, LaxTriangle, OneCell, ZeroCell, integrate,
+    integrate_morphism,
 )
 from opint.jsonio import operad_from_json
 from opint.operads import (
-    OperadMorphism, nat_operad, terminal_operad, tree_operad, validate_operad,
+    OperadMorphism, check_associativity, nat_operad, terminal_operad, tree_operad,
+    validate_operad,
 )
 from opint.operadic import (
     DeltaSTwoCat, ExtractionError, canonical_fibration, check_all_lifts_cartesian,
@@ -20,7 +22,7 @@ from opint.operadic import (
     check_splitting, check_trivial_subcategory, delta_s,
     enumerate_lift_preserving_2functors, enumerate_operad_morphisms, extract_operad,
     is_operadic_cartesian, is_trivial, roundtrip_2cat, roundtrip_operad,
-    OperadicTwoCat, _check_fiber_axiom_one_cells, _check_lali_choice,
+    OperadicTwoCat, SplitFibrationData, _check_fiber_axiom_one_cells, _check_lali_choice,
 )
 from opint.operads import validate_operad_morphism
 from opint.report import Report
@@ -346,9 +348,8 @@ def test_trivial_cells_in_tree_integration():
     assert is_trivial(O, cell)
     # a proper cut is rejected on cardinality grounds
     cut = I.cartesian_lift(bang(3), ZeroCell(1, LEAF), (ZeroCell(3, corolla(3)),))
-    verdict = is_trivial(O, cut)
-    assert not verdict
-    assert verdict.reason == "cardinality precondition"
+    assert (O.card0(O.src0(cut)), O.card0(O.dst0(cut))) == (3, 1)
+    assert is_trivial(O, cut) is False
 
 
 def test_non_unit_middles_are_not_trivial():
@@ -361,8 +362,10 @@ def test_non_unit_middles_are_not_trivial():
 
 
 def test_trivial_subcategory_checks():
-    for P in (nat_operad(3), tree_operad(2)):
-        assert check_trivial_subcategory(fibration(P).operadic).ok
+    # every composable pair of trivial cells is charged once
+    for P, n in ((nat_operad(3), 149), (tree_operad(2), 7), (tree_operad(4), 263)):
+        r = check_trivial_subcategory(fibration(P).operadic)
+        assert (r.status, r.checked) == ("pass", n), (P.name, r.line())
 
 
 def test_replaced_eps_is_not_served_from_the_triviality_memo():
@@ -387,8 +390,11 @@ def test_replaced_eps_is_not_served_from_the_triviality_memo():
 def test_extracted_operad_is_valid_and_isomorphic():
     P = nat_operad(3)
     P2 = extract_operad(fibration(P))
-    # deep validation: composition functors are functorial on morphisms too
-    assert all(r.ok for r in validate_operad(P2, deep=True))
+    # full validation: associative on morphisms and every composition
+    # functor is a functor, rule-backed or not
+    assert all(r.ok for r in validate_operad(P2))
+    assert check_associativity(P2).ok
+    assert all(validate_functor(mu).ok for mu in P2.mu.values())
     # the explicit isomorphism a -> ZeroCell(1, a), alpha: a -> b to the trivial
     # 1-cell [1; 0; alpha]: b -> a, is a functor bijective on objects and morphisms
     C, D = P.component(1), P2.component(1)
@@ -603,7 +609,9 @@ def test_full_faithfulness_reads_the_2_cells(acts, count):
     # differ (9 candidates); the 2-cells tie them together when mu_{2->2}
     # acts through its fiber slots
     P = fiber_action_operad(3, acts)
-    assert all(r.ok for r in validate_operad(P, deep=True))
+    assert all(r.ok for r in validate_operad(P))
+    assert check_associativity(P).ok
+    assert all(validate_functor(mu).ok for mu in P.mu.values())
     r = check_full_faithfulness(P, P)
     assert (r.status, r.notes) == \
         ("pass", ["%d morphisms, %d 2-functors" % (count, count)]), r.line()
@@ -637,14 +645,14 @@ def test_lali_absent_on_discrete_presentation():
                               {(("two", x), ("two", x)): ("two", x)})
             return FinCat([], [], {}, {})
 
-        def identity1(self, x):
+        def identity_one_cell(self, x):
             return ("one", x)
 
     def view(tc):
         # only the fields the lali choice reads are meaningful
         return OperadicTwoCat(tc, card0=lambda x: 1, card1=None, src0=None, dst0=None,
                               src2=None, fib0=None, fib1=None, fib2=None,
-                              unit=0, eps=tc.identity1)
+                              unit=0, eps=tc.identity_one_cell)
 
     # two isolated objects: hom(1, 0) is empty, so no 1-cell from 1 is
     # terminal into the chosen unit and the presentation has no lali
@@ -660,7 +668,7 @@ def test_lali_absent_on_discrete_presentation():
                           {c: ("id2", c) for c in cells},
                           {(("id2", c), ("id2", c)): ("id2", c) for c in cells})
 
-        def identity1(self, x):
+        def identity_one_cell(self, x):
             return ("a", x, x)
 
     r = _check_lali_choice(view(NoTerminal()), Report("lali choice"))
@@ -670,7 +678,7 @@ def test_lali_absent_on_discrete_presentation():
 def test_delta_s_presentation_basics():
     D = DeltaSTwoCat(3)
     assert D.hom(3, 2).counts() == (2, 2)
-    assert D.compose1(identity_surjection(2), Surjection(3, 2, (1, 1, 2))) == \
+    assert D.h_compose(identity_surjection(2), Surjection(3, 2, (1, 1, 2))) == \
         Surjection(3, 2, (1, 1, 2))
     O = delta_s(3)
     assert O.fib0(2, Surjection(3, 2, (1, 2, 2))) == (1, 2)
@@ -683,6 +691,33 @@ def test_delta_s_sources_and_targets_are_the_non_empty_homs():
     for n in Z:
         assert D.sources(n) == tuple(m for m in Z if enumerate_surjections(m, n))
         assert D.targets(n) == tuple(k for k in Z if enumerate_surjections(n, k))
+
+
+# the presentation protocol OperadicTwoCat documents, one name per operation
+PROTOCOL = ("zero_cells", "hom", "sources", "targets", "h_compose", "identity_one_cell",
+            "identity_two_cell", "v_compose", "h_compose_2cells")
+
+
+@pytest.mark.parametrize("presentation", [Integration, DeltaSTwoCat],
+                         ids=lambda c: c.__name__)
+def test_presentations_speak_the_protocol_under_one_name(presentation):
+    assert all(callable(getattr(presentation, name, None)) for name in PROTOCOL)
+    aliases = ("compose1", "identity1", "identity2", "vcompose2", "hcompose2")
+    assert not [name for name in aliases if hasattr(presentation, name)]
+
+
+@pytest.mark.parametrize("N, counts", [(2, (8, 4, 7)), (3, (19, 13, 13))])
+def test_abstract_checks_on_the_surjection_calculus(N, counts):
+    # Delta_s with each surjection its own lift was never an integration;
+    # it is split-fibered, and its extraction is terminal:N
+    S = SplitFibrationData(delta_s(N), lambda g, c, bs: g, N)
+    reports = (check_splitting(S, cap=None), check_all_lifts_cartesian(S, cap=None),
+               check_trivial_subcategory(S.operadic, cap=None))
+    assert [(r.status, r.checked) for r in reports] == [("pass", n) for n in counts]
+    assert roundtrip_2cat(S, cap=None).ok
+    P, T = extract_operad(S), terminal_operad(N)
+    assert [P.component(n).counts() for n in range(1, N + 1)] == \
+        [T.component(n).counts() for n in range(1, N + 1)] == [(1, 1)] * N
 
 
 MU_NOT_FUNCTOR = pathlib.Path(__file__).parent / "data" / "nat2_mu_not_functor.json"

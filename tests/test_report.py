@@ -42,7 +42,7 @@ CAPPING = {
     "factorization": (lambda t: [check_factorization(t.I, cap=1)],
                       {"strict factorization"}),
     "integration map": (lambda t: [check_integration_map(
-        integrate_morphism(identity_operad_morphism(t.P), t.I, t.I), cap=1)],
+        integrate_morphism(identity_operad_morphism(t.P)), cap=1)],
         {"integration 2-functor"}),
     "operadic axioms": (lambda t: check_operadic_axioms(t.O, cap=1),
                         {"lali choice", "axiom (i)", "axiom (ii)", "axiom (iii)",
@@ -55,8 +55,7 @@ CAPPING = {
     "trivial subcategory": (lambda t: [check_trivial_subcategory(t.O, cap=1)],
                             {"trivial subcategory"}),
     "operad morphism": (lambda t: [validate_operad_morphism(
-        identity_operad_morphism(t.P), cap=1, name="operad morphism")],
-        {"operad morphism"}),
+        identity_operad_morphism(t.P), cap=1)], {"operad morphism identity"}),
     "roundtrip operad": (lambda t: [roundtrip_operad(t.P, cap=1)], {"roundtrip operad"}),
     "roundtrip 2-category": (lambda t: [roundtrip_2cat(t.S, cap=1)],
                              {"roundtrip 2-category"}),
@@ -109,7 +108,7 @@ def test_every_capped_report_reads_cap_plus_one(trees3):
     # functor check (4 instances on trees:3) at once and stops there
     counts = {r.name: r.checked for run, _ in CAPPING.values() for r in run(trees3)
               if r.status == CAPPED}
-    assert counts.pop("operad morphism") == 4
+    assert counts.pop("operad morphism identity") == 4
     assert counts and set(counts.values()) == {2}, counts
 
 
