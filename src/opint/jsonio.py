@@ -134,7 +134,7 @@ def operad_from_json(data) -> TruncatedOperad:
                 gap = next(k for k in itertools.product(*slots) if k not in mor_map)
                 raise ValueError("mor_graph of %s lacks %r" % (g, gap))
         else:
-            mor_map = _derive_mor_map(cats, target, obj_map)
+            mor_map = _derive_mor_map(g, cats, target, obj_map)
         mu[g] = Functor(cats, target, obj_map, mor_map)
     missing = [str(g) for g in all_surjections_up_to(bound) if g not in mu]
     if missing:
@@ -154,27 +154,32 @@ def _table(entry, field, member, g) -> dict:
     return table
 
 
-def _derive_mor_map(cats, target, obj_map) -> RuleMap:
+def _derive_mor_map(g, cats, target, obj_map) -> RuleMap:
     """The morphism table when every target hom between images has one
     arrow: a RuleMap whose rule is that arrow, so a functor by construction.
-    It is filled here, so that a graph that cannot be derived is refused at load."""
-    def arrow(mid, src, dst):
-        arrows = target.hom(obj_map[src], obj_map[dst])
+    It is filled at load in one pass over the product; where an image or its
+    arrow is missing, the rule refuses the first such entry in product order."""
+    sides = [C.src for C in cats], [C.dst for C in cats]
+
+    def rule(mid):
+        ends = [tuple(end(m) for end, m in zip(side, mid)) for side in sides]
+        for x in ends:
+            if x not in obj_map:
+                raise ValueError("graph of %s lacks %r" % (g, x))
+        arrows = target.hom(*[obj_map[x] for x in ends])
         if len(arrows) != 1:
             raise ValueError("cannot derive morphism graph at %r" % (mid,))
         return arrows[0]
 
-    sides = [C.src for C in cats], [C.dst for C in cats]
-
-    def rule(mid):
-        return arrow(mid, *[tuple(end(m) for end, m in zip(side, mid)) for side in sides])
-
-    mor_map, slots = RuleMap(cats, rule, mor=True), [C.morphisms() for C in cats]
-    hom = target.hom   # arrow() inlined where it holds: a call per entry slows a load by 1/4
-    for mid, src, dst in zip(*[itertools.product(*[[t[k] for t in s] for s in slots])
-                               for k in range(3)]):  # ids, sources, targets in step
-        arrows = hom(obj_map[src], obj_map[dst])
-        mor_map[mid] = arrows[0] if len(arrows) == 1 else arrow(mid, src, dst)
+    single = {(s, d): m for m, s, d in target.morphisms() if len(target.hom(s, d)) == 1}
+    ids, srcs, dsts = [itertools.product(*[[t[k] for t in C.morphisms()] for C in cats])
+                       for k in range(3)]   # streamed in step, never held as lists
+    image, mor_map = obj_map.__getitem__, RuleMap(cats, rule, mor=True)
+    try:
+        mor_map.update(zip(ids, map(single.__getitem__, zip(map(image, srcs), map(image, dsts)))))
+    except KeyError:
+        for mid in itertools.product(*[C.morphism_ids() for C in cats]):
+            rule(mid)
     return mor_map
 
 

@@ -143,7 +143,14 @@ def _assoc_sweep(P, f, g, on_morphisms, r: Report) -> bool:
     g, f, fg and the induced maps, and each tail a_1..a_m cut along g; once
     per head (c, b_1..b_n): mu_g's value.  Each instance reads as ``apply_obj``
     or ``apply_mor`` would; on objects, each value mu returns is checked (once
-    per pair) to be an object before it is read further."""
+    per pair) to be an object before it is read further.
+
+    A head with more than one tail is first checked as one row: the inner
+    values are the product of one row of mu_i values per fiber of g, and the
+    row of left sides is compared with the row of right sides at once.  A row
+    that holds and fits under the cap is charged whole; any other row (a
+    mismatch, an exception, the cap inside it) goes to the per-instance loop,
+    which finds the verdict, count and witness the row cannot locate."""
     nb = g.cod
     hs = [g, f, compose(f, g)] + [induced_map(f, g, i + 1) for i in range(nb)]
     (mu_g, mu_f, mu_fg, *mu_i) = [getattr(P.mu_for(h), "mor_map" if on_morphisms
@@ -153,7 +160,22 @@ def _assoc_sweep(P, f, g, on_morphisms, r: Report) -> bool:
     slots = [C.morphism_ids() if on_morphisms else C.objects
              for C in [P.component(a) for a in P.arg_arities(g) + f.fiber_sizes()]]
     tails = [(tail, block_cut(tail, g)) for tail in itertools.product(*slots[1 + nb:])]
+    # a row needs two tails; in product order, the tails are the product of their blocks
+    n = len(tails)
+    cuts = n > 1 and [list(itertools.product(*s)) for s in block_cut(slots[1 + nb:], g)]
     for head in itertools.product(*slots[:1 + nb]):
+        if cuts and (r.cap is None or r.checked + n <= r.cap):
+            try:
+                v = check(ar_v, (mu_g[head],)) if check else (mu_g[head],)
+                inners = list(itertools.product(*[[mu[(b,) + a] for a in block] for mu, b, block
+                                                  in zip(mu_i, head[1:], cuts)]))
+                if check and not known.issuperset(inners):
+                    known.update(check(ar_inner, i) for i in set(inners) - known)
+                if [mu_f[v + t] for t, _ in tails] == [mu_fg[head[:1] + i] for i in inners]:
+                    r.charge(n)
+                    continue
+            except Exception:   # the loop raises it, or fails first, at its own instance
+                pass
         v = None
         for tail, blocks in tails:
             if not r.charge():
@@ -175,7 +197,9 @@ def check_associativity(P: TruncatedOperad, cap: int | None = DEFAULT_CAP) -> Re
 
     Each pair is checked on every tuple of objects and then on every
     tuple of morphisms, until ``cap`` instances are spent; a report that
-    runs out of cap reads ``capped``, never pass.
+    runs out of cap reads ``capped``, never pass.  Rows of instances that
+    hold are charged whole (:func:`_assoc_sweep`); a failing or capped row
+    is rerun instance by instance, so the count and witness are per instance.
     """
     r = Report("associativity", cap=cap)
     for f, g in _composable_pairs(P.bound):
@@ -208,8 +232,8 @@ def validate_operad(P: TruncatedOperad) -> list[Report]:
     Adds object-level associativity to :func:`validate_structure`, and
     checks that each ``mu_g`` given by a plain table is a functor on
     morphisms (a :class:`fincat.RuleMap` is one by its rule); the witness
-    names the first that fails.  :func:`check_associativity` is the full
-    associativity check.
+    names the first that fails.  The object sweep runs by rows, as in
+    :func:`check_associativity`, the full associativity check.
     """
     reports = validate_structure(P)
     if reports[-1].name == "unitality":  # the structure is sound

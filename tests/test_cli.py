@@ -315,10 +315,10 @@ def test_hostile_operad_files_exit_with_a_verdict(capsys, verb, name, problem):
     assert "Traceback" not in err
 
 
-# a bound below 1, a JSON object as a value (unit or image) and an incomplete
-# mor_graph exit 2 at load
+# a bound below 1, a JSON object as a value (unit or image), an incomplete
+# mor_graph and a graph with a gap where mor_graph is derived exit 2 at load
 REFUSED_AT_LOAD = {"bound0_no_components", "nat2_unit_unhashable", "nat2_value_unhashable",
-                   "nat2_mor_graph_incomplete"}
+                   "nat2_mor_graph_incomplete", "nat3_graph_gap_derived"}
 
 
 @pytest.mark.parametrize("argv", [
@@ -358,6 +358,15 @@ def test_incomplete_mor_graph_is_refused_at_load():
     del data["mu"][0]["mor_graph"][-3:]
     with pytest.raises(ValueError, match=r"mor_graph of 1->1:\[1\] lacks \(\(2, 2\), \(2, 0\)\)"):
         jsonio.operad_from_json(data)
+
+
+def test_graph_gap_is_named_where_mor_graph_is_derived(capsys):
+    # nat:3 without mor_graph, its graph lacking the entry at (2, 1): the
+    # derived table names the gap as an incomplete mor_graph would
+    path = str(DATA / "nat3_graph_gap_derived.json")
+    code, out, err = run(capsys, "validate", "--operad", path)
+    assert (code, out) == (2, "")
+    assert err == "error: bad operad file %r: graph of 1->1:[1] lacks (2, 1)\n" % path
 
 
 def test_morphism_ids_named_like_objects_are_morphisms(tmp_path, capsys):

@@ -112,6 +112,56 @@ def test_corrupted_mu_witnesses_are_located():
         check_associativity(P)
 
 
+def test_corruption_inside_a_row_is_witnessed_where_the_loop_finds_it():
+    # a head (c, b) of nat:5 runs over 6 object tails, or 21 morphism tails;
+    # each corruption first shows at a tail after the first of its row
+    g = identity_surjection(1)
+    P = nat_operad(5)
+    P.mu[g].obj_map[(2, 3)] = 4
+    line = ("associativity: fail (46 instances) "
+            "witness=('1->1:[1]', '1->1:[1]', (1, 1, 3), 4, 5)")
+    assert check_associativity(P).line() == line
+    assert [r.line() for r in validate_operad(P)][4] == \
+        line.replace("associativity", "associativity (objects)")
+    P = nat_operad(5)
+    P.mu[g].mor_map[((2, 1), (3, 2))] = (5, 5)
+    assert check_associativity(P).line() == (
+        "associativity: fail (708 instances) witness=('1->1:[1]', '1->1:[1]', "
+        "((1, 0), (1, 1), (3, 2)), (5, 5), (5, 3))")
+
+
+@pytest.mark.parametrize("cap", [90, 95, 729, 779, 864])
+def test_a_cap_at_or_inside_a_row_reads_cap_plus_one(cap):
+    # nat:8: 729 object instances in rows of 9, then morphism rows of 45;
+    # 90 and 864 end a row, 95 and 779 fall inside one
+    assert check_associativity(nat_operad(8), cap=cap).line() == \
+        "associativity: capped (%d instances) [cap %d reached]" % (cap + 1, cap)
+
+
+def test_a_mismatch_before_a_non_object_in_its_row_fails():
+    # row (0, 1) of nat:3 reads mu(1, 3) = 7, not an object, at its last
+    # tail; its second tail already mismatches
+    g = identity_surjection(1)
+    P = nat_operad(3)
+    P.mu[g].obj_map[(0, 1)] = 2
+    P.mu[g].obj_map[(1, 3)] = 7
+    assert check_associativity(P).line() == (
+        "associativity: fail (6 instances) "
+        "witness=('1->1:[1]', '1->1:[1]', (0, 1, 1), 3, 2)")
+
+
+def test_trees_corruption_in_a_multi_tail_row():
+    # (4->2:[1,2,2,2], 2->1:[1,1]) has rows of 3 tails; the corrupted
+    # grafting shows at the second tail of its row
+    P = tree_operad(4)
+    g = Surjection(4, 1, (1, 1, 1, 1))
+    P.mu[g].obj_map[(LEAF, (LEAF, ((LEAF, LEAF), LEAF)))] = (LEAF, (LEAF, (LEAF, LEAF)))
+    assert check_associativity(P).line() == (
+        "associativity: fail (108 instances) witness=('4->2:[1,2,2,2]', '2->1:[1,1]', "
+        "('L', ('L', 'L'), 'L', (('L', 'L'), 'L')), ('L', (('L', 'L'), 'L')), "
+        "('L', ('L', ('L', 'L'))))")
+
+
 def test_nat_operad_computes_mu_on_demand():
     P = nat_operad(200)
     g = identity_surjection(1)
