@@ -11,6 +11,7 @@ OPINT_CAP overrides the default cap; a cap is a non-negative integer.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -290,6 +291,7 @@ def cmd_export_dot(args) -> int:
     return EXIT_PASS
 
 
+@functools.cache   # one parser per process, built at the first main() call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="opint",
@@ -364,8 +366,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command and return its exit code.  Every call in a process reads
+    the one parser built at the first call and parses ``argv`` into a new
+    namespace, so no option value, exit code or output carries over."""
+    args = build_parser().parse_args(argv)
     try:
         args.cap = resolve_cap(args.cap)
         return args.fn(args)

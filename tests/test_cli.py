@@ -178,7 +178,23 @@ def test_cap_zero_and_the_environment_cap_still_apply(capsys, monkeypatch):
     assert code == 0 and "associativity: pass" in out
 
 
-GOLDEN = pathlib.Path(__file__).parent / "golden"
+def test_calls_in_one_process_share_no_state(capsys, monkeypatch):
+    monkeypatch.delenv("OPINT_CAP", raising=False)
+    first = ("hom", "--operad", "nat:3", "--src", "2", "--dst", "1", "--json")
+    answer = run(capsys, *first)
+    assert answer[0] == 0 and json.loads(answer[1])["one_cells"]
+    with pytest.raises(SystemExit) as exc:   # argparse: --operad is required
+        main(["hom", "--src", "2", "--dst", "1"])
+    assert exc.value.code == 2 and "--operad" in capsys.readouterr().err
+    code, out, _ = run(capsys, "check", "--operad", "nat:2", "--cap", "5")
+    assert code == 3 and "[cap 5 reached]" in out
+    assert run(capsys, "trees", "--leaves", "0")[0] == 2
+    code, out, _ = run(capsys, "check", "--operad", "nat:2")   # the default cap again
+    assert code == 0 and "capped" not in out
+    assert run(capsys, *first) == answer
+
+
+GOLDEN =pathlib.Path(__file__).parent / "golden"
 DATA = pathlib.Path(__file__).parent / "data"
 
 

@@ -75,7 +75,8 @@ def test_chain_table_is_valid():
 
 
 # Each seeded table category breaks one law; the witness, notes and count
-# are the output of the category sweep before its composites were indexed.
+# are the output of the category sweep before its composites were indexed
+# (the *-mid-row cases: before it compared whole rows (h, g, -)).
 @pytest.mark.parametrize("kwargs, witness, checked", [
     (dict(n=2, patch={((1, 2), (0, 1)): "x"}),
      ["composite of ((1, 2), (0, 1)) is not a morphism: 'x'",
@@ -99,14 +100,41 @@ def test_chain_table_is_valid():
      ["associativity cannot be evaluated on ((1, 2), (0, 1), (0, 0))",
       "associativity cannot be evaluated on ((1, 2), (1, 1), (0, 1))",
       "associativity cannot be evaluated on ((2, 2), (1, 2), (0, 1))"], 34),
+    # (3,4) o (1,3) is q, so the row ((3,4), (2,3), -) fails only at (1,2),
+    # the middle of (0,2), (1,2), (2,2)
+    (dict(n=4, extra=("q", (1, 4)), patch={((3, 4), (1, 3)): "q"}),
+     ["associativity fails on ((3, 4), (2, 3), (1, 2))"], 135),
+    (dict(n=3, patch={((2, 3), (1, 2)): None}),
+     ["missing composite for pair ((2, 3), (1, 2))",
+      "associativity cannot be evaluated on ((2, 3), (1, 2), (0, 1))",
+      "associativity cannot be evaluated on ((2, 3), (1, 2), (1, 1))",
+      "associativity cannot be evaluated on ((2, 3), (2, 2), (1, 2))",
+      "associativity cannot be evaluated on ((3, 3), (2, 3), (1, 2))"], 69),
+    (dict(n=3, patch={((2, 3), (1, 2)): None}, rule=True),
+     ["associativity cannot be evaluated on ((2, 3), (1, 2), (0, 1))",
+      "associativity cannot be evaluated on ((2, 3), (1, 2), (1, 1))",
+      "associativity cannot be evaluated on ((2, 3), (2, 2), (1, 2))",
+      "associativity cannot be evaluated on ((3, 3), (2, 3), (1, 2))"], 69),
 ], ids=["not-a-morphism", "wrong-endpoints", "right-identity", "left-identity",
-        "associativity", "unevaluable", "rule-unevaluable"])
+        "associativity", "unevaluable", "rule-unevaluable", "mismatch-mid-row",
+        "missing-mid-row", "rule-missing-mid-row"])
 def test_validate_category_failures_are_located(kwargs, witness, checked):
     report = validate_category(chain_table(**kwargs))
     assert report.status == "fail"
     assert report.witness == witness
     assert report.notes == ["%d problem(s)" % len(witness)]
     assert report.checked == checked
+
+
+@pytest.mark.parametrize("build, n, counts", [
+    ("nat_operad", 16, [5984]), ("nat_operad", 22, [17549]),
+    ("tree_operad", 5, [4, 4, 24, 204, 2124]),
+], ids=["nat:16", "nat:22", "trees:5"])
+def test_validate_category_counts_on_builtin_components(build, n, counts):
+    from opint import operads
+    P = getattr(operads, build)(n)
+    reports = [validate_category(P.component(n)) for n in range(1, len(counts) + 1)]
+    assert [(r.status, r.checked) for r in reports] == [("pass", c) for c in counts]
 
 
 def test_compose_raises_on_non_composable():
