@@ -89,10 +89,19 @@ class FinCat:
         return self._hom.get((a, b), ())
 
     def composable_pairs(self):
-        for g, (gs, _) in self._mor.items():
-            for a in self._objects:
-                for f in self.hom(a, gs):
-                    yield g, f
+        """Pairs (g, f), f first: g in presentation order, f as ``_pairs_into`` has it."""
+        return self._pairs_into()[0]
+
+    def _pairs_into(self):
+        """The composable pairs, lazily, and the index they are read from: the
+        morphisms into each object from an object, by source in object order
+        and in presentation order within one source."""
+        out_of, into = {}, {}
+        for m, (src, dst) in self._mor.items():
+            out_of.setdefault(src, []).append((m, dst))
+        for m, dst in (t for a in self._objects for t in out_of.get(a, ())):
+            into.setdefault(dst, []).append(m)
+        return ((g, f) for g, (gs, _) in self._mor.items() for f in into.get(gs, ())), into
 
     def counts(self):
         return len(self._objects), len(self._mor)
@@ -147,11 +156,11 @@ def product(cats) -> FinCat:
 
 def validate_category(C: FinCat, name: str = "category") -> Report:
     """Check the category axioms, reporting every violated instance.  Once per
-    call: the morphisms into each object, and each well-typed composite, kept
-    as ``comp[g][f]``.  Associativity compares the two sides of each row
-    ``(h, g, every f)`` of two instances or more as lists, charging a row
-    that holds whole; the per-instance loop takes every other row and finds
-    each problem in order (by ``C.compose`` where a composite is missing)."""
+    call: the composable pairs and their index (``C._pairs_into``), and each
+    well-typed composite as ``comp[g][f]``.  Associativity compares the two
+    sides of each row ``(h, g, every f)`` of two instances or more as lists,
+    charging a row that holds whole; the per-instance loop takes every other
+    row and finds each problem in order (by ``C.compose`` where one is missing)."""
     problems = []
     checked = 0
     for x in C.objects:
@@ -161,12 +170,8 @@ def validate_category(C: FinCat, name: str = "category") -> Report:
             problems.append("object %r has no identity morphism" % (x,))
         elif C._mor[mid] != (x, x):
             problems.append("identity of %r has endpoints %r" % (x, C._mor[mid]))
-    out_of, into = {}, {}
-    for m, (src, dst) in C._mor.items():
-        out_of.setdefault(src, []).append((m, dst))
-    for m, dst in (t for a in C.objects for t in out_of.get(a, ())):
-        into.setdefault(dst, []).append(m)  # by source in object order
-    pairs = [(g, f) for g, (gs, _) in C._mor.items() for f in into.get(gs, ())]
+    pairs, into = C._pairs_into()
+    pairs = list(pairs)
     compose = C._compose   # every pair is composable: C.compose minus its checks
     if not callable(compose):
         composable, table = set(pairs), set(compose)

@@ -392,12 +392,10 @@ def _check_horizontal_associativity(I: Integration, r: Report) -> Report:
 
 
 def _check_interchange(I: Integration, r: Report) -> Report:
-    twos_by_hom: dict = {}   # the non-empty homs, x then y in 0-cell order
-    for x in I.zero_cells():
-        for y in I.targets(x):
-            H = I.hom(x, y)
-            twos_by_hom[(x, y)] = [(t2, t1) for t1, _, _ in H.morphisms()
-                                   for t2, _, _ in H.morphisms() if t1.dst == t2.src]
+    """(e2∘e1)*(d2∘d1) = (e2*d2)∘(e1*d1): homs x then y in 0-cell order, and
+    the pairs (t2, t1) of each non-empty hom as its ``composable_pairs``."""
+    twos_by_hom = {(x, y): list(I.hom(x, y).composable_pairs())
+                   for x in I.zero_cells() for y in I.targets(x)}
     for (_, y), inner in twos_by_hom.items():
         for z in I.targets(y):
             for e2, e1 in twos_by_hom[(y, z)]:

@@ -6,6 +6,9 @@ from opint.fincat import (
     FinCat, Functor, enumerate_functors, poset_category, product,
     terminal_category, terminal_object, validate_category, validate_functor,
 )
+from opint.integration import ZeroCell, integrate
+from opint.operadic import canonical_fibration, trivial_subcategory
+from opint.operads import nat_operad, tree_operad
 from opint.surjections import CompositionError
 
 
@@ -135,6 +138,52 @@ def test_validate_category_counts_on_builtin_components(build, n, counts):
     P = getattr(operads, build)(n)
     reports = [validate_category(P.component(n)) for n in range(1, len(counts) + 1)]
     assert [(r.status, r.checked) for r in reports] == [("pass", c) for c in counts]
+
+
+def scanned_pairs(C):
+    """The composable pairs by an object scan: g in presentation order, then
+    for each object a, the morphisms a -> src(g) in presentation order."""
+    for g, gs, _ in C.morphisms():
+        for a in C.objects:
+            for f in C.hom(a, gs):
+                yield g, f
+
+
+def trees4_trivial(n):
+    return trivial_subcategory(canonical_fibration(integrate(tree_operad(4))).operadic, n)
+
+
+def cyclic_hom():
+    # hom([2,*], [2,*]) of cyclic:2:3: 3 1-cells, 3 parallel 2-cells per pair
+    from test_integration import cyclic_operad
+    return integrate(cyclic_operad(2, 3)).hom(ZeroCell(2, "*"), ZeroCell(2, "*"))
+
+
+def objects_reversed(C):
+    """C with its objects listed backwards, so that the object order is not
+    the order in which the morphisms meet their sources."""
+    return FinCat(C.objects[::-1], C.morphisms(), {x: C.id_of(x) for x in C.objects},
+                  C.compose)
+
+
+@pytest.mark.parametrize("build, n_pairs", [
+    (lambda: nat_operad(5).component(1), 56),
+    (lambda: product([tree_operad(4).component(n) for n in (3, 4)]), 427),
+    (cyclic_hom, 243),
+    (lambda: trees4_trivial(2), 1),
+    (lambda: trees4_trivial(4), 61),
+    # "s" runs out of 9, which is not an object: it is in no pair, since
+    # nothing runs into 9 and no list holds it; "t" runs into 9 and is a g
+    (lambda: chain_table(2, extra=("s", (9, 1))), 10),
+    (lambda: chain_table(2, extra=("t", (1, 9))), 12),
+    (lambda: objects_reversed(chain_table(3)), 20),
+], ids=["nat:5-P1", "trees:4-P3xP4", "cyclic:2:3-hom", "trees:4-trivial-2",
+        "trees:4-trivial-4", "stray-source", "stray-target", "objects-reversed"])
+def test_composable_pairs_match_the_object_scan(build, n_pairs):
+    C = build()
+    pairs = list(C.composable_pairs())
+    assert pairs == list(scanned_pairs(C))
+    assert len(pairs) == n_pairs
 
 
 def test_compose_raises_on_non_composable():

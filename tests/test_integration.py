@@ -3,9 +3,9 @@ from dataclasses import dataclass, field
 
 import pytest
 
-from opint.fincat import is_terminal
+from opint.fincat import is_terminal, validate_category
 from opint.integration import (
-    IntegrationMap, InvalidOperad, LaxTriangle, ZeroCell, check_factorization,
+    Integration, IntegrationMap, InvalidOperad, LaxTriangle, ZeroCell, check_factorization,
     check_projection, check_two_category_laws, integrate, integrate_morphism,
 )
 from opint.jsonio import operad_from_json
@@ -386,6 +386,66 @@ def test_integrate_rejects_a_mu_table_that_breaks_composition():
     with pytest.raises(InvalidOperad, match=r"mu_1->1:\[1\] is not a functor: "
                                             r"composition not preserved on "):
         integrate(P)
+
+
+# ---------------------------------------------------------------------------
+# seeded corruptions of the 2-category laws, on cyclic:2:3's parallel 2-cells
+
+
+class MiscomposedIntegration(Integration):
+    """An integration whose ``h_compose_2cells`` answers ``h_wrong[pair]``,
+    and whose ``v_compose`` answers ``v_wrong[pair]``, on the pairs
+    ``(second, first)`` given there."""
+
+    def __init__(self, P, h_wrong=(), v_wrong=()):
+        super().__init__(P)
+        self.h_wrong, self.v_wrong = dict(h_wrong), dict(v_wrong)
+
+    def h_compose_2cells(self, second, first):
+        if (second, first) in self.h_wrong:
+            return self.h_wrong[second, first]
+        return super().h_compose_2cells(second, first)
+
+    def v_compose(self, second, first):
+        if (second, first) in self.v_wrong:
+            return self.v_wrong[second, first]
+        return super().v_compose(second, first)
+
+
+def miscomposed_pair(compose):
+    """The endo-2-cell t via [1, 2] of the 1-cell [2->2:[1,2]; *,*; 0], second
+    in the listing of hom([2,*], [2,*]) in cyclic:2:3, and a 2-cell parallel
+    to ``compose(I)(t, t)`` but not equal to it."""
+    I = integrate(cyclic_operad(2, 3))
+    H = I.hom(ZeroCell(2, "*"), ZeroCell(2, "*"))
+    t = H.morphism_ids()[1]
+    right = compose(I)(t, t)
+    assert (str(t), len(H.hom(right.src, right.dst))) == \
+        ("(%s) => (%s) via [1, 2]" % ((H.objects[0],) * 2), 3)
+    return I, H, t, next(u for u in H.hom(right.src, right.dst) if u != right)
+
+
+def test_a_wrong_horizontal_composite_of_2_cells_fails_interchange():
+    I, H, t, other = miscomposed_pair(lambda I: I.h_compose_2cells)
+    bad = MiscomposedIntegration(cyclic_operad(2, 3), h_wrong={(t, t): other})
+    homs, units, assoc, interchange = check_two_category_laws(bad, cap=None)
+    assert homs.ok and units.ok and assoc.ok
+    assert interchange.status == "fail"
+    # the failing instance meets t * t in one of its three horizontal composites
+    cells = {str(u): u for u in H.morphism_ids()}
+    e2, e1, d2, d1 = (cells[w] for w in interchange.witness)
+    assert (t, t) in {(I.v_compose(e2, e1), I.v_compose(d2, d1)), (e2, d2), (e1, d1)}
+
+
+def test_a_wrong_vertical_composite_fails_the_hom_categories():
+    I, H, t, other = miscomposed_pair(lambda I: I.v_compose)
+    bad = MiscomposedIntegration(cyclic_operad(2, 3), v_wrong={(t, t): other})
+    x = ZeroCell(2, "*")
+    sub = validate_category(bad.hom(x, x))
+    assert sub.status == "fail" and sub.witness
+    assert validate_category(H).ok   # the honest hom passes
+    homs = check_two_category_laws(bad, cap=None)[0]
+    assert (homs.status, homs.witness) == ("fail", (str(x), str(x), sub.witness))
 
 
 def misrouted(P, wrong):
