@@ -44,7 +44,9 @@ class OperadicTwoCat:
     ``v_compose(t2, t1)`` and ``h_compose_2cells(e, d)``, named as on
     :class:`Integration`.  The remaining fields interpret its cells in the
     surjection calculus.  The presentation is connected, as Delta_s is:
-    ``eps`` sends every 0-cell into the one chosen ``unit``.
+    ``eps`` sends every 0-cell into the one chosen ``unit``.  Every search
+    over lax triangles reads one memo, ``triangles_from(phi, z)``: the
+    triangles onto ``phi`` out of ``z``, each with its ``fib1``.
     """
 
     tc: Any
@@ -71,27 +73,35 @@ class OperadicTwoCat:
         for z in self.tc.sources(x):
             yield from self.tc.hom(z, x).objects
 
-    def triangles_onto(self, phi):
-        """All lax triangles with right face ``phi``."""
-        y, x = self.src0(phi), self.dst0(phi)
-        for z in self.tc.sources(y):   # each has a 1-cell into x too, through phi
-            hom_zx = self.tc.hom(z, x)
-            for psi in self.tc.hom(z, y).objects:
-                composite = self.tc.h_compose(phi, psi)
-                for theta in hom_zx.objects:
-                    for filler in hom_zx.hom(composite, theta):
-                        yield LaxTriangle(psi, theta, phi, filler)
-
     @memoized("triangles")
-    def triangles_onto_cached(self, phi) -> list:
-        return list(self.triangles_onto(phi))
+    def triangles_from(self, phi, z) -> tuple:
+        """The lax triangles onto ``phi`` out of ``z``, by top map, left face,
+        then filler, each followed by its ``fib1``.  The tuple is flat: a pair
+        per triangle would take 56 more bytes each."""
+        x = self.dst0(phi)
+        hom_zx = self.tc.hom(z, x)
+        out = []
+        for psi in self.tc.hom(z, self.src0(phi)).objects:
+            composite = self.tc.h_compose(phi, psi)
+            for theta in hom_zx.objects:
+                for filler in hom_zx.hom(composite, theta):
+                    tri = LaxTriangle(psi, theta, phi, filler)
+                    out += (tri, self.fib1(x, tri))
+        return tuple(out)
+
+    def triangles_onto(self, phi):
+        """All lax triangles with right face ``phi``, each paired with its ``fib1``."""
+        for z in self.tc.sources(self.src0(phi)):   # each has a 1-cell into x too, through phi
+            table = iter(self.triangles_from(phi, z))
+            yield from zip(table, table)
 
     def fib1_cached(self, x, tri):
-        """``fib1``, which an integration memoizes in its ``fibtri`` memo."""
+        """``fib1``; no caller in ``src/``, kept while the benchmark traces it."""
         return self.fib1(x, tri)
 
     def slice_compose(self, second: LaxTriangle, first: LaxTriangle) -> LaxTriangle:
-        """Composition of lax-slice morphisms over a common vertex."""
+        """Composition of lax-slice morphisms over a common vertex; no caller
+        in ``src/``, kept while the benchmark traces it."""
         d2 = self.tc.h_compose(second.d2, first.d2)
         whisk = self.tc.h_compose_2cells(second.filler, self.tc.identity_two_cell(first.d2))
         filler = self.tc.v_compose(first.filler, whisk)
@@ -247,10 +257,9 @@ def _check_axiom_cardinality(O, r) -> Report:
             fibs = O.fib0(x, phi)
             if tuple(O.card0(c) for c in fibs) != O.card1(phi).fiber_sizes():
                 return r.fail(("fiber cardinalities", str(phi)))
-            for tri in O.triangles_onto_cached(phi):
+            for tri, fib1s in O.triangles_onto(phi):
                 if not r.charge():
                     return r
-                fib1s = O.fib1_cached(x, tri)
                 f, g = O.card1(tri.d2), O.card1(tri.d0)
                 for i, cell in enumerate(fib1s, start=1):
                     if O.card1(cell) != induced_map(f, g, i):
@@ -314,11 +323,10 @@ def _check_fiber_axiom(O, r) -> Report:
             y = O.src0(phi)
             g = O.card1(phi)
             fibs_phi = O.fib0(x, phi)
-            for tri in O.triangles_onto_cached(phi):
+            for tri, fib1s in O.triangles_onto(phi):
                 if not r.charge():
                     return r
                 route_a = block_cut(O.fib0(y, tri.d2), g)
-                fib1s = O.fib1_cached(x, tri)
                 route_b = tuple(O.fib0(fibs_phi[i], fib1s[i])
                                 for i in range(len(fibs_phi)))
                 if route_a != route_b:
@@ -336,24 +344,21 @@ def _check_fiber_axiom_one_cells(O, r) -> Report:
     """
     for x in O.tc.zero_cells():
         for phi in O.one_cells_into(x):
-            g = O.card1(phi)
-            fibs_phi = O.fib0(x, phi)
-            triangles = O.triangles_onto_cached(phi)
-            if not _fiber_axiom_on_one_cells(O, x, phi, g, fibs_phi, triangles, r):
+            if not _fiber_axiom_on_one_cells(O, x, phi, r):
                 return r
     return r
 
 
-def _fiber_axiom_on_one_cells(O, x, phi, g, fibs_phi, triangles, r) -> bool:
+def _fiber_axiom_on_one_cells(O, x, phi, r) -> bool:
     """The square on the 1-cells of the double slice over ``phi``.
 
     A 1-cell from the triangle ``a1`` to the triangle ``a2`` is a
     connecting triangle ``sigma`` between their left faces plus a slice
     2-cell from ``a2 o sigma`` to ``a1``; both routes around the square
-    must then send it to the same blocks of fiber data.  Four tables are
+    must then send it to the same blocks of fiber data; ``triangles``
+    pairs each triangle onto ``phi`` with its fibers.  Three tables are
     local to ``phi`` and reused only for an identical key, never assumed:
-    the fibers of triangles into ``x``; the routes
-    ``block_cut(fib1(y, tri_a), g)``, keyed on all of ``tri_a``; the
+    the routes ``block_cut(fib1(y, tri_a), g)``, keyed on all of ``tri_a``; the
     candidates, which depend only on ``sigma.d1`` and ``a2.d2 o sigma.d2``
     (``candidates``), each an entry ``[a1, gamma, fibers of a1, filled,
     slice fibers]`` with ``filled = a1.filler o (1_phi * gamma)``; and the
@@ -373,23 +378,16 @@ def _fiber_axiom_on_one_cells(O, x, phi, g, fibs_phi, triangles, r) -> bool:
     once ``r`` holds its verdict (capped or failed).
     """
     tc, fib1, fib2, src2 = O.tc, O.fib1, O.fib2, O.src2
-    y = O.src0(phi)
+    y, g, fibs_phi = O.src0(phi), O.card1(phi), O.fib0(x, phi)
+    triangles = tuple(O.triangles_onto(phi))
     by_d1: dict = {}
-    for tri in triangles:
-        by_d1.setdefault(tri.d1, []).append(tri)
+    for pair in triangles:
+        by_d1.setdefault(pair[0].d1, []).append(pair)
     n_fib = len(fibs_phi)
     id2_phi = tc.identity_two_cell(phi)
-    fibers, routes, candidates, verified = {}, {}, {}, set()   # local to phi
-
-    def fibers_of(tri):
-        tri_f = fibers.get(tri)
-        if tri_f is None:
-            tri_f = fibers[tri] = fib1(x, tri)
-        return tri_f
-
-    for a2 in triangles:                       # target object of the 1-cell
-        a2_f = fibers_of(a2)
-        for sigma in O.triangles_onto_cached(a2.d1):
+    routes, candidates, verified = {}, {}, set()   # local to phi
+    for a2, a2_f in triangles:                 # target object of the 1-cell
+        for sigma, sig_f in O.triangles_onto(a2.d1):
             sources = by_d1.get(sigma.d1)
             if not sources:
                 continue
@@ -398,14 +396,13 @@ def _fiber_axiom_on_one_cells(O, x, phi, g, fibs_phi, triangles, r) -> bool:
             if entries is None:
                 hom_up = tc.hom(O.src0(sigma.d1), y)
                 entries = candidates[sigma.d1, d2comp] = [
-                    [a1, gamma, fibers_of(a1),
+                    [a1, gamma, a1_f,
                      tc.v_compose(a1.filler, tc.h_compose_2cells(id2_phi, gamma)), None]
-                    for a1 in sources for gamma in hom_up.hom(d2comp, a1.d2)]
+                    for a1, a1_f in sources for gamma in hom_up.hom(d2comp, a1.d2)]
             if not entries:
                 continue
             comp_filler = tc.v_compose(
                 sigma.filler, tc.h_compose_2cells(a2.filler, tc.identity_two_cell(sigma.d2)))
-            sig_f = fibers_of(sigma)
             composed_f = None
             for entry in entries:              # a1: source object of the 1-cell
                 if not r.charge():
@@ -463,26 +460,19 @@ def is_operadic_cartesian(O: OperadicTwoCat, phi,
             base = ordinal_sum([O.card1(p) for p in psis])
             if compose(base, g) != O.card1(theta):
                 continue  # no base triangle has these induced maps
-            matches = sum(1 for _ in _fillers(O, phi, theta, psis, base))
+            matches = len(_fillers(O, phi, theta, psis, base))
             if matches != 1:
                 return r.fail((str(phi), str(theta), tuple(map(str, psis)),
                                "%d fillers" % matches))
     return r
 
 
-def _fillers(O, phi, theta, psis, base):
+def _fillers(O, phi, theta, psis, base) -> list:
     """The lax triangles onto ``phi`` with left face ``theta``, top map
     over the surjection ``base`` and fiber maps ``psis``."""
-    z, t = O.src0(theta), O.dst0(phi)
-    hom_zt = O.tc.hom(z, t)
-    for d2 in O.tc.hom(z, O.src0(phi)).objects:
-        if O.card1(d2) != base:
-            continue
-        composite = O.tc.h_compose(phi, d2)
-        for filler in hom_zt.hom(composite, theta):
-            tri = LaxTriangle(d2, theta, phi, filler)
-            if O.fib1(t, tri) == psis:
-                yield tri
+    table = iter(O.triangles_from(phi, O.src0(theta)))
+    return [tri for tri, fib1s in zip(table, table)
+            if tri.d1 == theta and O.card1(tri.d2) == base and fib1s == psis]
 
 
 @dataclass
@@ -632,7 +622,7 @@ def check_trivial_subcategory(O: OperadicTwoCat,
 
 def _unique_filler(O, cartesian, theta, psis, base):
     """The unique triangle onto ``cartesian`` with the prescribed fibers."""
-    found = list(_fillers(O, cartesian, theta, psis, base))
+    found = _fillers(O, cartesian, theta, psis, base)
     if len(found) != 1:
         raise ExtractionError("expected a unique filler, found %d" % len(found))
     return found[0]

@@ -202,8 +202,8 @@ def test_triangle_fiber_endpoints_match_block_cut():
     O = OperadicTwoCat.from_integration(I)
     x = ZeroCell(1, 1)
     for phi in O.one_cells_into(x):
-        for tri in O.triangles_onto(phi):
-            fibers = I.fibers_of_lax_triangle(tri)
+        for tri, fibers in O.triangles_onto(phi):
+            assert fibers == I.fibers_of_lax_triangle(tri)
             assert tuple(c.dst for c in fibers) == I.fibers_of_1cell(tri.d0)
             assert tuple(c.src for c in fibers) == I.fibers_of_1cell(tri.d1)
 
@@ -269,7 +269,7 @@ def test_slice_two_cell_fibers_partition_by_blocks():
     count = 0
     for phi in O.one_cells_into(x):
         id_phi = I.identity_two_cell(phi)
-        triangles = list(O.triangles_onto(phi))
+        triangles = [tri for tri, _ in O.triangles_onto(phi)]
         for t1 in triangles:
             for t2 in triangles:
                 if t1.d1 != t2.d1:
@@ -446,6 +446,37 @@ def test_a_wrong_vertical_composite_fails_the_hom_categories():
     assert validate_category(H).ok   # the honest hom passes
     homs = check_two_category_laws(bad, cap=None)[0]
     assert (homs.status, homs.witness) == ("fail", (str(x), str(x), sub.witness))
+
+
+class RecordingIntegration(Integration):
+    """An integration that records each ``h_compose(second, first)``."""
+
+    def __init__(self, P):
+        super().__init__(P)
+        self.calls = []
+
+    def h_compose(self, second, first):
+        self.calls.append((second, first))
+        return super().h_compose(second, first)
+
+
+@pytest.mark.parametrize("P", [tree_operad(3), cyclic_operad(2, 3)], ids=lambda P: P.name)
+def test_horizontal_laws_walk_the_1_cells_out_of_each_0_cell_in_order(P):
+    # the laws walk 0-cells, their targets and homs; on an integration that
+    # is the order of all_one_cells and one_cells_from
+    I, J = RecordingIntegration(P), integrate(P)   # J: the cells, unrecorded
+    units, assoc = check_two_category_laws(I, cap=None)[1:3]
+    expected = []
+    for f in J.all_one_cells():
+        expected += [(f, J.identity_one_cell(f.src)), (J.identity_one_cell(f.dst), f)]
+    for f in J.all_one_cells():
+        for g in J.one_cells_from(f.dst):
+            expected.append((g, f))
+            for h in J.one_cells_from(g.dst):
+                expected += [(h, J.h_compose(g, f)), (h, g), (J.h_compose(h, g), f)]
+    assert I.calls[:len(expected)] == expected
+    assert len(expected) == 2 * units.checked + 3 * assoc.checked + \
+        sum(len(J.one_cells_from(f.dst)) for f in J.all_one_cells())
 
 
 def misrouted(P, wrong):

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import pathlib
 from collections import Counter
@@ -8,8 +9,8 @@ import pytest
 from opint.cli import load_operad
 from opint.fincat import FinCat, Functor, poset_category, validate_functor
 from opint.integration import (
-    Integration, InvalidOperad, LaxTriangle, OneCell, ZeroCell, integrate,
-    integrate_morphism,
+    Integration, InvalidOperad, LaxTriangle, OneCell, ZeroCell, check_two_category_laws,
+    integrate, integrate_morphism, lift_instances,
 )
 from opint.jsonio import operad_from_json
 from opint.operads import (
@@ -23,10 +24,13 @@ from opint.operadic import (
     enumerate_lift_preserving_2functors, enumerate_operad_morphisms, extract_operad,
     is_operadic_cartesian, is_trivial, roundtrip_2cat, roundtrip_operad,
     OperadicTwoCat, SplitFibrationData, _check_fiber_axiom_one_cells, _check_lali_choice,
+    _fillers,
 )
 from opint.operads import validate_operad_morphism
 from opint.report import Report
-from opint.surjections import Surjection, bang, enumerate_surjections, identity_surjection
+from opint.surjections import (
+    Surjection, bang, compose, enumerate_surjections, identity_surjection, ordinal_sum,
+)
 from opint.trees import LEAF, corolla
 
 
@@ -62,20 +66,36 @@ def test_corrupted_fiber_labels_fail_axiom_i():
     assert not reports["axiom (i)"].ok
 
 
+def identity_fibers(O):
+    """``O.fib1`` with each fiber map replaced by an identity."""
+    I, real_fib1 = O.tc, O.fib1
+    return lambda x, tri: tuple(I.identity_one_cell(c.dst) for c in real_fib1(x, tri))
+
+
 def test_replaced_fibers_are_not_served_from_the_original_memos():
     # the copy made by replace starts with empty memos, so fibers the
     # original already computed cannot stand in for the corrupted ones
     O = fibration(nat_operad(2)).operadic
     assert all(r.ok for r in check_operadic_axioms(O))
-    I, real_fib1 = O.tc, O.fib1
-
-    def bad_fib1(x, tri):  # each fiber map replaced by an identity
-        return tuple(I.identity_one_cell(c.dst) for c in real_fib1(x, tri))
-
-    broken = dataclasses.replace(O, fib1=bad_fib1)
+    broken = dataclasses.replace(O, fib1=identity_fibers(O))
     reports = {r.name: r for r in check_operadic_axioms(broken)}
     assert not reports["axiom (v)"].ok
     assert not reports["axiom (v) one-cells"].ok
+    # on trees:3 the fiber maps are not all identities, so axiom (i) and
+    # the cartesian lifts read the corrupted fibers from the copy's table
+    S = fibration(tree_operad(3))
+    O = S.operadic
+    assert all(r.ok for r in check_operadic_axioms(O)) and check_all_lifts_cartesian(S).ok
+    bad_fib1 = identity_fibers(O)
+    broken = dataclasses.replace(O, fib1=bad_fib1)
+    assert not {r.name: r for r in check_operadic_axioms(broken)}["axiom (i)"].ok
+    assert not check_all_lifts_cartesian(dataclasses.replace(S, operadic=broken)).ok
+    for x in O.tc.zero_cells():
+        for phi in O.one_cells_into(x):
+            for (tri, fibers), (served, bad) in zip(O.triangles_onto(phi),
+                                                    broken.triangles_onto(phi)):
+                assert served is tri and fibers == O.fib1(x, tri)
+                assert bad == bad_fib1(x, tri)
 
 
 def one_cells_report(O):
@@ -280,6 +300,73 @@ def test_one_cells_pass_with_parallel_slice_2cells():
     r = one_cells_report(dataclasses.replace(O, fib2=recording_fib2))
     assert (r.status, r.checked) == ("pass", 1344)
     assert sum(len(g) > 1 for g in gammas.values()) == 16
+
+
+@pytest.mark.parametrize("spec", ["nat:3", "trees:3", "cyclic:2:3", "chaotic:2:2"])
+def test_triangle_table_matches_a_walk_over_the_homs(spec):
+    # each table lists, in order, the triangles psi x 2-cells of hom(z, x)
+    # out of the composite, with fib1; every source z with a triangle
+    # onto phi is among tc.sources(src0(phi))
+    S = fibration(operad(spec))
+    O, tc = S.operadic, S.operadic.tc
+    total = 0
+    for x in tc.zero_cells():
+        for phi in O.one_cells_into(x):
+            y, walked = O.src0(phi), []
+            for z in tc.zero_cells():
+                morphisms = tc.hom(z, x).morphisms()
+                expected = [LaxTriangle(psi, theta, phi, t)
+                            for psi in tc.hom(z, y).objects
+                            for theta in tc.hom(z, x).objects
+                            for t, s, d in morphisms
+                            if s == tc.h_compose(phi, psi) and d == theta]
+                if z in tc.sources(y):
+                    table = O.triangles_from(phi, z)   # each triangle, then its fib1
+                    assert list(table[::2]) == expected
+                    assert list(table[1::2]) == [O.fib1(x, tri) for tri in expected]
+                    walked += zip(table[::2], table[1::2])
+                else:
+                    assert not expected
+            assert list(O.triangles_onto(phi)) == walked
+            total += len(walked)
+    assert total > 0
+
+
+def walked_fillers(O, phi, theta, psis, base):
+    """The fillers as found before the triangle table: a walk over the
+    top maps z -> src0(phi) and the 2-cells into ``theta``."""
+    z, t = O.src0(theta), O.dst0(phi)
+    hom_zt = O.tc.hom(z, t)
+    for d2 in O.tc.hom(z, O.src0(phi)).objects:
+        if O.card1(d2) != base:
+            continue
+        composite = O.tc.h_compose(phi, d2)
+        for filler in hom_zt.hom(composite, theta):
+            tri = LaxTriangle(d2, theta, phi, filler)
+            if O.fib1(t, tri) == psis:
+                yield tri
+
+
+@pytest.mark.parametrize("spec", ["nat:3", "trees:3", "cyclic:2:3", "chaotic:2:2"])
+def test_fillers_from_the_table_match_the_hom_walk(spec):
+    S = fibration(operad(spec))
+    O, tc = S.operadic, S.operadic.tc
+    instances = compared = 0   # as check_all_lifts_cartesian charges them
+    for g, c, bs in lift_instances(tc.zero_cells(), O.card0, S.bound):
+        phi = S.lift(g, c, bs)
+        fibs_phi = O.fib0(c, phi)
+        for theta in O.one_cells_into(c):
+            slots = [tc.hom(a, b).objects for a, b in zip(O.fib0(c, theta), fibs_phi)]
+            for psis in itertools.product(*slots):
+                instances += 1
+                base = ordinal_sum([O.card1(p) for p in psis])
+                if compose(base, g) != O.card1(theta):
+                    continue
+                assert _fillers(O, phi, theta, psis, base) == \
+                    list(walked_fillers(O, phi, theta, psis, base))
+                compared += 1
+    assert instances == check_all_lifts_cartesian(S, cap=None).checked
+    assert compared > 0
 
 
 def test_canonical_lifts_are_cartesian_small():
@@ -718,6 +805,17 @@ def test_abstract_checks_on_the_surjection_calculus(N, counts):
     P, T = extract_operad(S), terminal_operad(N)
     assert [P.component(n).counts() for n in range(1, N + 1)] == \
         [T.component(n).counts() for n in range(1, N + 1)] == [(1, 1)] * N
+
+
+@pytest.mark.parametrize("N, counts", [(2, (12, 3, 5, 4)), (3, (28, 7, 21, 13)),
+                                       (4, (60, 15, 85, 40))])
+def test_two_category_laws_on_the_surjection_calculus(N, counts):
+    # Delta_s speaks the presentation protocol the laws walk, and has the
+    # homs of the integration of terminal:N, so the same instance counts
+    reports = check_two_category_laws(delta_s(N).tc, cap=None)
+    assert [(r.status, r.checked) for r in reports] == [("pass", n) for n in counts]
+    reports = check_two_category_laws(integrate(terminal_operad(N)), cap=None)
+    assert [(r.status, r.checked) for r in reports] == [("pass", n) for n in counts]
 
 
 MU_NOT_FUNCTOR = pathlib.Path(__file__).parent / "data" / "nat2_mu_not_functor.json"
