@@ -154,31 +154,35 @@ def product(cats) -> FinCat:
     return FinCat(objects, morphisms, identity, _compose)
 
 
-def validate_category(C: FinCat, name: str = "category") -> Report:
-    """Check the category axioms, reporting every violated instance.  Once per
+def validate_category(C: FinCat, name: str = "category", show=repr) -> Report:
+    """Check the category axioms, reporting every violated instance, with
+    objects and morphism ids formatted by ``show``.  Once per
     call: the composable pairs and their index (``C._pairs_into``), and each
     well-typed composite as ``comp[g][f]``.  Associativity compares the two
     sides of each row ``(h, g, every f)`` of two instances or more as lists,
     charging a row that holds whole; the per-instance loop takes every other
     row and finds each problem in order (by ``C.compose`` where one is missing)."""
+    def ids(*values):   # as repr shows a tuple of two or three
+        return "(%s)" % ", ".join(map(show, values))
+
     problems = []
     checked = 0
     for x in C.objects:
         checked += 1
         mid = C._identity.get(x)
         if mid is None or not C.has_morphism(mid):
-            problems.append("object %r has no identity morphism" % (x,))
+            problems.append("object %s has no identity morphism" % show(x))
         elif C._mor[mid] != (x, x):
-            problems.append("identity of %r has endpoints %r" % (x, C._mor[mid]))
+            problems.append("identity of %s has endpoints %s" % (show(x), ids(*C._mor[mid])))
     pairs, into = C._pairs_into()
     pairs = list(pairs)
     compose = C._compose   # every pair is composable: C.compose minus its checks
     if not callable(compose):
         composable, table = set(pairs), set(compose)
         for key in sorted(composable - table, key=repr):
-            problems.append("missing composite for pair %r" % (key,))
+            problems.append("missing composite for pair %s" % ids(*key))
         for key in sorted(table - composable, key=repr):
-            problems.append("composite defined for non-composable pair %r" % (key,))
+            problems.append("composite defined for non-composable pair %s" % ids(*key))
         compose = lambda g, f, t=C._compose: t[g, f]
     comp = {g: {} for g in C._mor}   # comp[g][f] = g∘f, each row in into order
     for g, f in pairs:
@@ -189,20 +193,20 @@ def validate_category(C: FinCat, name: str = "category") -> Report:
             continue  # already reported above for table categories
         ends = C._mor.get(gf)
         if ends is None:
-            problems.append("composite of (%r, %r) is not a morphism: %r" % (g, f, gf))
+            problems.append("composite of %s is not a morphism: %s" % (ids(g, f), show(gf)))
         elif ends != (C._mor[f][0], C._mor[g][1]):
-            problems.append("composite of (%r, %r) has wrong endpoints" % (g, f))
+            problems.append("composite of %s has wrong endpoints" % ids(g, f))
         else:
             comp[g][f] = gf
     for mid, (src, dst) in C._mor.items():
         checked += 1
         try:
             if C.compose(mid, C.id_of(src)) != mid:
-                problems.append("right identity law fails at %r" % (mid,))
+                problems.append("right identity law fails at %s" % show(mid))
             if C.compose(C.id_of(dst), mid) != mid:
-                problems.append("left identity law fails at %r" % (mid,))
+                problems.append("left identity law fails at %s" % show(mid))
         except (ValueError, KeyError):
-            problems.append("identity laws cannot be evaluated at %r" % (mid,))
+            problems.append("identity laws cannot be evaluated at %s" % show(mid))
     for h, (hs, _) in C._mor.items():
         ch = comp[h]
         for g in into.get(hs, ()):
@@ -222,10 +226,9 @@ def validate_category(C: FinCat, name: str = "category") -> Report:
                     except KeyError:  # a composite the sweep did not keep
                         lhs, rhs = C.compose(C.compose(h, g), f), C.compose(h, C.compose(g, f))
                     if lhs != rhs:
-                        problems.append("associativity fails on (%r, %r, %r)" % (h, g, f))
+                        problems.append("associativity fails on %s" % ids(h, g, f))
                 except (ValueError, KeyError):
-                    problems.append("associativity cannot be evaluated on (%r, %r, %r)"
-                                    % (h, g, f))
+                    problems.append("associativity cannot be evaluated on %s" % ids(h, g, f))
     status = PASS if not problems else FAIL
     return Report(name, status, checked, witness=problems[:5] or None,
                   notes=["%d problem(s)" % len(problems)] if problems else [])

@@ -369,7 +369,7 @@ def _check_hom_categories(I) -> Report:
     r = Report("hom categories")
     for x in I.zero_cells():
         for y in I.targets(x):
-            sub = validate_category(I.hom(x, y))
+            sub = validate_category(I.hom(x, y), show=str)
             r.charge(sub.checked)
             if not sub.ok:
                 return r.fail((str(x), str(y), sub.witness))

@@ -157,30 +157,74 @@ def _table(entry, field, member, g) -> dict:
 def _derive_mor_map(g, cats, target, obj_map) -> RuleMap:
     """The morphism table when every target hom between images has one
     arrow: a RuleMap whose rule is that arrow, so a functor by construction.
-    It is filled at load in one pass over the product; where an image or its
-    arrow is missing, the rule refuses the first such entry in product order."""
+
+    Where :func:`_derivable` certifies at load that every product morphism
+    has that arrow, the table is returned empty and fills on read.
+    Otherwise it is filled at load in one pass over the product; where an
+    image or its arrow is missing, the rule refuses the first such entry in
+    product order."""
     sides = [C.src for C in cats], [C.dst for C in cats]
+    single = {(s, d): m for m, s, d in target.morphisms() if len(target.hom(s, d)) == 1}
 
     def rule(mid):
         ends = [tuple(end(m) for end, m in zip(side, mid)) for side in sides]
         for x in ends:
             if x not in obj_map:
                 raise ValueError("graph of %s lacks %r" % (g, x))
-        arrows = target.hom(*[obj_map[x] for x in ends])
-        if len(arrows) != 1:
-            raise ValueError("cannot derive morphism graph at %r" % (mid,))
-        return arrows[0]
+        try:
+            return single[obj_map[ends[0]], obj_map[ends[1]]]
+        except KeyError:
+            raise ValueError("cannot derive morphism graph at %r" % (mid,)) from None
 
-    single = {(s, d): m for m, s, d in target.morphisms() if len(target.hom(s, d)) == 1}
+    mor_map = RuleMap(cats, rule, mor=True)
+    if _derivable(cats, target, obj_map, single):
+        return mor_map
     ids, srcs, dsts = [itertools.product(*[[t[k] for t in C.morphisms()] for C in cats])
                        for k in range(3)]   # streamed in step, never held as lists
-    image, mor_map = obj_map.__getitem__, RuleMap(cats, rule, mor=True)
+    image = obj_map.__getitem__
     try:
         mor_map.update(zip(ids, map(single.__getitem__, zip(map(image, srcs), map(image, dsts)))))
     except KeyError:
         for mid in itertools.product(*[C.morphism_ids() for C in cats]):
             rule(mid)
     return mor_map
+
+
+def _derivable(cats, target, obj_map, single) -> bool:
+    """Whether every tuple of morphisms of ``cats`` has an arrow of
+    ``single`` (the one-arrow homs of ``target``, by endpoints) between its
+    images, certified on tuples with at most one non-identity entry:
+
+    (a) ``target`` is thin (``single`` holds all its morphisms), and
+        ``single`` is reflexive on its objects and transitive;
+    (b) ``obj_map`` sends every tuple of objects to an object of ``target``,
+        and every morphism of ``cats`` runs between objects;
+    (c) every tuple of objects with one entry replaced by a morphism between
+        distinct objects has an arrow of ``single`` between its images.
+
+    A tuple of morphisms runs from its sources to its targets by such steps,
+    one entry at a time, so transitivity (reflexivity, for no step) gives it
+    an arrow, which thinness makes the only one.  False says only that the
+    certificate does not hold, not that an arrow is missing."""
+    above = {}
+    for s, d in single:
+        above.setdefault(s, []).append(d)
+    objects = [C.objects for C in cats]
+    if not (len(single) == len(target.morphism_ids())
+            and all((y, y) in single for y in target.objects)
+            and all((s, e) in single for s, d in single for e in above.get(d, ()))
+            and len(obj_map) == math.prod(map(len, objects))
+            and all(map(target.__contains__, obj_map.values()))
+            and all(s in C and d in C for C in cats for _, s, d in C.morphisms())):
+        return False
+    image = obj_map.__getitem__
+    for i, C in enumerate(cats):
+        steps = dict.fromkeys((s, d) for _, s, d in C.morphisms() if s != d)
+        srcs, dsts = [itertools.product(*objects[:i], [e[k] for e in steps], *objects[i + 1:])
+                      for k in range(2)]
+        if not all(map(single.__contains__, zip(map(image, srcs), map(image, dsts)))):
+            return False
+    return True
 
 
 def zero_cell_to_json(x: ZeroCell):

@@ -444,8 +444,13 @@ def test_a_wrong_vertical_composite_fails_the_hom_categories():
     sub = validate_category(bad.hom(x, x))
     assert sub.status == "fail" and sub.witness
     assert validate_category(H).ok   # the honest hom passes
+    # the same problem lines, each 2-cell printed by its str, not its repr
+    shown = sub.witness
+    for u in bad.hom(x, x).morphism_ids():
+        shown = [line.replace(repr(u), str(u)) for line in shown]
     homs = check_two_category_laws(bad, cap=None)[0]
-    assert (homs.status, homs.witness) == ("fail", (str(x), str(x), sub.witness))
+    assert (homs.status, homs.witness) == ("fail", (str(x), str(x), shown))
+    assert [len(line) for line in shown] == [302] * 5
 
 
 class RecordingIntegration(Integration):
