@@ -85,7 +85,7 @@ class Integration:
             raise InvalidOperad("; ".join(r.line() for r in bad))
         self.P = P
         self._memos, self._hits = memo_tables(
-            "alphas", "into", "hom", "out", "id1", "id2", "hcomp", "hcomp2", "vcomp",
+            "alphas", "into", "hom", "targets", "id1", "id2", "hcomp", "hcomp2", "vcomp",
             "fibtri", "fib0", "lift")
         self._zero = tuple(ZeroCell(n, a)
                            for n in range(1, P.bound + 1)
@@ -189,10 +189,11 @@ class Integration:
     def stats(self) -> dict:
         """Live cells per class (process-wide) and, per memo of this
         integration, its size and its hit count.  The memos: P_m's morphisms
-        by source (``alphas``), 1-cells into (``into``) and out of (``out``)
-        a 0-cell, homs (``hom``), identities (``id1``, ``id2``),
-        compositions (``hcomp``, ``hcomp2``, ``vcomp``), fibers of triangles
-        (``fibtri``) and of 1-cells (``fib0``), chosen lifts (``lift``)."""
+        by source (``alphas``), the 1-cells into a 0-cell (``into``), the
+        targets of the 1-cells out of it (``targets``), homs (``hom``),
+        identities (``id1``, ``id2``), compositions (``hcomp``, ``hcomp2``,
+        ``vcomp``), fibers of triangles (``fibtri``) and of 1-cells (``fib0``),
+        chosen lifts (``lift``)."""
         cells = (ZeroCell, OneCell, TwoCell, LaxTriangle)
         return {"live_cells": {cls.__name__: len(cls._live) for cls in cells},
                 "memos": {name: {"size": len(memo), "hits": self._hits[name]}
@@ -224,8 +225,9 @@ class Integration:
     def sources(self, y: ZeroCell) -> tuple:
         return tuple(self._into(y))
 
+    @memoized("targets")
     def targets(self, x: ZeroCell) -> tuple:
-        return tuple(dict.fromkeys(c.dst for c in self.one_cells_from(x)))
+        return tuple(y for y in self._zero if x in self._into(y))
 
     @memoized("hom")
     def hom(self, x: ZeroCell, y: ZeroCell) -> FinCat:
@@ -248,27 +250,19 @@ class Integration:
         identity = {c: self.identity_two_cell(c) for c in cells}
         return FinCat(cells, [(t, t.src, t.dst) for t in twos], identity, self.v_compose)
 
-    def all_one_cells(self):
-        for x in self._zero:
-            yield from self.one_cells_from(x)
-
-    @memoized("out")
-    def one_cells_from(self, x: ZeroCell) -> tuple:
-        """The 1-cells out of x, in the order of ``all_one_cells``."""
-        return tuple(c for y in self._zero for c in self._into(y).get(x, ()))
-
     # -- factorization, fibers, lifts --------------------------------------
 
+    def component_part(self, m: int, alpha) -> OneCell:
+        """[1; e..e; alpha] into [m, src alpha], over the identity surjection."""
+        return self.one_cell(identity_surjection(m), (self.P.unit,) * m, alpha,
+                             ZeroCell(m, self.P.component(m).src(alpha)))
+
     def factorize(self, phi: OneCell) -> tuple[OneCell, OneCell]:
-        """Split a 1-cell as a pure component morphism followed by a
-        component-free cell: phi = [f; args; 1] o [1; e..e; alpha]."""
-        P = self.P
-        m = phi.f.dom
-        s = P.component(m).src(phi.alpha)
-        mid = ZeroCell(m, s)
-        e_part = self.one_cell(identity_surjection(m), (P.unit,) * m, phi.alpha, mid)
-        m_part = self.one_cell(phi.f, phi.args, P.component(m).id_of(s), phi.dst)
-        return e_part, m_part
+        """Split a 1-cell as its component part followed by the chosen lift
+        of its cut part: phi = [f; args; 1] o [1; e..e; alpha], where
+        [f; args; 1] is ``cartesian_lift(f, dst, fibers of phi)``."""
+        return (self.component_part(phi.f.dom, phi.alpha),
+                self.cartesian_lift(phi.f, phi.dst, self.fibers_of_1cell(phi)))
 
     def in_e_subcategory(self, cell: OneCell) -> bool:
         return cell.f.is_identity() and all(a == self.P.unit for a in cell.args)
@@ -330,15 +324,21 @@ def integrate(P: TruncatedOperad) -> Integration:
 # generic helpers over 2-category presentations
 
 
-def lift_instances(zero_cells, card, bound: int):
+def group_by_card(zero_cells, card) -> dict:
+    """The 0-cells by cardinality, in order of first appearance, each in 0-cell order."""
+    groups: dict = {}
+    for x in zero_cells:
+        groups.setdefault(card(x), []).append(x)
+    return groups
+
+
+def lift_instances(by_card: dict, bound: int):
     """Every lift problem (g, c, bs): a surjection g: k -> n with k <= bound,
-    a 0-cell c of cardinality n and a tuple bs of 0-cells whose
-    cardinalities are the fiber sizes of g, in a fixed order."""
-    by_card = {n: [x for x in zero_cells if card(x) == n]
-               for n in range(1, bound + 1)}
+    a 0-cell c of cardinality n and a tuple bs of 0-cells whose cardinalities
+    are the fiber sizes of g, in a fixed order, from ``group_by_card``."""
     for g in all_surjections_up_to(bound):
-        slots = [by_card[s] for s in g.fiber_sizes()]
-        for c in by_card[g.cod]:
+        slots = [by_card.get(s, ()) for s in g.fiber_sizes()]
+        for c in by_card.get(g.cod, ()):
             for bs in itertools.product(*slots):
                 yield g, c, bs
 
@@ -428,8 +428,9 @@ def check_projection(I: Integration, cap: int | None = DEFAULT_CAP) -> Report:
             return r
         if I.identity_one_cell(x).f != identity_surjection(x.arity):
             return r.fail(str(x))
-    for f_cell in I.all_one_cells():
-        for g_cell in I.one_cells_from(f_cell.dst):
+    out = _cells_out(I)
+    for y, f_cell in itertools.chain.from_iterable(out.values()):
+        for _, g_cell in out[y]:
             if not r.charge():
                 return r
             if I.h_compose(g_cell, f_cell).f != compose(f_cell.f, g_cell.f):
@@ -447,25 +448,26 @@ def check_projection(I: Integration, cap: int | None = DEFAULT_CAP) -> Report:
 def check_factorization(I: Integration, cap: int | None = DEFAULT_CAP) -> Report:
     """Every 1-cell factors as component-then-cut, uniquely."""
     r = Report("strict factorization", cap=cap)
-    for phi in list(I.all_one_cells()):
-        if not r.charge():
-            return r
-        e_part, m_part = I.factorize(phi)
-        if I.h_compose(m_part, e_part) != phi or \
-           not I.in_e_subcategory(e_part) or not I.in_m_subcategory(m_part):
-            return r.fail(str(phi))
-        found = 0
-        for e_cand in I.one_cells_from(phi.src):
-            if not I.in_e_subcategory(e_cand):
-                continue
-            for m_cand in I.hom(e_cand.dst, phi.dst).objects:
-                if not r.charge():
-                    return r
-                if I.in_m_subcategory(m_cand) and \
-                   I.h_compose(m_cand, e_cand) == phi:
-                    found += 1
-        if found != 1:
-            return r.fail((str(phi), "%d factorizations" % found))
+    for cells in _cells_out(I).values():   # the 1-cells out of one 0-cell
+        for y, phi in cells:
+            if not r.charge():
+                return r
+            e_part, m_part = I.factorize(phi)
+            if I.h_compose(m_part, e_part) != phi or \
+               not I.in_e_subcategory(e_part) or not I.in_m_subcategory(m_part):
+                return r.fail(str(phi))
+            found = 0
+            for z, e_cand in cells:
+                if not I.in_e_subcategory(e_cand):
+                    continue
+                for m_cand in I.hom(z, y).objects:
+                    if not r.charge():
+                        return r
+                    if I.in_m_subcategory(m_cand) and \
+                       I.h_compose(m_cand, e_cand) == phi:
+                        found += 1
+            if found != 1:
+                return r.fail((str(phi), "%d factorizations" % found))
     return r
 
 

@@ -67,10 +67,13 @@ _MISS = object()
 
 def memoized(name: str):
     """Cache a method's result per instance in ``self._memos[name]``, keyed
-    on its one, two or three positional arguments (a tuple of two or
-    three), and count hits in ``self._hits[name]``."""
+    on its none, one, two or three positional arguments (``()`` or a tuple
+    of two or three), and count hits in ``self._hits[name]``."""
     def decorate(method):
         # fixed arities: a wrapper taking *args is called more slowly
+        if method.__code__.co_argcount == 1:   # no arguments: one entry, under ()
+            keyed = decorate(lambda self, _: method(self))
+            return wraps(method)(lambda self: keyed(self, ()))
         if method.__code__.co_argcount == 2:
             def memo_method(self, a):
                 out = self._memos[name].get(a, _MISS)

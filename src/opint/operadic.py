@@ -18,8 +18,8 @@ from typing import Any, Callable
 from .fincat import FinCat, Functor, enumerate_functors, is_terminal, validate_functor
 from .interning import memo_tables, memoized
 from .integration import (
-    Integration, IntegrationMap, InvalidOperad, LaxTriangle, OneCell, ZeroCell, integrate,
-    lift_instances,
+    Integration, IntegrationMap, InvalidOperad, LaxTriangle, OneCell, ZeroCell, _cells_out,
+    group_by_card, integrate, lift_instances,
 )
 from .operads import OperadMorphism, TruncatedOperad, _check_mu_squares, _composable_pairs
 from .report import DEFAULT_CAP, FAIL, Report
@@ -67,7 +67,12 @@ class OperadicTwoCat:
     _hits: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self._memos, self._hits = memo_tables("triangles", "trivial")
+        self._memos, self._hits = memo_tables("cards", "triangles", "trivial")
+
+    @memoized("cards")
+    def cells_by_card(self) -> dict:
+        """The 0-cells by cardinality (``group_by_card``), grouped once."""
+        return group_by_card(self.tc.zero_cells(), self.card0)
 
     def one_cells_into(self, x):
         for z in self.tc.sources(x):
@@ -492,10 +497,6 @@ def canonical_fibration(I: Integration) -> SplitFibrationData:
     return SplitFibrationData(O, I.cartesian_lift, I.P.bound)
 
 
-def _cells_of_card(O, n):
-    return [x for x in O.tc.zero_cells() if O.card0(x) == n]
-
-
 def check_splitting(S: SplitFibrationData, cap: int | None = DEFAULT_CAP) -> Report:
     """The three coherence equations of the chosen lifts.
 
@@ -505,10 +506,11 @@ def check_splitting(S: SplitFibrationData, cap: int | None = DEFAULT_CAP) -> Rep
     """
     O = S.operadic
     u = O.unit
+    by_card = O.cells_by_card()
     r = Report("splitting", cap=cap)
     for n in range(1, S.bound + 1):
         units = (u,) * n
-        for c in _cells_of_card(O, n):
+        for c in by_card.get(n, ()):
             if not r.charge():
                 return r
             if S.lift(identity_surjection(n), c, units) != O.tc.identity_one_cell(c):
@@ -519,10 +521,9 @@ def check_splitting(S: SplitFibrationData, cap: int | None = DEFAULT_CAP) -> Rep
                 return r.fail(("terminal lift", str(c)))
     for f, g in _composable_pairs(S.bound):
         gf = compose(f, g)
-        c_cells = _cells_of_card(O, g.cod)
-        b_slots = [_cells_of_card(O, s) for s in g.fiber_sizes()]
-        a_slots = [_cells_of_card(O, s) for s in f.fiber_sizes()]
-        for c in c_cells:
+        b_slots = [by_card.get(s, ()) for s in g.fiber_sizes()]
+        a_slots = [by_card.get(s, ()) for s in f.fiber_sizes()]
+        for c in by_card.get(g.cod, ()):
             for bs in itertools.product(*b_slots):
                 outer = S.lift(g, c, bs)
                 mid = O.src0(outer)
@@ -545,7 +546,7 @@ def check_all_lifts_cartesian(S: SplitFibrationData,
     """Run the unique-lift test on every chosen lift within the bound."""
     O = S.operadic
     r = Report("cartesian lifts", cap=cap)
-    for g, c, bs in lift_instances(O.tc.zero_cells(), O.card0, S.bound):
+    for g, c, bs in lift_instances(O.cells_by_card(), S.bound):
         sub = is_operadic_cartesian(O, S.lift(g, c, bs),
                                     cap=None if cap is None else cap - r.checked)
         # a capped sub-search has spent what was left of the cap, so
@@ -582,7 +583,7 @@ def trivial_subcategory(O: OperadicTwoCat, n: int) -> FinCat:
     """Objects of cardinality n with the trivial cells between them,
     oriented so that the extraction is covariant: the cell t appears as
     a morphism  dst(t) -> src(t)."""
-    objects = _cells_of_card(O, n)
+    objects = O.cells_by_card().get(n, ())
     morphisms = [(t, y, x) for x in objects for y in O.tc.targets(x) if O.card0(y) == n
                  for t in O.tc.hom(x, y).objects if is_trivial(O, t)]
     identity = {x: O.tc.identity_one_cell(x) for x in objects}
@@ -604,7 +605,7 @@ def check_trivial_subcategory(O: OperadicTwoCat,
             return r
         if not is_trivial(O, O.tc.identity_one_cell(x)):
             return r.fail(("identity", str(x)))
-    cats = [trivial_subcategory(O, n) for n in dict.fromkeys(map(O.card0, O.tc.zero_cells()))]
+    cats = [trivial_subcategory(O, n) for n in O.cells_by_card()]
     for t1, t2 in (pair for cat in cats for pair in cat.composable_pairs()):
         if not r.charge():
             return r
@@ -637,7 +638,7 @@ def extract_operad(S: SplitFibrationData) -> TruncatedOperad:
     input was not genuinely split-fibered and raises ExtractionError.
     """
     O = S.operadic
-    bound = max(O.card0(x) for x in O.tc.zero_cells())
+    bound = max(O.cells_by_card())
     components = {}
     for n in range(1, bound + 1):
         cat = trivial_subcategory(O, n)
@@ -701,25 +702,27 @@ def _check_cell_map(I: Integration, S: SplitFibrationData, on0, on1,
             return r
         if on1(I.identity_one_cell(x)) != O.tc.identity_one_cell(on0(x)):
             return r.fail(("identity", str(x)))
-    for f_cell in I.all_one_cells():
-        if not r.charge():
-            return r
+    out = _cells_out(I)
+    for x, cells in out.items():
+        for y, f_cell in cells:
+            if not r.charge():
+                return r
+            image = on1(f_cell)
+            if O.card1(image) != f_cell.f:
+                return r.fail(("projection", str(f_cell)))
+            if (O.src0(image), O.dst0(image)) != (on0(x), on0(y)):
+                return r.fail(("endpoints", str(f_cell)))
+            if O.fib0(on0(y), image) != tuple(on0(c) for c in I.fibers_of_1cell(f_cell)):
+                return r.fail(("fibers", str(f_cell)))
+    for y, f_cell in itertools.chain.from_iterable(out.values()):
         image = on1(f_cell)
-        if O.card1(image) != f_cell.f:
-            return r.fail(("projection", str(f_cell)))
-        if (O.src0(image), O.dst0(image)) != (on0(f_cell.src), on0(f_cell.dst)):
-            return r.fail(("endpoints", str(f_cell)))
-        if O.fib0(on0(f_cell.dst), image) != \
-           tuple(on0(c) for c in I.fibers_of_1cell(f_cell)):
-            return r.fail(("fibers", str(f_cell)))
-    for f_cell in I.all_one_cells():
-        image = on1(f_cell)
-        for g_cell in I.one_cells_from(f_cell.dst):
+        for _, g_cell in out[y]:
             if not r.charge():
                 return r
             if on1(I.h_compose(g_cell, f_cell)) != O.tc.h_compose(on1(g_cell), image):
                 return r.fail(("composition", str(f_cell), str(g_cell)))
-    for g, c, fibers in lift_instances(I.zero_cells(), lambda x: x.arity, I.P.bound):
+    by_arity = group_by_card(I.zero_cells(), lambda x: x.arity)
+    for g, c, fibers in lift_instances(by_arity, I.P.bound):
         if not r.charge():
             return r
         expected = S.lift(g, on0(c), tuple(on0(fc) for fc in fibers))
@@ -753,14 +756,6 @@ def _bijective(images, targets) -> bool:
     return len(images) == len(targets) and set(images) == set(targets)
 
 
-def _trivial_cell_for(I: Integration, n: int, alpha) -> OneCell:
-    """The trivial cell pairing with a component morphism alpha: a -> b."""
-    C = I.P.component(n)
-    src_obj = C.src(alpha)
-    return I.one_cell(identity_surjection(n), (I.P.unit,) * n, alpha,
-                      ZeroCell(n, src_obj))
-
-
 def roundtrip_operad(P: TruncatedOperad, cap: int | None = DEFAULT_CAP) -> Certificate:
     """Integrate, extract, and certify the canonical per-arity isomorphism
     commuting with the composition functors and the unit."""
@@ -775,7 +770,7 @@ def roundtrip_operad(P: TruncatedOperad, cap: int | None = DEFAULT_CAP) -> Certi
     for n in range(1, P.bound + 1):
         C, D = P.component(n), P2.component(n)
         obj_map = {a: ZeroCell(n, a) for a in C.objects}
-        mor_map = {m: _trivial_cell_for(I, n, m) for m in C.morphism_ids()}
+        mor_map = {m: I.component_part(n, m) for m in C.morphism_ids()}
         if not _bijective(obj_map.values(), D.objects):
             return cert.fail(("object bijection", n))
         if not _bijective(mor_map.values(), D.morphism_ids()):
@@ -903,21 +898,20 @@ def _forced_extension_valid(IP: Integration, SQ: SplitFibrationData, functors) -
         return ZeroCell(x.arity, functors[x.arity].obj_map[x.obj])
 
     def h1(cell: OneCell):
-        e_part, m_part = IP.factorize(cell)
-        m = e_part.f.dom
-        component = IQ.one_cell(e_part.f, (IQ.P.unit,) * m,
-                                functors[m].mor_map[e_part.alpha], h0(e_part.dst))
-        lift = SQ.lift(m_part.f, h0(m_part.dst), tuple(map(h0, IP.fibers_of_1cell(m_part))))
+        m = cell.f.dom
+        component = IQ.component_part(m, functors[m].mor_map[cell.alpha])
+        lift = SQ.lift(cell.f, h0(cell.dst), tuple(map(h0, IP.fibers_of_1cell(cell))))
         return IQ.h_compose(lift, component)
 
-    cells = tuple(IP.all_one_cells())  # builds IP's homs outside the try
+    out = _cells_out(IP)  # builds IP's homs outside the try
     try:
-        images = {cell: h1(cell) for cell in cells}
-        for x, y in dict.fromkeys((c.src, c.dst) for c in cells):   # non-empty homs
-            for t in IP.hom(x, y).morphism_ids():
-                deltas = (functors[s].mor_map[d]
-                          for s, d in zip(t.src.f.fiber_sizes(), t.deltas))
-                IQ.two_cell(images[t.src], images[t.dst], deltas)
+        images = {cell: h1(cell) for cells in out.values() for _, cell in cells}
+        for x in IP.zero_cells():
+            for y in IP.targets(x):
+                for t in IP.hom(x, y).morphism_ids():
+                    deltas = (functors[s].mor_map[d]
+                              for s, d in zip(t.src.f.fiber_sizes(), t.deltas))
+                    IQ.two_cell(images[t.src], images[t.dst], deltas)
     except ValueError:  # a component part and a lift that do not meet, or no 2-cell
         return False
     return _check_cell_map(IP, SQ, h0, images.__getitem__, Report("2-functor")).ok

@@ -20,6 +20,7 @@ from opint.operads import nat_operad, tree_operad
 from opint.surjections import Surjection, all_surjections_up_to, bang, compose, \
     enumerate_surjections, from_fiber_sizes, identity_surjection, induced_map
 from opint.trees import corolla
+from test_integration import all_one_cells
 
 
 def z2_operad(obj):
@@ -135,7 +136,7 @@ def test_cells_are_immutable_and_keep_their_repr():
 def test_cells_of_two_integrations_compare_equal():
     I, J = integrate(nat_operad(3)), integrate(nat_operad(3))
     assert I.zero_cells() == J.zero_cells()
-    assert list(I.all_one_cells()) == list(J.all_one_cells())
+    assert all_one_cells(I) == all_one_cells(J)
     for x in I.zero_cells():
         for y in I.zero_cells():
             assert I.hom(x, y).morphisms() == J.hom(x, y).morphisms()
@@ -158,7 +159,7 @@ def test_cells_of_a_dropped_integration_are_freed():
     checked("warm")   # fills the process-wide caches of surjections
     before = live_sizes()
     I = checked("freed")
-    refs = [weakref.ref(c) for c in I.all_one_cells()]
+    refs = [weakref.ref(c) for c in all_one_cells(I)]
     refs.append(weakref.ref(I.zero_cells()[0]))
     assert live_sizes()[OneCell] > before[OneCell]
     del I
@@ -225,7 +226,8 @@ def test_target_index_matches_brute_force(make):
     for z in Z:
         assert I.sources(z) == tuple(x for x in Z if cells[x, z])
         assert I.targets(z) == tuple(y for y in Z if cells[z, y])
-        assert list(I.one_cells_from(z)) == [c for y in Z for c in cells[z, y]]
+        assert [c for y in I.targets(z) for c in I.hom(z, y).objects] == \
+            [c for y in Z for c in cells[z, y]]
 
 
 @pytest.mark.parametrize("built", [True, False])
@@ -268,15 +270,18 @@ def test_stats_count_memo_hits():
         assert stats["memos"][name]["size"] > 0
         assert stats["memos"][name]["hits"] > 0, name
     assert stats["memos"]["fibtri"] == {"size": 0, "hits": 0}
-    assert set(stats["memos"]) == {"alphas", "into", "hom", "out", "id1", "id2", "hcomp",
+    assert set(stats["memos"]) == {"alphas", "into", "hom", "targets", "id1", "id2", "hcomp",
                                    "hcomp2", "vcomp", "fibtri", "fib0", "lift"}
     assert stats["memos"]["hom"]["hits"] > 0
-    # one index per target and one out-index per arity, each built once
+    # one index per target, one list of targets per source and one
+    # out-index per arity, each built once
     assert stats["memos"]["into"]["size"] == len(I.zero_cells())
+    assert stats["memos"]["targets"]["size"] == len(I.zero_cells())
+    assert stats["memos"]["targets"]["hits"] > 0
     assert stats["memos"]["alphas"]["size"] == I.P.bound
     live = stats["live_cells"]
     assert set(live) == {"ZeroCell", "OneCell", "TwoCell", "LaxTriangle"}
-    assert live["OneCell"] >= sum(1 for _ in I.all_one_cells())
+    assert live["OneCell"] >= len(all_one_cells(I))
 
 
 def test_lifts_and_fibers_of_1cells_are_memoized():

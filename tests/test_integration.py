@@ -18,6 +18,17 @@ from opint.surjections import Surjection, all_surjections_up_to, bang, identity_
 from opint.trees import LEAF, corolla, graft
 
 
+def one_cells_from(I, x):
+    """The 1-cells out of x found over every 0-cell y: y in 0-cell order,
+    then the cells of hom(x, y) in order."""
+    return [c for y in I.zero_cells() for c in I.hom(x, y).objects]
+
+
+def all_one_cells(I):
+    """Every 1-cell found over every pair of 0-cells, by source first."""
+    return [c for x in I.zero_cells() for c in one_cells_from(I, x)]
+
+
 def nat_cell(I, a, b, p):
     """The 1-cell [1,a] -> [1,b] carrying the middle object p."""
     x, y = ZeroCell(1, a), ZeroCell(1, b)
@@ -87,7 +98,7 @@ def test_integrations_are_connected_across_arities():
 
 def test_identity_cell_is_a_unit():
     I = integrate(tree_operad(3))
-    for phi in itertools.islice(I.all_one_cells(), 0, None):
+    for phi in all_one_cells(I):
         assert I.h_compose(phi, I.identity_one_cell(phi.src)) == phi
         assert I.h_compose(I.identity_one_cell(phi.dst), phi) == phi
 
@@ -187,7 +198,7 @@ def test_fibers_of_cut_cell_are_the_cut_off_subtrees():
 
 def test_identity_triangle_fibers_are_terminal_maps():
     I = integrate(tree_operad(3))
-    for phi in I.all_one_cells():
+    for phi in all_one_cells(I):
         ident = I.identity_one_cell(phi.dst)
         assert I.h_compose(ident, phi) == phi   # the filler runs from the composite
         tri = LaxTriangle(phi, phi, ident, I.identity_two_cell(phi))
@@ -301,8 +312,8 @@ def test_integration_of_identity_morphism():
     im = integrate_morphism(identity_operad_morphism(P))
     assert check_integration_map(im).ok
     # hash-consing: both integrations of P hold the very cells of I
-    assert list(im.source.all_one_cells()) == list(I.all_one_cells())
-    for cell in I.all_one_cells():
+    assert all_one_cells(im.source) == all_one_cells(I)
+    for cell in all_one_cells(I):
         assert im.on1(cell) is cell
 
 
@@ -340,7 +351,7 @@ def test_integration_respects_composition_of_morphisms():
     imG = IntegrationMap(G, I, I)
     GF = mono(lambda a: 0)
     imGF = IntegrationMap(GF, I, I)
-    for cell in I.all_one_cells():
+    for cell in all_one_cells(I):
         assert imGF.on1(cell) == imG.on1(imF.on1(cell))
 
 
@@ -465,23 +476,78 @@ class RecordingIntegration(Integration):
         return super().h_compose(second, first)
 
 
+def factorize_by_fields(I, phi):
+    """phi = [f; args; 1] o [1; e..e; alpha], each part built from its fields."""
+    P, m = I.P, phi.f.dom
+    s = P.component(m).src(phi.alpha)
+    e_part = I.one_cell(identity_surjection(m), (P.unit,) * m, phi.alpha, ZeroCell(m, s))
+    return e_part, I.one_cell(phi.f, phi.args, P.component(m).id_of(s), phi.dst)
+
+
+@pytest.mark.parametrize("P", [nat_operad(3), tree_operad(3), cyclic_operad(2, 3)],
+                         ids=lambda P: P.name)
+def test_factorization_is_the_component_part_then_the_chosen_lift(P):
+    I = integrate(P)
+    cells = all_one_cells(I)
+    assert len(cells) == {"nat:3": 54, "trees:3": 17, "cyclic:2:3": 9}[P.name]
+    for phi in cells:
+        e_part, m_part = I.factorize(phi)
+        assert (e_part, m_part) == factorize_by_fields(I, phi)
+        assert m_part is I.cartesian_lift(phi.f, phi.dst, I.fibers_of_1cell(phi))
+
+
+WALKS = {   # each checker, exhaustive, on an integration that records h_compose
+    "laws": lambda I: check_two_category_laws(I, cap=None),
+    "projection": lambda I: [check_projection(I, cap=None)],
+    "factorization": lambda I: [check_factorization(I, cap=None)],
+    "integration map": lambda I: [check_integration_map(
+        IntegrationMap(identity_operad_morphism(I.P), I, I), cap=None)],
+}
+
+
+def expected_calls(walk, J):
+    """The ``h_compose(second, first)`` calls of ``WALKS[walk]``, from the
+    1-cells found pair by pair: each 1-cell f by source, then each g out of
+    the target of f."""
+    cells = all_one_cells(J)
+    pairs = [(g, f) for f in cells for g in one_cells_from(J, f.dst)]
+    if walk == "projection":
+        return pairs
+    if walk == "integration map":   # composed on the source, then on the target
+        return [call for pair in pairs for call in (pair, pair)]
+    calls = []
+    if walk == "factorization":
+        for phi in cells:
+            e_part, m_part = factorize_by_fields(J, phi)
+            calls.append((m_part, e_part))
+            calls += [(m, e) for e in one_cells_from(J, phi.src) if J.in_e_subcategory(e)
+                      for m in J.hom(e.dst, phi.dst).objects if J.in_m_subcategory(m)]
+        return calls
+    for f in cells:   # the laws: units, then associativity
+        calls += [(f, J.identity_one_cell(f.src)), (J.identity_one_cell(f.dst), f)]
+    for g, f in pairs:
+        calls.append((g, f))
+        for h in one_cells_from(J, g.dst):
+            calls += [(h, J.h_compose(g, f)), (h, g), (J.h_compose(h, g), f)]
+    return calls
+
+
 @pytest.mark.parametrize("P", [tree_operad(3), cyclic_operad(2, 3)], ids=lambda P: P.name)
-def test_horizontal_laws_walk_the_1_cells_out_of_each_0_cell_in_order(P):
-    # the laws walk 0-cells, their targets and homs; on an integration that
-    # is the order of all_one_cells and one_cells_from
+@pytest.mark.parametrize("walk", list(WALKS))
+def test_checkers_walk_the_1_cells_out_of_each_0_cell_in_order(walk, P):
+    # the checkers walk 0-cells, their targets and homs; on an integration
+    # that is the order of the 1-cells found over every pair of 0-cells
     I, J = RecordingIntegration(P), integrate(P)   # J: the cells, unrecorded
-    units, assoc = check_two_category_laws(I, cap=None)[1:3]
-    expected = []
-    for f in J.all_one_cells():
-        expected += [(f, J.identity_one_cell(f.src)), (J.identity_one_cell(f.dst), f)]
-    for f in J.all_one_cells():
-        for g in J.one_cells_from(f.dst):
-            expected.append((g, f))
-            for h in J.one_cells_from(g.dst):
-                expected += [(h, J.h_compose(g, f)), (h, g), (J.h_compose(h, g), f)]
+    reports = WALKS[walk](I)
+    assert all(r.ok for r in reports)
+    expected = expected_calls(walk, J)
+    if walk != "laws":
+        assert I.calls == expected
+        return
+    units, assoc = reports[1:3]   # interchange composes after them
     assert I.calls[:len(expected)] == expected
     assert len(expected) == 2 * units.checked + 3 * assoc.checked + \
-        sum(len(J.one_cells_from(f.dst)) for f in J.all_one_cells())
+        sum(len(one_cells_from(J, f.dst)) for f in all_one_cells(J))
 
 
 def misrouted(P, wrong):

@@ -352,7 +352,7 @@ def test_fillers_from_the_table_match_the_hom_walk(spec):
     S = fibration(operad(spec))
     O, tc = S.operadic, S.operadic.tc
     instances = compared = 0   # as check_all_lifts_cartesian charges them
-    for g, c, bs in lift_instances(tc.zero_cells(), O.card0, S.bound):
+    for g, c, bs in lift_instances(O.cells_by_card(), S.bound):
         phi = S.lift(g, c, bs)
         fibs_phi = O.fib0(c, phi)
         for theta in O.one_cells_into(c):
