@@ -258,17 +258,11 @@ class Integration:
                              ZeroCell(m, self.P.component(m).src(alpha)))
 
     def factorize(self, phi: OneCell) -> tuple[OneCell, OneCell]:
-        """Split a 1-cell as its component part followed by the chosen lift
-        of its cut part: phi = [f; args; 1] o [1; e..e; alpha], where
-        [f; args; 1] is ``cartesian_lift(f, dst, fibers of phi)``."""
+        """Split a 1-cell through the cleavage: phi = [f; args; 1] o [1; e..e;
+        alpha], its component part (over an identity, with unit fibers)
+        followed by ``cartesian_lift(f, dst, fibers of phi)``."""
         return (self.component_part(phi.f.dom, phi.alpha),
                 self.cartesian_lift(phi.f, phi.dst, self.fibers_of_1cell(phi)))
-
-    def in_e_subcategory(self, cell: OneCell) -> bool:
-        return cell.f.is_identity() and all(a == self.P.unit for a in cell.args)
-
-    def in_m_subcategory(self, cell: OneCell) -> bool:
-        return self.P.component(cell.f.dom).is_identity(cell.alpha)
 
     @memoized("fib0")
     def fibers_of_1cell(self, phi: OneCell) -> tuple[ZeroCell, ...]:
@@ -305,10 +299,10 @@ class Integration:
             out.append(cell)
         return tuple(out)
 
-    def fibers_of_slice_2cell(self, phi: OneCell, src: LaxTriangle, dst: LaxTriangle,
+    def fibers_of_slice_2cell(self, src: LaxTriangle, dst: LaxTriangle,
                               gamma: TwoCell) -> tuple[TwoCell, ...]:
-        """The fibers of the slice 2-cell ``gamma``: ``src => dst`` onto ``phi``."""
-        blocks = block_cut(gamma.deltas, phi.f)
+        """The fibers of the slice 2-cell ``gamma``: ``src => dst`` onto ``src.d0``."""
+        blocks = block_cut(gamma.deltas, src.d0.f)
         src_fibers = self.fibers_of_lax_triangle(src)
         dst_fibers = self.fibers_of_lax_triangle(dst)
         return tuple(self.two_cell(s, d, b)
@@ -332,11 +326,12 @@ def group_by_card(zero_cells, card) -> dict:
     return groups
 
 
-def lift_instances(by_card: dict, bound: int):
-    """Every lift problem (g, c, bs): a surjection g: k -> n with k <= bound,
-    a 0-cell c of cardinality n and a tuple bs of 0-cells whose cardinalities
-    are the fiber sizes of g, in a fixed order, from ``group_by_card``."""
-    for g in all_surjections_up_to(bound):
+def lift_instances(by_card: dict):
+    """Every lift problem (g, c, bs): a surjection g: k -> n, a 0-cell c of
+    cardinality n and a tuple bs of 0-cells whose cardinalities are the fiber
+    sizes of g, in a fixed order, from ``group_by_card``.  k runs up to the
+    largest cardinality present: a lift's source has cardinality k."""
+    for g in all_surjections_up_to(max(by_card)):
         slots = [by_card.get(s, ()) for s in g.fiber_sizes()]
         for c in by_card.get(g.cod, ()):
             for bs in itertools.product(*slots):
@@ -446,25 +441,33 @@ def check_projection(I: Integration, cap: int | None = DEFAULT_CAP) -> Report:
 
 
 def check_factorization(I: Integration, cap: int | None = DEFAULT_CAP) -> Report:
-    """Every 1-cell factors as component-then-cut, uniquely."""
+    """Every 1-cell factors uniquely through the cleavage: a component part,
+    over an identity with unit fibers, followed by a cut part, which is
+    its own chosen lift."""
     r = Report("strict factorization", cap=cap)
+    unit = ZeroCell(1, I.P.unit)
+
+    def component(c):
+        return c.f.is_identity() and I.fibers_of_1cell(c) == (unit,) * c.f.dom
+
+    def cut(c):
+        return c is I.cartesian_lift(c.f, c.dst, I.fibers_of_1cell(c))
+
     for cells in _cells_out(I).values():   # the 1-cells out of one 0-cell
         for y, phi in cells:
             if not r.charge():
                 return r
             e_part, m_part = I.factorize(phi)
-            if I.h_compose(m_part, e_part) != phi or \
-               not I.in_e_subcategory(e_part) or not I.in_m_subcategory(m_part):
+            if I.h_compose(m_part, e_part) != phi or not component(e_part) or not cut(m_part):
                 return r.fail(str(phi))
             found = 0
             for z, e_cand in cells:
-                if not I.in_e_subcategory(e_cand):
+                if not component(e_cand):
                     continue
                 for m_cand in I.hom(z, y).objects:
                     if not r.charge():
                         return r
-                    if I.in_m_subcategory(m_cand) and \
-                       I.h_compose(m_cand, e_cand) == phi:
+                    if cut(m_cand) and I.h_compose(m_cand, e_cand) == phi:
                         found += 1
             if found != 1:
                 return r.fail((str(phi), "%d factorizations" % found))

@@ -43,10 +43,12 @@ class OperadicTwoCat:
     ``h_compose(g, f)``, ``identity_one_cell(x)``, ``identity_two_cell(f)``,
     ``v_compose(t2, t1)`` and ``h_compose_2cells(e, d)``, named as on
     :class:`Integration`.  The remaining fields interpret its cells in the
-    surjection calculus.  The presentation is connected, as Delta_s is:
-    ``eps`` sends every 0-cell into the one chosen ``unit``.  Every search
-    over lax triangles reads one memo, ``triangles_from(phi, z)``: the
-    triangles onto ``phi`` out of ``z``, each with its ``fib1``.
+    surjection calculus, each fiber map from its cells alone (a slice
+    2-cell ``src => dst`` lies over ``src.d0``).  The presentation is
+    connected, as Delta_s is: ``eps`` sends every 0-cell into the one
+    chosen ``unit``.  Every search over lax triangles reads one memo,
+    ``triangles_from(phi, z)``: the triangles onto ``phi`` out of ``z``,
+    each with its ``fib1``.
     """
 
     tc: Any
@@ -55,10 +57,10 @@ class OperadicTwoCat:
     src0: Callable
     dst0: Callable
     src2: Callable
-    fib0: Callable          # (x, one-cell into x) -> tuple of 0-cells
-    fib1: Callable          # (x, lax triangle over x) -> tuple of 1-cells
-    fib2: Callable          # (x, phi, src, dst, gamma) -> tuple of 2-cells, for
-                            # a slice 2-cell gamma: src => dst onto phi into x
+    fib0: Callable          # one-cell -> tuple of 0-cells
+    fib1: Callable          # lax triangle -> tuple of 1-cells
+    fib2: Callable          # (src, dst, gamma) -> tuple of 2-cells, for a
+                            # slice 2-cell gamma: src => dst onto src.d0
     unit: Any               # the chosen 0-cell of cardinality 1
     eps: Callable           # 0-cell -> terminal 1-cell into the unit
     label: str = "operadic 2-category"
@@ -91,7 +93,7 @@ class OperadicTwoCat:
             for theta in hom_zx.objects:
                 for filler in hom_zx.hom(composite, theta):
                     tri = LaxTriangle(psi, theta, phi, filler)
-                    out += (tri, self.fib1(x, tri))
+                    out += (tri, self.fib1(tri))
         return tuple(out)
 
     def triangles_onto(self, phi):
@@ -101,8 +103,8 @@ class OperadicTwoCat:
             yield from zip(table, table)
 
     def fib1_cached(self, x, tri):
-        """``fib1``; no caller in ``src/``, kept while the benchmark traces it."""
-        return self.fib1(x, tri)
+        """``fib1(tri)``; no caller in ``src/``, kept while the benchmark traces it."""
+        return self.fib1(tri)
 
     def slice_compose(self, second: LaxTriangle, first: LaxTriangle) -> LaxTriangle:
         """Composition of lax-slice morphisms over a common vertex; no caller
@@ -128,9 +130,9 @@ class OperadicTwoCat:
             src0=lambda c: c.src,
             dst0=lambda c: c.dst,
             src2=lambda t: t.src,
-            fib0=lambda x, c: I.fibers_of_1cell(c),
-            fib1=lambda x, tri: I.fibers_of_lax_triangle(tri),
-            fib2=lambda x, *parts: I.fibers_of_slice_2cell(*parts),
+            fib0=I.fibers_of_1cell,
+            fib1=I.fibers_of_lax_triangle,
+            fib2=I.fibers_of_slice_2cell,
             unit=u,
             eps=eps,
             label="integration of %s" % I.P.name,
@@ -188,14 +190,11 @@ class DeltaSTwoCat:
 def delta_s(N: int) -> OperadicTwoCat:
     tc = DeltaSTwoCat(N)
 
-    def fib0(x, g):
-        return tuple(g.fiber_sizes())
-
-    def fib1(x, tri):
+    def fib1(tri):
         return tuple(induced_map(tri.d2, tri.d0, i) for i in range(1, tri.d0.cod + 1))
 
-    def fib2(x, phi, src, dst, gamma):
-        return tuple(("id2", c) for c in fib1(x, src))
+    def fib2(src, dst, gamma):
+        return tuple(("id2", c) for c in fib1(src))
 
     return OperadicTwoCat(
         tc=tc,
@@ -204,7 +203,7 @@ def delta_s(N: int) -> OperadicTwoCat:
         src0=lambda f: f.dom,
         dst0=lambda f: f.cod,
         src2=lambda t: t[1],
-        fib0=fib0,
+        fib0=Surjection.fiber_sizes,
         fib1=fib1,
         fib2=fib2,
         unit=1,
@@ -259,8 +258,7 @@ def _check_axiom_cardinality(O, r) -> Report:
         for phi in O.one_cells_into(x):
             if not r.charge():
                 return r
-            fibs = O.fib0(x, phi)
-            if tuple(O.card0(c) for c in fibs) != O.card1(phi).fiber_sizes():
+            if tuple(O.card0(c) for c in O.fib0(phi)) != O.card1(phi).fiber_sizes():
                 return r.fail(("fiber cardinalities", str(phi)))
             for tri, fib1s in O.triangles_onto(phi):
                 if not r.charge():
@@ -284,7 +282,7 @@ def _check_axiom_unit_fibers(O, r) -> Report:
     for x in O.tc.zero_cells():
         if not r.charge():
             return r
-        if O.fib0(O.unit, O.eps(x)) != (x,):
+        if O.fib0(O.eps(x)) != (x,):
             return r.fail(str(x))
     return r
 
@@ -293,7 +291,7 @@ def _check_axiom_identity_fibers(O, r) -> Report:
     for x in O.tc.zero_cells():
         if not r.charge():
             return r
-        if O.fib0(x, O.tc.identity_one_cell(x)) != (O.unit,) * O.card0(x):
+        if O.fib0(O.tc.identity_one_cell(x)) != (O.unit,) * O.card0(x):
             return r.fail(str(x))
     return r
 
@@ -308,9 +306,7 @@ def _check_axiom_terminal_fibers(O, r) -> Report:
             if O.tc.h_compose(ident, phi) != phi:
                 return r.fail(("strict unit law", str(phi)))
             tri = LaxTriangle(phi, phi, ident, O.tc.identity_two_cell(phi))
-            fib1s = O.fib1(x, tri)
-            expected = tuple(O.eps(c) for c in O.fib0(x, phi))
-            if fib1s != expected:
+            if O.fib1(tri) != tuple(O.eps(c) for c in O.fib0(phi)):
                 return r.fail(str(phi))
     return r
 
@@ -325,15 +321,12 @@ def _check_fiber_axiom(O, r) -> Report:
     """
     for x in O.tc.zero_cells():
         for phi in O.one_cells_into(x):
-            y = O.src0(phi)
-            g = O.card1(phi)
-            fibs_phi = O.fib0(x, phi)
+            g, n_fib = O.card1(phi), len(O.fib0(phi))
             for tri, fib1s in O.triangles_onto(phi):
                 if not r.charge():
                     return r
-                route_a = block_cut(O.fib0(y, tri.d2), g)
-                route_b = tuple(O.fib0(fibs_phi[i], fib1s[i])
-                                for i in range(len(fibs_phi)))
+                route_a = block_cut(O.fib0(tri.d2), g)
+                route_b = tuple(O.fib0(fib1s[i]) for i in range(n_fib))
                 if route_a != route_b:
                     return r.fail(("objects", str(phi)))
     return r
@@ -349,12 +342,12 @@ def _check_fiber_axiom_one_cells(O, r) -> Report:
     """
     for x in O.tc.zero_cells():
         for phi in O.one_cells_into(x):
-            if not _fiber_axiom_on_one_cells(O, x, phi, r):
+            if not _fiber_axiom_on_one_cells(O, phi, r):
                 return r
     return r
 
 
-def _fiber_axiom_on_one_cells(O, x, phi, r) -> bool:
+def _fiber_axiom_on_one_cells(O, phi, r) -> bool:
     """The square on the 1-cells of the double slice over ``phi``.
 
     A 1-cell from the triangle ``a1`` to the triangle ``a2`` is a
@@ -363,32 +356,31 @@ def _fiber_axiom_on_one_cells(O, x, phi, r) -> bool:
     must then send it to the same blocks of fiber data; ``triangles``
     pairs each triangle onto ``phi`` with its fibers.  Three tables are
     local to ``phi`` and reused only for an identical key, never assumed:
-    the routes ``block_cut(fib1(y, tri_a), g)``, keyed on all of ``tri_a``; the
-    candidates, which depend only on ``sigma.d1`` and ``a2.d2 o sigma.d2``
-    (``candidates``), each an entry ``[a1, gamma, fibers of a1, filled,
-    slice fibers]`` with ``filled = a1.filler o (1_phi * gamma)``; and the
-    squares that passed (``verified``).  An instance passes the filler
-    test when ``filled`` is the filler of the composite ``a2 o sigma``;
-    the composite slice is then ``(a2.d2 o sigma.d2, sigma.d1, phi,
-    filled)``, so with ``x`` and ``phi`` the candidate fixes every
-    argument of ``fib2``, asked at its first passing instance and kept in
-    the entry.  Per ``(a2, sigma)``: the composite's filler, and the
-    composed fibers once a square of the pair misses ``verified``.  Per
-    instance: a charge, the filler test, the route lookup and the square
-    ``(sig_f, a1_f, a2_f, xi_f, route_a)``, which fixes the fiber loop
-    (``fibs_phi`` is fixed, ``composed_f`` follows from ``a2_f`` and
-    ``sig_f``); the loop runs unless an equal square passed before, and
-    ``verified`` gains a square only once it passes, so a failing one is
-    evaluated at its first instance.  Counts on ``r`` and returns False
-    once ``r`` holds its verdict (capped or failed).
+    the routes ``block_cut(fib1(tri_a), g)``, keyed on all of ``tri_a``;
+    the candidates, which depend only on ``sigma.d1`` and ``a2.d2 o
+    sigma.d2`` (``candidates``), each an entry ``[a1, gamma, fibers of a1,
+    filled, slice fibers]`` with ``filled = a1.filler o (1_phi * gamma)``;
+    and the squares that passed (``verified``).  An instance passes the
+    filler test when ``filled`` is the filler of the composite ``a2 o
+    sigma``; the composite slice is then ``(a2.d2 o sigma.d2, sigma.d1,
+    phi, filled)``, and ``fib2(composite slice, a1, gamma)``, asked at the
+    candidate's first passing instance, is kept in the entry.  Per ``(a2,
+    sigma)``: the composite's filler, and the composed fibers once a
+    square of the pair misses ``verified``.  Per instance: a charge, the
+    filler test, the route lookup and the square ``(sig_f, a1_f, a2_f,
+    xi_f, route_a)``, which fixes the fiber loop (the fibers of ``phi``
+    are fixed, ``composed_f`` follows from ``a2_f`` and ``sig_f``); the
+    loop runs unless an equal square passed before, and ``verified`` gains
+    a square only once it passes, so a failing one is evaluated at its
+    first instance.  Counts on ``r`` and returns False once ``r`` holds its
+    verdict (capped or failed).
     """
     tc, fib1, fib2, src2 = O.tc, O.fib1, O.fib2, O.src2
-    y, g, fibs_phi = O.src0(phi), O.card1(phi), O.fib0(x, phi)
+    y, g, n_fib = O.src0(phi), O.card1(phi), len(O.fib0(phi))
     triangles = tuple(O.triangles_onto(phi))
     by_d1: dict = {}
     for pair in triangles:
         by_d1.setdefault(pair[0].d1, []).append(pair)
-    n_fib = len(fibs_phi)
     id2_phi = tc.identity_two_cell(phi)
     routes, candidates, verified = {}, {}, set()   # local to phi
     for a2, a2_f in triangles:                 # target object of the 1-cell
@@ -417,11 +409,11 @@ def _fiber_axiom_on_one_cells(O, x, phi, r) -> bool:
                     continue
                 if xi_f is None:
                     xi_f = entry[4] = fib2(
-                        x, phi, LaxTriangle(d2comp, sigma.d1, phi, filled), a1, gamma)
+                        LaxTriangle(d2comp, sigma.d1, phi, filled), a1, gamma)
                 tri_a = (sigma.d2, a1.d2, a2.d2, gamma)
                 route_a = routes.get(tri_a)
                 if route_a is None:
-                    route_a = routes[tri_a] = block_cut(fib1(y, LaxTriangle(*tri_a)), g)
+                    route_a = routes[tri_a] = block_cut(fib1(LaxTriangle(*tri_a)), g)
                 square = (sig_f, a1_f, a2_f, xi_f, route_a)
                 if square in verified:
                     continue
@@ -433,7 +425,7 @@ def _fiber_axiom_on_one_cells(O, x, phi, r) -> bool:
                         r.fail(("fiber functoriality", i, str(phi)))
                         return False
                     tri_b = LaxTriangle(sig_f[i], a1_f[i], a2_f[i], xi_f[i])
-                    if fib1(fibs_phi[i], tri_b) != route_a[i]:
+                    if fib1(tri_b) != route_a[i]:
                         r.fail(("one-cells", i, str(phi)))
                         return False
                 verified.add(square)
@@ -454,10 +446,10 @@ def is_operadic_cartesian(O: OperadicTwoCat, phi,
     """
     t = O.dst0(phi)
     g = O.card1(phi)
-    fibs_phi = O.fib0(t, phi)
+    fibs_phi = O.fib0(phi)
     r = Report("operadic cartesian", cap=cap)
     for theta in O.one_cells_into(t):
-        fibs_theta = O.fib0(t, theta)
+        fibs_theta = O.fib0(theta)
         slots = [O.tc.hom(a, b).objects for a, b in zip(fibs_theta, fibs_phi)]
         for psis in itertools.product(*slots):
             if not r.charge():
@@ -482,11 +474,15 @@ def _fillers(O, phi, theta, psis, base) -> list:
 
 @dataclass
 class SplitFibrationData:
-    """A choice of cartesian lifts over the surjection calculus."""
+    """A choice of cartesian lifts over the surjection calculus, up to the
+    largest cardinality of a 0-cell (``bound``)."""
 
     operadic: OperadicTwoCat
     lift: Callable          # (g, target 0-cell, fiber 0-cells) -> 1-cell
-    bound: int
+
+    @property
+    def bound(self) -> int:
+        return max(self.operadic.cells_by_card())
 
     def lift_source(self, g, target, fibers):
         return self.operadic.src0(self.lift(g, target, fibers))
@@ -494,7 +490,7 @@ class SplitFibrationData:
 
 def canonical_fibration(I: Integration) -> SplitFibrationData:
     O = OperadicTwoCat.from_integration(I)
-    return SplitFibrationData(O, I.cartesian_lift, I.P.bound)
+    return SplitFibrationData(O, I.cartesian_lift)
 
 
 def check_splitting(S: SplitFibrationData, cap: int | None = DEFAULT_CAP) -> Report:
@@ -546,7 +542,7 @@ def check_all_lifts_cartesian(S: SplitFibrationData,
     """Run the unique-lift test on every chosen lift within the bound."""
     O = S.operadic
     r = Report("cartesian lifts", cap=cap)
-    for g, c, bs in lift_instances(O.cells_by_card(), S.bound):
+    for g, c, bs in lift_instances(O.cells_by_card()):
         sub = is_operadic_cartesian(O, S.lift(g, c, bs),
                                     cap=None if cap is None else cap - r.checked)
         # a capped sub-search has spent what was left of the cap, so
@@ -574,7 +570,7 @@ def is_trivial(O: OperadicTwoCat, phi) -> bool:
     for psi in O.one_cells_into(y):
         theta = O.tc.h_compose(phi, psi)
         tri = LaxTriangle(psi, theta, phi, O.tc.identity_two_cell(theta))
-        if O.fib1(x, tri) != tuple(O.eps(c) for c in O.fib0(y, psi)):
+        if O.fib1(tri) != tuple(O.eps(c) for c in O.fib0(psi)):
             return False
     return True
 
@@ -612,11 +608,10 @@ def check_trivial_subcategory(O: OperadicTwoCat,
         if not is_trivial(O, O.tc.h_compose(t2, t1)):
             return r.fail(("composite", str(t1), str(t2)))
     for t in (t for cat in cats for t in cat.morphism_ids()):
-        x, y = O.dst0(t), O.src0(t)
-        for psi in O.one_cells_into(y):
+        for psi in O.one_cells_into(O.src0(t)):
             if not r.charge():
                 return r
-            if O.fib0(x, O.tc.h_compose(t, psi)) != O.fib0(y, psi):
+            if O.fib0(O.tc.h_compose(t, psi)) != O.fib0(psi):
                 return r.fail(("fiber matching", str(t), str(psi)))
     return r
 
@@ -638,7 +633,7 @@ def extract_operad(S: SplitFibrationData) -> TruncatedOperad:
     input was not genuinely split-fibered and raises ExtractionError.
     """
     O = S.operadic
-    bound = max(O.cells_by_card())
+    bound = S.bound
     components = {}
     for n in range(1, bound + 1):
         cat = trivial_subcategory(O, n)
@@ -712,7 +707,7 @@ def _check_cell_map(I: Integration, S: SplitFibrationData, on0, on1,
                 return r.fail(("projection", str(f_cell)))
             if (O.src0(image), O.dst0(image)) != (on0(x), on0(y)):
                 return r.fail(("endpoints", str(f_cell)))
-            if O.fib0(on0(y), image) != tuple(on0(c) for c in I.fibers_of_1cell(f_cell)):
+            if O.fib0(image) != tuple(on0(c) for c in I.fibers_of_1cell(f_cell)):
                 return r.fail(("fibers", str(f_cell)))
     for y, f_cell in itertools.chain.from_iterable(out.values()):
         image = on1(f_cell)
@@ -722,7 +717,7 @@ def _check_cell_map(I: Integration, S: SplitFibrationData, on0, on1,
             if on1(I.h_compose(g_cell, f_cell)) != O.tc.h_compose(on1(g_cell), image):
                 return r.fail(("composition", str(f_cell), str(g_cell)))
     by_arity = group_by_card(I.zero_cells(), lambda x: x.arity)
-    for g, c, fibers in lift_instances(by_arity, I.P.bound):
+    for g, c, fibers in lift_instances(by_arity):
         if not r.charge():
             return r
         expected = S.lift(g, on0(c), tuple(on0(fc) for fc in fibers))
@@ -842,7 +837,7 @@ def _image_two_cell(O, src_cell, dst_cell, deltas):
     found = None
     for xi in H.hom(src_cell, dst_cell):
         tri = LaxTriangle(ident, dst_cell, src_cell, xi)
-        if O.fib1(x, tri) == deltas:
+        if O.fib1(tri) == deltas:
             if found is not None:
                 return None
             found = xi

@@ -26,6 +26,7 @@ from opint.operadic import (
     roundtrip_2cat, roundtrip_operad,
 )
 from opint.trees import enumerate_trees
+from test_integration import in_m_subcategory
 
 
 def announce(number, ok, elapsed, detail=""):
@@ -103,10 +104,10 @@ def test_criterion_3_saturating_chain_fixed_points():
     members = sorted(c.args[0] for c in hom25.objects)
     if members != [p for p in range(21) if min(5 + p, 20) >= 2]:
         problems.append("hom(2,5) members %s" % members)
-    cuts25 = [c.args for c in hom25.objects if I.in_m_subcategory(c)]
+    cuts25 = [c.args for c in hom25.objects if in_m_subcategory(I, c)]
     if cuts25:
         problems.append("cut part of hom(2,5) is %s, claimed empty" % cuts25)
-    cuts52 = [c.args for c in hom52.objects if I.in_m_subcategory(c)]
+    cuts52 = [c.args for c in hom52.objects if in_m_subcategory(I, c)]
     if cuts52 != [(3,)]:
         problems.append("cut part of hom(5,2) is %s, claimed [(3,)]" % cuts52)
 

@@ -29,6 +29,16 @@ def all_one_cells(I):
     return [c for x in I.zero_cells() for c in one_cells_from(I, x)]
 
 
+def in_e_subcategory(I, cell):
+    """The component parts by their fields: identity f, unit args."""
+    return cell.f.is_identity() and all(a == I.P.unit for a in cell.args)
+
+
+def in_m_subcategory(I, cell):
+    """The cut parts by their fields: alpha is an identity."""
+    return I.P.component(cell.f.dom).is_identity(cell.alpha)
+
+
 def nat_cell(I, a, b, p):
     """The 1-cell [1,a] -> [1,b] carrying the middle object p."""
     x, y = ZeroCell(1, a), ZeroCell(1, b)
@@ -58,7 +68,7 @@ def test_saturating_chain_hom_membership_predicate():
             [p for p in range(21) if min(b + p, 20) >= a]
     # the cut subcategory, by contrast, is one-directional
     cuts = [c for c in I.hom(ZeroCell(1, 2), ZeroCell(1, 5)).objects
-            if I.in_m_subcategory(c)]
+            if in_m_subcategory(I, c)]
     assert cuts == []
 
 
@@ -228,7 +238,7 @@ def test_lali_terminal_of_trees_is_the_leaf():
         eps = O.eps(x)
         assert eps.f == bang(x.arity)
         assert eps.args == (x.obj,)
-        assert I.in_m_subcategory(eps)
+        assert in_m_subcategory(I, eps)
 
 
 def test_lali_terminal_of_saturating_chain():
@@ -254,7 +264,7 @@ def test_cartesian_lift_degenerate_shapes():
     # a bang lift with unit target is the terminal map
     lift = I.cartesian_lift(bang(3), ZeroCell(1, LEAF), (x,))
     assert lift.args == (corolla(3),)
-    assert I.in_m_subcategory(lift)
+    assert in_m_subcategory(I, lift)
 
 
 def test_cartesian_lift_tree_is_uncontracted_cut():
@@ -291,7 +301,7 @@ def test_slice_two_cell_fibers_partition_by_blocks():
                     if I.v_compose(t2.filler, I.h_compose_2cells(id_phi, gamma)) \
                        != t1.filler:
                         continue
-                    fibers = I.fibers_of_slice_2cell(phi, t1, t2, gamma)
+                    fibers = I.fibers_of_slice_2cell(t1, t2, gamma)
                     count += 1
                     flat = tuple(d for f2 in fibers for d in f2.deltas)
                     assert flat == gamma.deltas
@@ -399,6 +409,31 @@ def test_integrate_rejects_a_mu_table_that_breaks_composition():
         integrate(P)
 
 
+@pytest.mark.parametrize("P", [nat_operad(3), tree_operad(3), cyclic_operad(2, 3)],
+                         ids=lambda P: P.name)
+@pytest.mark.parametrize("morphism", [identity_operad_morphism, morphism_to_terminal],
+                         ids=["identity", "to terminal"])
+def test_on2_is_a_functor_on_each_hom(morphism, P):
+    # on2 keeps endpoints, identity 2-cells and vertical composites; under
+    # the identity morphism it is the identity on 2-cells
+    im = integrate_morphism(morphism(P))
+    I, J = im.source, im.target
+    pairs = 0
+    for x in I.zero_cells():
+        for y in I.targets(x):
+            H = I.hom(x, y)
+            for t in H.morphism_ids():
+                image = im.on2(t)
+                assert (image.src, image.dst) == (im.on1(t.src), im.on1(t.dst))
+                assert image is t or morphism is not identity_operad_morphism
+            for c in H.objects:
+                assert im.on2(I.identity_two_cell(c)) is J.identity_two_cell(im.on1(c))
+            for t2, t1 in H.composable_pairs():
+                assert im.on2(I.v_compose(t2, t1)) is J.v_compose(im.on2(t2), im.on2(t1))
+                pairs += 1
+    assert pairs > 0
+
+
 # ---------------------------------------------------------------------------
 # seeded corruptions of the 2-category laws, on cyclic:2:3's parallel 2-cells
 
@@ -496,6 +531,24 @@ def test_factorization_is_the_component_part_then_the_chosen_lift(P):
         assert m_part is I.cartesian_lift(phi.f, phi.dst, I.fibers_of_1cell(phi))
 
 
+@pytest.mark.parametrize("P", [nat_operad(3), tree_operad(3), cyclic_operad(2, 3)],
+                         ids=lambda P: P.name)
+def test_field_predicates_agree_with_the_cleavage(P):
+    # strict factorization tests its parts through the cleavage: a
+    # component part lies over an identity with unit fibers, a cut part is
+    # its own chosen lift; on every 1-cell these are the field predicates
+    I = integrate(P)
+    unit = ZeroCell(1, P.unit)
+    seen = set()
+    for c in all_one_cells(I):
+        fibers = I.fibers_of_1cell(c)
+        component = c.f.is_identity() and fibers == (unit,) * c.f.dom
+        cut = c is I.cartesian_lift(c.f, c.dst, fibers)
+        assert (in_e_subcategory(I, c), in_m_subcategory(I, c)) == (component, cut), str(c)
+        seen.add((component, cut))
+    assert len(seen) == 4   # each predicate holds on some cells and fails on others
+
+
 WALKS = {   # each checker, exhaustive, on an integration that records h_compose
     "laws": lambda I: check_two_category_laws(I, cap=None),
     "projection": lambda I: [check_projection(I, cap=None)],
@@ -520,8 +573,8 @@ def expected_calls(walk, J):
         for phi in cells:
             e_part, m_part = factorize_by_fields(J, phi)
             calls.append((m_part, e_part))
-            calls += [(m, e) for e in one_cells_from(J, phi.src) if J.in_e_subcategory(e)
-                      for m in J.hom(e.dst, phi.dst).objects if J.in_m_subcategory(m)]
+            calls += [(m, e) for e in one_cells_from(J, phi.src) if in_e_subcategory(J, e)
+                      for m in J.hom(e.dst, phi.dst).objects if in_m_subcategory(J, m)]
         return calls
     for f in cells:   # the laws: units, then associativity
         calls += [(f, J.identity_one_cell(f.src)), (J.identity_one_cell(f.dst), f)]

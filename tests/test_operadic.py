@@ -55,8 +55,8 @@ def test_corrupted_fiber_labels_fail_axiom_i():
     O = S.operadic
     real_fib0 = O.fib0
 
-    def bad_fib0(x, cell):
-        out = real_fib0(x, cell)
+    def bad_fib0(cell):
+        out = real_fib0(cell)
         if cell.args == (1,):
             return (ZeroCell(2, 0),) * len(out)  # wrong cardinality tag
         return out
@@ -69,7 +69,7 @@ def test_corrupted_fiber_labels_fail_axiom_i():
 def identity_fibers(O):
     """``O.fib1`` with each fiber map replaced by an identity."""
     I, real_fib1 = O.tc, O.fib1
-    return lambda x, tri: tuple(I.identity_one_cell(c.dst) for c in real_fib1(x, tri))
+    return lambda tri: tuple(I.identity_one_cell(c.dst) for c in real_fib1(tri))
 
 
 def test_replaced_fibers_are_not_served_from_the_original_memos():
@@ -94,8 +94,8 @@ def test_replaced_fibers_are_not_served_from_the_original_memos():
         for phi in O.one_cells_into(x):
             for (tri, fibers), (served, bad) in zip(O.triangles_onto(phi),
                                                     broken.triangles_onto(phi)):
-                assert served is tri and fibers == O.fib1(x, tri)
-                assert bad == bad_fib1(x, tri)
+                assert served is tri and fibers == O.fib1(tri)
+                assert bad == bad_fib1(tri)
 
 
 def one_cells_report(O):
@@ -127,12 +127,12 @@ def test_corrupted_slice_fiber_fails_fiber_functoriality():
     r = Report("axiom (v) one-cells")
     routes, calls = set(), []
 
-    def recording_fib1(x, tri):
+    def recording_fib1(tri):
         routes.add((r.checked, tri.d1, tri.filler))
-        return real_fib1(x, tri)
+        return real_fib1(tri)
 
-    def recording_fib2(x, *parts):
-        out = real_fib2(x, *parts)
+    def recording_fib2(*parts):
+        out = real_fib2(*parts)
         calls.append((r.checked, parts, out))
         return out
 
@@ -145,21 +145,21 @@ def test_corrupted_slice_fiber_fails_fiber_functoriality():
     # at an instance that reused its connecting route: fib1 saw no triangle
     # with the instance's a1.d2 and gamma there
     found = next(((n, parts, out) for n, parts, out in reversed(calls)
-                  if first[parts] == n and (n, parts[2].d2, parts[3]) not in routes
+                  if first[parts] == n and (n, parts[1].d2, parts[2]) not in routes
                   and any(t.src != t.dst for t in out)), None)
     assert found, "no instance that reused its route asked for its slice fibers"
     checked, target, fibers = found
     i = next(k for k, t in enumerate(fibers) if t.src != t.dst)
 
-    def bad_fib2(x, *parts):
-        out = real_fib2(x, *parts)
+    def bad_fib2(*parts):
+        out = real_fib2(*parts)
         if parts == target:
             out = out[:i] + (I.identity_two_cell(out[i].dst),) + out[i + 1:]
         return out
 
     r = one_cells_report(dataclasses.replace(O, fib2=bad_fib2))
     assert (r.status, r.checked) == ("fail", checked)
-    assert r.witness == ("fiber functoriality", i, str(target[0]))
+    assert r.witness == ("fiber functoriality", i, str(target[0].d0))
 
 
 def test_corrupted_connecting_triangle_fails_one_cells():
@@ -173,8 +173,8 @@ def test_corrupted_connecting_triangle_fails_one_cells():
     unit = LaxTriangle(ident, ident, ident, I.identity_two_cell(ident))
     stray = I.identity_one_cell(ZeroCell(2, corolla(2)))
 
-    def bad_fib1(x, tri):
-        out = real_fib1(x, tri)
+    def bad_fib1(tri):
+        out = real_fib1(tri)
         return (stray,) + out[1:] if tri is unit else out
 
     r = one_cells_report(dataclasses.replace(O, fib1=bad_fib1))
@@ -193,9 +193,9 @@ def test_slice_fibers_are_asked_once_per_distinct_arguments(spec, instances, dis
     O = fibration(operad(spec)).operadic
     real_fib2, calls = O.fib2, []
 
-    def recording_fib2(x, *parts):
-        calls.append((x, parts))
-        return real_fib2(x, *parts)
+    def recording_fib2(comp_slice, a1, gamma):
+        calls.append((comp_slice, a1, gamma))
+        return real_fib2(comp_slice, a1, gamma)
 
     r = one_cells_report(dataclasses.replace(O, fib2=recording_fib2))
     assert (r.status, r.checked) == ("pass", instances)
@@ -204,19 +204,19 @@ def test_slice_fibers_are_asked_once_per_distinct_arguments(spec, instances, dis
 
 def recorded_one_cells(O):
     """Run axiom (v) one-cells on O and record each fib1 call as
-    ``(instance, x, tri, phi, i)``, with ``i`` the fiber index of a tri_b
+    ``(instance, tri, phi, i)``, with ``i`` the fiber index of a tri_b
     call of the fiber loop and None in other roles, together with the
     instances that called fib2 and those that ran the fiber loop."""
     r = Report("axiom (v) one-cells")
     at, calls, fib2_at, loop_at = {}, [], set(), set()
 
-    def fib0(x, phi):
+    def fib0(phi):
         at["phi"] = phi
-        return O.fib0(x, phi)
+        return O.fib0(phi)
 
-    def fib2(x, *parts):
+    def fib2(*parts):
         fib2_at.add(r.checked)
-        return O.fib2(x, *parts)
+        return O.fib2(*parts)
 
     def src2(xi):  # once per fiber of the loop, just before its tri_b call
         i = at["i"] + 1 if r.checked in loop_at else 0
@@ -224,9 +224,9 @@ def recorded_one_cells(O):
         loop_at.add(r.checked)
         return O.src2(xi)
 
-    def fib1(x, tri):
-        calls.append((r.checked, x, tri, at["phi"], at.pop("tri_b", None)))
-        return O.fib1(x, tri)
+    def fib1(tri):
+        calls.append((r.checked, tri, at["phi"], at.pop("tri_b", None)))
+        return O.fib1(tri)
 
     assert _check_fiber_axiom_one_cells(dataclasses.replace(
         O, fib0=fib0, fib1=fib1, fib2=fib2, src2=src2), r).ok
@@ -241,8 +241,8 @@ def one_cells_with_fib1_wrong_on(O, target, checked):
     strays = [I.identity_one_cell(x) for x in (ZeroCell(1, LEAF), ZeroCell(2, corolla(2)))]
     r = Report("axiom (v) one-cells")
 
-    def bad_fib1(x, tri):
-        out = O.fib1(x, tri)
+    def bad_fib1(tri):
+        out = O.fib1(tri)
         if tri is target and r.checked >= checked:
             return (strays[out[0] == strays[0]],) + out[1:]
         return out
@@ -256,9 +256,9 @@ def test_corrupted_fiber_triangle_fails_where_slice_fibers_are_reused():
     # for it in no other role: the check must FAIL right there
     O = fibration(tree_operad(3)).operadic
     calls, fib2_at, _ = recorded_one_cells(O)
-    roles = Counter((n, tri) for n, _, tri, _, _ in calls)
+    roles = Counter((n, tri) for n, tri, _, _ in calls)
     met = set()
-    for n, _, tri, phi, i in calls:
+    for n, tri, phi, i in calls:
         if i is not None and tri not in met:
             met.add(tri)
             if n not in fib2_at and roles[n, tri] == 1:
@@ -270,17 +270,18 @@ def test_corrupted_fiber_triangle_fails_where_slice_fibers_are_reused():
 
 
 def test_corrupted_route_fails_where_an_equal_square_passed():
-    # a connecting triangle tri_a, asked for at y (not x = y, where the
-    # triangles onto phi are asked for too), by an instance that skipped its
-    # fiber loop, since an equal square, route included, passed earlier in
-    # the 1-cell; once its route is wrong the square is new and must FAIL
-    # there (a verified key without the route would skip it)
+    # a connecting triangle tri_a, whose right face ends at y = phi.src
+    # (not x = y, where the triangles onto phi end too), asked for by an
+    # instance that skipped its fiber loop, since an equal square, route
+    # included, passed earlier in the 1-cell; once its route is wrong the
+    # square is new and must FAIL there (a verified key without the route
+    # would skip it)
     O = fibration(tree_operad(3)).operadic
     calls, _, loop_at = recorded_one_cells(O)
-    roles = Counter((n, tri) for n, _, tri, _, _ in calls)
+    roles = Counter((n, tri) for n, tri, _, _ in calls)
     n, tri, phi = next(
-        (n, tri, phi) for n, x, tri, phi, _ in calls
-        if n not in loop_at and x is phi.src and phi.src is not phi.dst
+        (n, tri, phi) for n, tri, phi, _ in calls
+        if n not in loop_at and tri.d0.dst is phi.src and phi.src is not phi.dst
         and roles[n, tri] == 1)
     r = one_cells_with_fib1_wrong_on(O, tri, n)
     assert (r.status, r.checked, r.witness) == ("fail", n, ("one-cells", 0, str(phi)))
@@ -293,9 +294,9 @@ def test_one_cells_pass_with_parallel_slice_2cells():
     O = fibration(cyclic_operad(2, 2)).operadic
     real_fib2, gammas = O.fib2, {}
 
-    def recording_fib2(x, phi, comp_slice, a1, gamma):
-        gammas.setdefault((phi, comp_slice, a1), set()).add(gamma)
-        return real_fib2(x, phi, comp_slice, a1, gamma)
+    def recording_fib2(comp_slice, a1, gamma):
+        gammas.setdefault((comp_slice, a1), set()).add(gamma)
+        return real_fib2(comp_slice, a1, gamma)
 
     r = one_cells_report(dataclasses.replace(O, fib2=recording_fib2))
     assert (r.status, r.checked) == ("pass", 1344)
@@ -323,7 +324,7 @@ def test_triangle_table_matches_a_walk_over_the_homs(spec):
                 if z in tc.sources(y):
                     table = O.triangles_from(phi, z)   # each triangle, then its fib1
                     assert list(table[::2]) == expected
-                    assert list(table[1::2]) == [O.fib1(x, tri) for tri in expected]
+                    assert list(table[1::2]) == [O.fib1(tri) for tri in expected]
                     walked += zip(table[::2], table[1::2])
                 else:
                     assert not expected
@@ -343,7 +344,7 @@ def walked_fillers(O, phi, theta, psis, base):
         composite = O.tc.h_compose(phi, d2)
         for filler in hom_zt.hom(composite, theta):
             tri = LaxTriangle(d2, theta, phi, filler)
-            if O.fib1(t, tri) == psis:
+            if O.fib1(tri) == psis:
                 yield tri
 
 
@@ -352,11 +353,11 @@ def test_fillers_from_the_table_match_the_hom_walk(spec):
     S = fibration(operad(spec))
     O, tc = S.operadic, S.operadic.tc
     instances = compared = 0   # as check_all_lifts_cartesian charges them
-    for g, c, bs in lift_instances(O.cells_by_card(), S.bound):
+    for g, c, bs in lift_instances(O.cells_by_card()):
         phi = S.lift(g, c, bs)
-        fibs_phi = O.fib0(c, phi)
+        fibs_phi = O.fib0(phi)
         for theta in O.one_cells_into(c):
-            slots = [tc.hom(a, b).objects for a, b in zip(O.fib0(c, theta), fibs_phi)]
+            slots = [tc.hom(a, b).objects for a, b in zip(O.fib0(theta), fibs_phi)]
             for psis in itertools.product(*slots):
                 instances += 1
                 base = ordinal_sum([O.card1(p) for p in psis])
@@ -768,7 +769,7 @@ def test_delta_s_presentation_basics():
     assert D.h_compose(identity_surjection(2), Surjection(3, 2, (1, 1, 2))) == \
         Surjection(3, 2, (1, 1, 2))
     O = delta_s(3)
-    assert O.fib0(2, Surjection(3, 2, (1, 2, 2))) == (1, 2)
+    assert O.fib0(Surjection(3, 2, (1, 2, 2))) == (1, 2)
     assert O.eps(3) == bang(3)
 
 
@@ -797,7 +798,8 @@ def test_presentations_speak_the_protocol_under_one_name(presentation):
 def test_abstract_checks_on_the_surjection_calculus(N, counts):
     # Delta_s with each surjection its own lift was never an integration;
     # it is split-fibered, and its extraction is terminal:N
-    S = SplitFibrationData(delta_s(N), lambda g, c, bs: g, N)
+    S = SplitFibrationData(delta_s(N), lambda g, c, bs: g)
+    assert S.bound == N
     reports = (check_splitting(S, cap=None), check_all_lifts_cartesian(S, cap=None),
                check_trivial_subcategory(S.operadic, cap=None))
     assert [(r.status, r.checked) for r in reports] == [("pass", n) for n in counts]
@@ -816,6 +818,65 @@ def test_two_category_laws_on_the_surjection_calculus(N, counts):
     assert [(r.status, r.checked) for r in reports] == [("pass", n) for n in counts]
     reports = check_two_category_laws(integrate(terminal_operad(N)), cap=None)
     assert [(r.status, r.checked) for r in reports] == [("pass", n) for n in counts]
+
+
+def battery(S):
+    """``(name, status, checked)`` of the laws, the axioms, the splitting,
+    the cartesian lifts and the trivial cells of S, uncapped."""
+    O = S.operadic
+    reports = check_two_category_laws(O.tc, cap=None) + check_operadic_axioms(O, cap=None) + \
+        [check_splitting(S, cap=None), check_all_lifts_cartesian(S, cap=None),
+         check_trivial_subcategory(O, cap=None)]
+    return [(r.name, r.status, r.checked) for r in reports]
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5, 6])
+def test_delta_s_is_the_integration_of_the_terminal_operad(N):
+    # n <-> [n,*], f <-> its chosen lift, identity 2-cells <-> identity
+    # 2-cells: a bijection onto each hom in order that commutes with
+    # composition, fibers, triangles and the chosen lifts
+    SD = SplitFibrationData(delta_s(N), lambda g, c, bs: g)
+    SI = fibration(terminal_operad(N))
+    OD, OI = SD.operadic, SI.operadic
+    D, I = OD.tc, OI.tc
+
+    def h0(n):
+        return ZeroCell(n, "*")
+
+    def h1(f):
+        return I.cartesian_lift(f, h0(f.cod), tuple(map(h0, f.fiber_sizes())))
+
+    def h2(t):   # every 2-cell of D is an identity
+        f = OD.src2(t)
+        assert t == D.identity_two_cell(f)
+        return I.identity_two_cell(h1(f))
+
+    def h_tri(tri):
+        return LaxTriangle(h1(tri.d2), h1(tri.d1), h1(tri.d0), h2(tri.filler))
+
+    assert tuple(map(h0, D.zero_cells())) == I.zero_cells()
+    for m in D.zero_cells():
+        assert tuple(map(h0, D.sources(m))) == I.sources(h0(m))
+        assert tuple(map(h0, D.targets(m))) == I.targets(h0(m))
+        for k in D.targets(m):
+            HD, HI = D.hom(m, k), I.hom(h0(m), h0(k))
+            assert [h1(f) for f in HD.objects] == list(HI.objects)
+            assert [h2(t) for t in HD.morphism_ids()] == list(HI.morphism_ids())
+            for f in HD.objects:
+                assert tuple(map(h0, OD.fib0(f))) == OI.fib0(h1(f))
+                for j in D.targets(k):
+                    for g in D.hom(k, j).objects:
+                        assert h1(D.h_compose(g, f)) is I.h_compose(h1(g), h1(f))
+                triangles = list(OD.triangles_onto(f))
+                assert [h_tri(tri) for tri, _ in triangles] == \
+                    [tri for tri, _ in OI.triangles_onto(h1(f))]
+                for tri, fibers in triangles:
+                    assert tuple(map(h1, fibers)) == OI.fib1(h_tri(tri))
+    for g, c, bs in lift_instances(OD.cells_by_card()):
+        assert h1(SD.lift(g, c, bs)) is SI.lift(g, h0(c), tuple(map(h0, bs)))
+    reports = battery(SD)
+    assert reports == battery(SI)
+    assert all(status == "pass" for _, status, _ in reports)
 
 
 MU_NOT_FUNCTOR = pathlib.Path(__file__).parent / "data" / "nat2_mu_not_functor.json"
