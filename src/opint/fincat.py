@@ -279,7 +279,7 @@ def lookup(table: dict, key):
         return None
 
 
-def validate_functor(F: Functor, name: str = "functor") -> Report:
+def validate_functor(F: Functor) -> Report:
     problems = []
     checked = 0
     C, D = F.source, F.target
@@ -315,7 +315,7 @@ def validate_functor(F: Functor, name: str = "functor") -> Report:
         if lhs != rhs or lhs is None:
             problems.append("composition not preserved on (%r, %r)" % (g, f))
     status = PASS if not problems else FAIL
-    return Report(name, status, checked, witness=problems[:5] or None)
+    return Report("functor", status, checked, witness=problems[:5] or None)
 
 
 def enumerate_functors(C: FinCat, D: FinCat):

@@ -112,9 +112,7 @@ class Integration:
 
     @memoized("id1")
     def identity_one_cell(self, x: ZeroCell) -> OneCell:
-        ident = self.P.component(x.arity).id_of(x.obj)
-        return self.one_cell(identity_surjection(x.arity), (self.P.unit,) * x.arity,
-                             ident, x)
+        return self.component_part(x.arity, self.P.component(x.arity).id_of(x.obj))
 
     def two_cell(self, src: OneCell, dst: OneCell, deltas) -> TwoCell:
         """Build a validated 2-cell; raises if the compatibility fails."""
@@ -283,17 +281,14 @@ class Integration:
 
     @memoized("fibtri")
     def fibers_of_lax_triangle(self, tri: LaxTriangle) -> tuple[OneCell, ...]:
-        """The induced 1-cells between the fibers of d1 and d0."""
-        psi, phi, theta = tri.d2, tri.d0, tri.d1
-        f, g = psi.f, phi.f
-        blocks = block_cut(psi.args, g)
-        deltas = tri.filler.deltas
+        """The induced 1-cells between the fibers of d1 and d0: each runs from
+        a fiber of d1 into the fiber of d0 over the same point."""
+        f, g = tri.d2.f, tri.d0.f
+        parts = zip(self.fibers_of_1cell(tri.d0), self.fibers_of_1cell(tri.d1),
+                    block_cut(tri.d2.args, g), tri.filler.deltas, strict=True)
         out = []
-        for i in range(1, g.cod + 1):
-            target = ZeroCell(g.preimage(i)[0], phi.args[i - 1])
-            cell = self.one_cell(induced_map(f, g, i), blocks[i - 1],
-                                 deltas[i - 1], target)
-            expected_src = ZeroCell(theta.f.preimage(i)[0], theta.args[i - 1])
+        for i, (target, expected_src, block, delta) in enumerate(parts, start=1):
+            cell = self.one_cell(induced_map(f, g, i), block, delta, target)
             if cell.src != expected_src:
                 raise ValueError("fiber %d of the triangle is ill-typed" % i)
             out.append(cell)
@@ -480,7 +475,9 @@ def check_factorization(I: Integration, cap: int | None = DEFAULT_CAP) -> Report
 
 @dataclass
 class IntegrationMap:
-    """The 2-functor a morphism of operads induces between integrations."""
+    """The 2-functor a morphism of operads induces between integrations.
+    For any per-arity functors F these are the cell maps of ∫F, raising
+    ValueError where an image cell does not exist."""
 
     F: OperadMorphism
     source: Integration

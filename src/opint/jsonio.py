@@ -177,16 +177,9 @@ def _derive_mor_map(g, cats, target, obj_map) -> RuleMap:
             raise ValueError("cannot derive morphism graph at %r" % (mid,)) from None
 
     mor_map = RuleMap(cats, rule, mor=True)
-    if _derivable(cats, target, obj_map, single):
-        return mor_map
-    ids, srcs, dsts = [itertools.product(*[[t[k] for t in C.morphisms()] for C in cats])
-                       for k in range(3)]   # streamed in step, never held as lists
-    image = obj_map.__getitem__
-    try:
-        mor_map.update(zip(ids, map(single.__getitem__, zip(map(image, srcs), map(image, dsts)))))
-    except KeyError:
+    if not _derivable(cats, target, obj_map, single):
         for mid in itertools.product(*[C.morphism_ids() for C in cats]):
-            rule(mid)
+            mor_map[mid]   # stores rule(mid), or raises at the first entry refused
     return mor_map
 
 

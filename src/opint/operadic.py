@@ -12,6 +12,7 @@ splitting, and extract an operad back from any split-fibered structure.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -264,6 +265,8 @@ def _check_axiom_cardinality(O, r) -> Report:
                 if not r.charge():
                     return r
                 f, g = O.card1(tri.d2), O.card1(tri.d0)
+                if len(fib1s) != g.cod:
+                    return r.fail(("triangle fiber count", str(phi)))
                 for i, cell in enumerate(fib1s, start=1):
                     if O.card1(cell) != induced_map(f, g, i):
                         return r.fail(("triangle fiber map", i, str(phi)))
@@ -845,24 +848,46 @@ def _image_two_cell(O, src_cell, dst_cell, deltas):
 
 
 # ---------------------------------------------------------------------------
-# full faithfulness: both sides enumerated from per-arity functors, which is
+# full faithfulness: the candidates are the choices of per-arity functors,
 # exponential in the objects and morphisms of each component; keep them small
 
 
-def _per_arity_functors(P: TruncatedOperad, Q: TruncatedOperad) -> list:
-    """Every choice of functors P_n -> Q_n, one per arity, as dicts by arity."""
+def _candidates(P: TruncatedOperad, Q: TruncatedOperad) -> list:
+    """Every choice of functors P_n -> Q_n, one per arity, as an OperadMorphism."""
     if P.bound != Q.bound:
         raise ValueError("operads of unequal bounds %d and %d" % (P.bound, Q.bound))
     arities = range(1, P.bound + 1)
     per_arity = (list(enumerate_functors(P.component(n), Q.component(n))) for n in arities)
-    return [dict(zip(arities, choice)) for choice in itertools.product(*per_arity)]
+    return [OperadMorphism(P, Q, dict(zip(arities, choice)))
+            for choice in itertools.product(*per_arity)]
+
+
+def _integrates_to_2functor(F: OperadMorphism, IP: Integration,
+                            SQ: SplitFibrationData) -> bool:
+    """Whether ∫F, the ``IntegrationMap`` of the candidate F, is a
+    lift-preserving 2-functor IP -> SQ: defined on every 1-cell (``on1``) and
+    every 2-cell (``on2``), and passing ``_check_cell_map``.  A 1-cell
+    [f; args; alpha] goes to [f; F args; F alpha], which exists where
+    src(F alpha) = mu_f(F b, F args); a 2-cell goes to the 2-cell of its
+    mapped components, where they form one.  By the unit law of Q's mu, each
+    image is also the chosen lift after the image of the component part."""
+    im = IntegrationMap(F, IP, SQ.operadic.tc)
+    out = _cells_out(IP)   # builds IP's homs outside the try
+    try:
+        images = {cell: im.on1(cell) for cells in out.values() for _, cell in cells}
+        for x in IP.zero_cells():
+            for y in IP.targets(x):
+                for t in IP.hom(x, y).morphism_ids():
+                    im.on2(t)
+    except ValueError:   # an image 1-cell or 2-cell that does not exist
+        return False
+    return _check_cell_map(IP, SQ, im.on0, images.__getitem__, Report("2-functor")).ok
 
 
 def enumerate_operad_morphisms(P: TruncatedOperad, Q: TruncatedOperad) -> list:
-    """All operad morphisms P -> Q: the choices of per-arity functors
-    that preserve the unit and every mu square (``_check_mu_squares``)."""
-    candidates = (OperadMorphism(P, Q, functors) for functors in _per_arity_functors(P, Q))
-    return [F for F in candidates if _check_mu_squares(F, Report("operad morphism")).ok]
+    """All operad morphisms P -> Q: the candidates (per-arity functors) that
+    preserve the unit and every mu square (``_check_mu_squares``)."""
+    return [F for F in _candidates(P, Q) if _check_mu_squares(F, Report("operad morphism")).ok]
 
 
 def enumerate_lift_preserving_2functors(SP: SplitFibrationData,
@@ -874,64 +899,30 @@ def enumerate_lift_preserving_2functors(SP: SplitFibrationData,
     [1; e..e; alpha] to a component part, and component parts compose as
     their components do, so on them it is one functor per arity.  Every
     1-cell is its component part followed by a chosen lift, and lifts go
-    to lifts, so the functors force the rest (``_forced_extension_valid``)."""
+    to lifts, so the functors F force the rest: ∫F.  Of the candidates of
+    ``enumerate_operad_morphisms``, those where ∫F is one are kept
+    (``_integrates_to_2functor``)."""
     IP: Integration = SP.operadic.tc
-    IQ: Integration = SQ.operadic.tc
-    return [functors for functors in _per_arity_functors(IP.P, IQ.P)
-            if _forced_extension_valid(IP, SQ, functors)]
-
-
-def _forced_extension_valid(IP: Integration, SQ: SplitFibrationData, functors) -> bool:
-    """Whether the per-arity functors extend to a lift-preserving 2-functor
-    IP -> SQ: a 0-cell goes through the object maps, a 1-cell to the image
-    [1; e'..e'; F(alpha)] of its component part followed by the chosen
-    lift of its cut part, and a 2-cell to the 2-cell of its mapped
-    components, which must exist; ``_check_cell_map`` checks the rest."""
-    IQ: Integration = SQ.operadic.tc
-
-    def h0(x: ZeroCell):
-        return ZeroCell(x.arity, functors[x.arity].obj_map[x.obj])
-
-    def h1(cell: OneCell):
-        m = cell.f.dom
-        component = IQ.component_part(m, functors[m].mor_map[cell.alpha])
-        lift = SQ.lift(cell.f, h0(cell.dst), tuple(map(h0, IP.fibers_of_1cell(cell))))
-        return IQ.h_compose(lift, component)
-
-    out = _cells_out(IP)  # builds IP's homs outside the try
-    try:
-        images = {cell: h1(cell) for cells in out.values() for _, cell in cells}
-        for x in IP.zero_cells():
-            for y in IP.targets(x):
-                for t in IP.hom(x, y).morphism_ids():
-                    deltas = (functors[s].mor_map[d]
-                              for s, d in zip(t.src.f.fiber_sizes(), t.deltas))
-                    IQ.two_cell(images[t.src], images[t.dst], deltas)
-    except ValueError:  # a component part and a lift that do not meet, or no 2-cell
-        return False
-    return _check_cell_map(IP, SQ, h0, images.__getitem__, Report("2-functor")).ok
-
-
-def _maps_key(functors) -> tuple:
-    """The per-arity object and morphism maps, hashable."""
-    return tuple((n, frozenset(F.obj_map.items()), frozenset(F.mor_map.items()))
-                 for n, F in sorted(functors.items()))
+    return [F.functors for F in _candidates(IP.P, SQ.operadic.tc.P)
+            if _integrates_to_2functor(F, IP, SQ)]
 
 
 def check_full_faithfulness(P: TruncatedOperad, Q: TruncatedOperad) -> Report:
     """Integration sends the operad morphisms P -> Q bijectively onto the
-    lift-preserving operadic 2-functors between the integrations: both
-    sides are keyed on their per-arity object and morphism maps."""
-    morphisms = enumerate_operad_morphisms(P, Q)
-    functors = enumerate_lift_preserving_2functors(canonical_fibration(integrate(P)),
-                                                   canonical_fibration(integrate(Q)))
-    keyed_morphisms = {_maps_key(F.functors) for F in morphisms}
-    keyed_functors = {_maps_key(h) for h in functors}
-    r = Report("full faithfulness", checked=len(morphisms) + len(functors))
-    if len(keyed_morphisms) != len(morphisms):
-        return r.fail("morphism keys collide")
-    if keyed_morphisms != keyed_functors:
-        return r.fail(("sides differ", len(keyed_functors - keyed_morphisms),
-                       len(keyed_morphisms - keyed_functors)))
-    r.notes.append("%d morphisms, %d 2-functors" % (len(morphisms), len(functors)))
+    lift-preserving operadic 2-functors between the integrations, judged per
+    candidate: each choice F of per-arity functors must pass the mu squares
+    exactly when ∫F passes as a 2-functor.  The candidates are listed before
+    either operad is integrated.  ``checked`` counts the morphisms plus the
+    2-functors; the witness counts the candidates that are 2-functors only,
+    then those that are morphisms only."""
+    candidates = _candidates(P, Q)
+    IP, SQ = integrate(P), canonical_fibration(integrate(Q))
+    tally = Counter((_check_mu_squares(F, Report("operad morphism")).ok,
+                     _integrates_to_2functor(F, IP, SQ)) for F in candidates)
+    both, only_2functors, only_morphisms = (tally[True, True], tally[False, True],
+                                            tally[True, False])
+    r = Report("full faithfulness", checked=2 * both + only_2functors + only_morphisms)
+    if only_2functors or only_morphisms:
+        return r.fail(("sides differ", only_2functors, only_morphisms))
+    r.notes.append("%d morphisms, %d 2-functors" % (both, both))
     return r

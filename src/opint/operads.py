@@ -288,16 +288,17 @@ class OperadMorphism:
 
 def validate_operad_morphism(F: OperadMorphism, cap: int | None = DEFAULT_CAP) -> Report:
     """Check functoriality per arity, unit preservation, and both
-    compatibility squares with the composition functors."""
+    compatibility squares with the composition functors.  A component that
+    is not a functor fails with ``("component", n, its first problem)``."""
     P, Q = F.source, F.target
     r = Report("operad morphism %s" % F.name, cap=cap)
     if P.bound != Q.bound:
         return r.fail("bounds differ")
     for n in range(1, P.bound + 1):
-        sub = validate_functor(F.functors[n], "component %d" % n)
+        sub = validate_functor(F.functors[n])
         within = r.charge(sub.checked)
         if not sub.ok:
-            return r.fail(sub.witness)
+            return r.fail(("component", n, sub.witness[0]))
         if not within:
             return r
     return _check_mu_squares(F, r)

@@ -44,11 +44,6 @@ class Surjection(HashConsed):
                 raise ValueError("%r skips or decreases at %d -> %d" % (values, a, b))
         return super().__new__(cls, dom, cod, values)
 
-    def __call__(self, i: int) -> int:
-        if not 1 <= i <= self.dom:
-            raise IndexError("argument %d outside 1..%d" % (i, self.dom))
-        return self.values[i - 1]
-
     def __str__(self):
         return "%d->%d:[%s]" % (self.dom, self.cod, ",".join(map(str, self.values)))
 

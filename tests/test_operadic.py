@@ -9,8 +9,8 @@ import pytest
 from opint.cli import load_operad
 from opint.fincat import FinCat, Functor, poset_category, validate_functor
 from opint.integration import (
-    Integration, InvalidOperad, LaxTriangle, OneCell, ZeroCell, check_two_category_laws,
-    integrate, integrate_morphism, lift_instances,
+    Integration, IntegrationMap, InvalidOperad, LaxTriangle, OneCell, ZeroCell,
+    check_two_category_laws, integrate, integrate_morphism, lift_instances,
 )
 from opint.jsonio import operad_from_json
 from opint.operads import (
@@ -23,8 +23,8 @@ from opint.operadic import (
     check_splitting, check_trivial_subcategory, delta_s,
     enumerate_lift_preserving_2functors, enumerate_operad_morphisms, extract_operad,
     is_operadic_cartesian, is_trivial, roundtrip_2cat, roundtrip_operad,
-    OperadicTwoCat, SplitFibrationData, _check_fiber_axiom_one_cells, _check_lali_choice,
-    _fillers,
+    OperadicTwoCat, SplitFibrationData, _candidates, _check_fiber_axiom_one_cells,
+    _check_lali_choice, _fillers,
 )
 from opint.operads import validate_operad_morphism
 from opint.report import Report
@@ -64,6 +64,17 @@ def test_corrupted_fiber_labels_fail_axiom_i():
     broken = dataclasses.replace(O, fib0=bad_fib0)
     reports = {r.name: r for r in check_operadic_axioms(broken)}
     assert not reports["axiom (i)"].ok
+
+
+def test_a_triangle_with_a_fiber_too_many_fails_axiom_i():
+    # one identity 1-cell appended to every triangle's fibers: axiom (i)
+    # counts the fibers against the right face before reading them
+    O = fibration(tree_operad(3)).operadic
+    real_fib1, extra = O.fib1, O.tc.identity_one_cell(O.unit)
+    broken = dataclasses.replace(O, fib1=lambda tri: real_fib1(tri) + (extra,))
+    r = {r.name: r for r in check_operadic_axioms(broken)}["axiom (i)"]
+    assert r.line() == ("axiom (i): fail (2 instances) witness=('triangle fiber count', "
+                        "\"[1->1:[1]; L; ('L', 'L')]: [1,L] -> [1,L]\")")
 
 
 def identity_fibers(O):
@@ -711,6 +722,86 @@ def test_full_faithfulness_poset_counts(P, count):
     r = check_full_faithfulness(P, P)
     assert (r.status, r.checked, r.notes) == \
         ("pass", 2 * count, ["%d morphisms, %d 2-functors" % (count, count)])
+
+
+def forced_extension(IP, SQ, functors):
+    """The cell maps full faithfulness once built by hand: a 0-cell through
+    the object maps, a 1-cell to the chosen lift after the image of its
+    component part."""
+    IQ = SQ.operadic.tc
+
+    def h0(x):
+        return ZeroCell(x.arity, functors[x.arity].obj_map[x.obj])
+
+    def h1(cell):
+        m = cell.f.dom
+        component = IQ.component_part(m, functors[m].mor_map[cell.alpha])
+        lift = SQ.lift(cell.f, h0(cell.dst), tuple(map(h0, IP.fibers_of_1cell(cell))))
+        return IQ.h_compose(lift, component)
+
+    return h0, h1
+
+
+def defined(f, x):
+    try:
+        return f(x)
+    except ValueError:
+        return None
+
+
+def ff_operad(spec):
+    if spec == "fiber action":
+        return fiber_action_operad(3, True)
+    return operad(spec)
+
+
+@pytest.mark.parametrize("spec, count, undefined", [
+    ("nat:2", 230, 50), ("nat:3", 1890, 620), ("trees:2", 3, 0), ("trees:3", 187, 28),
+    ("terminal:3", 7, 0), ("chaotic:2:2", 512, 192), ("fiber action", 81, 0)])
+def test_integration_map_is_the_forced_extension(spec, count, undefined):
+    # for every candidate and every 1-cell, IntegrationMap.on1 is the chosen
+    # lift after the image of the component part, or both are undefined;
+    # ``count`` pairs (candidate, 1-cell) in all, ``undefined`` of them undefined
+    P = ff_operad(spec)
+    SQ = fibration(P)
+    IP = SQ.operadic.tc
+    cells = [c for x in IP.zero_cells() for y in IP.targets(x) for c in IP.hom(x, y).objects]
+    seen = Counter()
+    for F in _candidates(P, P):
+        h0, h1 = forced_extension(IP, SQ, F.functors)
+        im = IntegrationMap(F, IP, SQ.operadic.tc)
+        assert all(im.on0(x) is h0(x) for x in IP.zero_cells())
+        for cell in cells:
+            ref, got = defined(h1, cell), defined(im.on1, cell)
+            assert ref is got, (str(cell), ref, got)
+            seen[got is None] += 1
+    assert (seen[False] + seen[True], seen[True]) == (count, undefined)
+
+
+def is_identity_morphism(F):
+    return all(all(k == v for k, v in G.obj_map.items()) and
+               all(k == v for k, v in G.mor_map.items()) for G in F.functors.values())
+
+
+@pytest.mark.parametrize("side, witness", [("2-functors", ("sides differ", 0, 1)),
+                                           ("morphisms", ("sides differ", 1, 0))],
+                         ids=["2-functors", "morphisms"])
+def test_full_faithfulness_fails_when_one_side_rejects_the_identity(monkeypatch, side,
+                                                                    witness):
+    # each side's per-candidate test, wrapped to reject the identity of nat:2
+    import opint.operadic as operadic
+    name = {"2-functors": "_integrates_to_2functor", "morphisms": "_check_mu_squares"}[side]
+    real = getattr(operadic, name)
+
+    def rejecting(F, *args):
+        out = real(F, *args)
+        if not is_identity_morphism(F):
+            return out
+        return False if side == "2-functors" else out.fail("rejected")
+
+    monkeypatch.setattr(operadic, name, rejecting)
+    r = check_full_faithfulness(nat_operad(2), nat_operad(2))
+    assert r.line() == "full faithfulness: fail (5 instances) witness=%s" % (witness,)
 
 
 def test_morphism_enumeration_needs_equal_bounds():

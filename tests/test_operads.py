@@ -79,7 +79,7 @@ def test_tree_mu_grafting_example():
 def test_tree_mu_functors_are_functorial():
     P = tree_operad(3)
     for g, F in P.mu.items():
-        assert validate_functor(F, "mu %s" % g).ok
+        assert validate_functor(F).ok, g
 
 
 def test_corrupted_mu_fails_associativity():
@@ -245,6 +245,18 @@ def test_morphism_failing_unit_preservation():
     report = validate_operad_morphism(F)
     assert not report.ok
     assert "unit" in str(report.witness)
+
+
+def test_morphism_failing_a_component_names_its_arity():
+    # every arrow sent to the identity of its source: the object map is
+    # the identity, so the first arrow off the diagonal breaks its endpoints
+    P = nat_operad(2)
+    F = identity_operad_morphism(P)
+    C = P.component(1)
+    F.functors[1].mor_map.update({m: C.id_of(C.src(m)) for m in C.morphism_ids()})
+    report = validate_operad_morphism(F)
+    assert report.line() == ("operad morphism identity: fail (22 instances) witness="
+                             "('component', 1, 'morphism (1, 0) is sent across wrong endpoints')")
 
 
 def test_bang_law_example():
