@@ -344,20 +344,30 @@ def _check_fiber_axiom_one_cells(O, r) -> Report:
     an explicit verdict while small ones exhaust.
     """
     for x in O.tc.zero_cells():
+        onto = {}   # each 1-cell into x read so far: its triangles, with their fib1
         for phi in O.one_cells_into(x):
-            if not _fiber_axiom_on_one_cells(O, phi, r):
+            if not _fiber_axiom_on_one_cells(O, phi, r, onto):
                 return r
     return r
 
 
-def _fiber_axiom_on_one_cells(O, phi, r) -> bool:
+def _kept(table, key, items):
+    """Yield ``items`` when a plain walk would, each kept in ``table[key]`` as read."""
+    table[key] = read = []
+    for item in items:
+        read.append(item)
+        yield item
+
+
+def _fiber_axiom_on_one_cells(O, phi, r, onto) -> bool:
     """The square on the 1-cells of the double slice over ``phi``.
 
     A 1-cell from the triangle ``a1`` to the triangle ``a2`` is a
     connecting triangle ``sigma`` between their left faces plus a slice
     2-cell from ``a2 o sigma`` to ``a1``; both routes around the square
     must then send it to the same blocks of fiber data; ``triangles``
-    pairs each triangle onto ``phi`` with its fibers.  Three tables are
+    pairs each triangle onto ``phi`` with its fibers, as ``onto`` keeps them
+    per 1-cell into ``phi``'s target (``_kept``).  Three tables are
     local to ``phi`` and reused only for an identical key, never assumed:
     the routes ``block_cut(fib1(tri_a), g)``, keyed on all of ``tri_a``;
     the candidates, which depend only on ``sigma.d1`` and ``a2.d2 o
@@ -380,14 +390,14 @@ def _fiber_axiom_on_one_cells(O, phi, r) -> bool:
     """
     tc, fib1, fib2, src2 = O.tc, O.fib1, O.fib2, O.src2
     y, g, n_fib = O.src0(phi), O.card1(phi), len(O.fib0(phi))
-    triangles = tuple(O.triangles_onto(phi))
+    triangles = onto.get(phi) or tuple(_kept(onto, phi, O.triangles_onto(phi)))
     by_d1: dict = {}
     for pair in triangles:
         by_d1.setdefault(pair[0].d1, []).append(pair)
     id2_phi = tc.identity_two_cell(phi)
     routes, candidates, verified = {}, {}, set()   # local to phi
     for a2, a2_f in triangles:                 # target object of the 1-cell
-        for sigma, sig_f in O.triangles_onto(a2.d1):
+        for sigma, sig_f in onto.get(a2.d1) or _kept(onto, a2.d1, O.triangles_onto(a2.d1)):
             sources = by_d1.get(sigma.d1)
             if not sources:
                 continue

@@ -145,10 +145,11 @@ def _assoc_sweep(P, f, g, on_morphisms, r: Report) -> bool:
     or ``apply_mor`` would; on objects, each value mu returns is checked (once
     per pair) to be an object before it is read further.
 
-    A head with more than one tail is first checked as one row: the inner
-    values are the product of one row of mu_i values per fiber of g, and the
-    row of left sides is compared with the row of right sides at once.  A row
-    that holds and fits under the cap is charged whole; any other row (a
+    A head with more than one tail is first checked as one row: the row of
+    left sides, read once per value v of mu_g, is compared at once with the
+    head's row of right sides, read at the inner values: the product of one
+    row of mu_i values per fiber of g, read once per (b_1..b_n).  A row that
+    holds and fits under the cap is charged whole; any other row (a
     mismatch, an exception, the cap inside it) goes to the per-instance loop,
     which finds the verdict, count and witness the row cannot locate."""
     nb = g.cod
@@ -156,7 +157,7 @@ def _assoc_sweep(P, f, g, on_morphisms, r: Report) -> bool:
     (mu_g, mu_f, mu_fg, *mu_i) = [getattr(P.mu_for(h), "mor_map" if on_morphisms
                                           else "obj_map") for h in hs]
     ar_v, ar_inner = (f.cod,), hs[2].fiber_sizes()
-    check, known = (None if on_morphisms else P.check_objects), set()
+    check, known, outer, inner = (None if on_morphisms else P.check_objects), set(), {}, {}
     slots = [C.morphism_ids() if on_morphisms else C.objects
              for C in [P.component(a) for a in P.arg_arities(g) + f.fiber_sizes()]]
     tails = [(tail, block_cut(tail, g)) for tail in itertools.product(*slots[1 + nb:])]
@@ -167,11 +168,14 @@ def _assoc_sweep(P, f, g, on_morphisms, r: Report) -> bool:
         if cuts and (r.cap is None or r.checked + n <= r.cap):
             try:
                 v = check(ar_v, (mu_g[head],)) if check else (mu_g[head],)
-                inners = list(itertools.product(*[[mu[(b,) + a] for a in block] for mu, b, block
-                                                  in zip(mu_i, head[1:], cuts)]))
-                if check and not known.issuperset(inners):
-                    known.update(check(ar_inner, i) for i in set(inners) - known)
-                if [mu_f[v + t] for t, _ in tails] == [mu_fg[head[:1] + i] for i in inners]:
+                if head[1:] not in inner:   # the inner row, kept once its values are checked
+                    inners = list(itertools.product(*[[mu[(b,) + a] for a in block] for mu, b,
+                                                      block in zip(mu_i, head[1:], cuts)]))
+                    if check:
+                        known.update(check(ar_inner, i) for i in set(inners) - known)
+                    inner[head[1:]] = inners
+                lhs = outer[v] = outer.get(v) or [mu_f[v + t] for t, _ in tails]
+                if lhs == [mu_fg[head[:1] + i] for i in inner[head[1:]]]:
                     r.charge(n)
                     continue
             except Exception:   # the loop raises it, or fails first, at its own instance
