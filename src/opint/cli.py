@@ -59,9 +59,11 @@ def load_operad(spec: str) -> TruncatedOperad:
     except json.JSONDecodeError as exc:
         raise UsageError("malformed JSON in %r at line %d column %d: %s"
                          % (spec, exc.lineno, exc.colno, exc.msg))
+    except RecursionError as exc:   # nested deeper than the interpreter recurses
+        raise UsageError("bad operad file %r: %s" % (spec, exc))
     try:
         return jsonio.operad_from_json(data)
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, RecursionError) as exc:
         raise UsageError("bad operad file %r: %s" % (spec, exc))
 
 
@@ -84,7 +86,7 @@ def parse_zero_cell(text: str, P: TruncatedOperad) -> ZeroCell:
     text = text.strip()
     try:
         data = json.loads(text)
-    except json.JSONDecodeError:
+    except (json.JSONDecodeError, RecursionError):
         raise UsageError("cannot parse 0-cell %r (want an object of the "
                          "arity-1 component or [m, object])" % text)
     if isinstance(data, list) and len(data) == 2 and isinstance(data[0], int):
@@ -97,6 +99,8 @@ def parse_zero_cell(text: str, P: TruncatedOperad) -> ZeroCell:
             return ZeroCell(arity, obj)
     except ValueError:  # a JSON object
         pass
+    except RecursionError:
+        raise UsageError("cannot parse 0-cell %r: nested too deeply" % text)
     raise UsageError("%s is not a 0-cell of the integration of %s"
                      % (json.dumps(data), P.name))
 
@@ -193,7 +197,7 @@ def cmd_lift(args) -> int:
     target = parse_zero_cell(args.dst, P)
     try:
         fibers = tuple(jsonio.zero_cell_from_json(f) for f in json.loads(args.fibers))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, RecursionError) as exc:
         raise UsageError("cannot parse --fibers (want a JSON list of [m, object]): %s"
                          % exc)
     try:
@@ -266,7 +270,7 @@ def cmd_export_dot(args) -> int:
             raise UsageError("export-dot --entity tree needs --tree JSON")
         try:
             t = tree_from_json(json.loads(args.tree))
-        except (json.JSONDecodeError, ValueError) as exc:
+        except (ValueError, RecursionError) as exc:
             raise UsageError("bad tree: %s" % exc)
         text = dot.tree_to_dot(t)
     else:   # hom or factorization, as argparse's choices allow

@@ -268,10 +268,11 @@ class Integration:
 
     def cartesian_lift(self, g: Surjection, c_cell: ZeroCell, fiber_cells) -> OneCell:
         """The canonical lift [g; b_1..b_n; 1] with source [k, mu_g(c, b)]."""
-        return self._lift(g, c_cell, tuple(fiber_cells))
+        return self._lift((g, c_cell, tuple(fiber_cells)))
 
     @memoized("lift")
-    def _lift(self, g: Surjection, c_cell: ZeroCell, fiber_cells: tuple) -> OneCell:
+    def _lift(self, key: tuple) -> OneCell:
+        g, c_cell, fiber_cells = key
         arities = tuple(fc.arity for fc in fiber_cells)
         if arities != g.fiber_sizes():
             raise ValueError("fiber arities %r do not match %s" % (list(arities), g))

@@ -67,8 +67,8 @@ _MISS = object()
 
 def memoized(name: str):
     """Cache a method's result per instance in ``self._memos[name]``, keyed
-    on its none, one, two or three positional arguments (``()`` or a tuple
-    of two or three), and count hits in ``self._hits[name]``."""
+    on its none, one or two positional arguments (``()``, the argument, or
+    the pair), and count hits in ``self._hits[name]``."""
     def decorate(method):
         # fixed arities: a wrapper taking *args is called more slowly
         if method.__code__.co_argcount == 1:   # no arguments: one entry, under ()
@@ -79,14 +79,6 @@ def memoized(name: str):
                 out = self._memos[name].get(a, _MISS)
                 if out is _MISS:
                     out = self._memos[name][a] = method(self, a)
-                else:
-                    self._hits[name] += 1
-                return out
-        elif method.__code__.co_argcount == 4:
-            def memo_method(self, a, b, c):
-                out = self._memos[name].get((a, b, c), _MISS)
-                if out is _MISS:
-                    out = self._memos[name][a, b, c] = method(self, a, b, c)
                 else:
                     self._hits[name] += 1
                 return out

@@ -198,13 +198,29 @@ GOLDEN =pathlib.Path(__file__).parent / "golden"
 DATA = pathlib.Path(__file__).parent / "data"
 
 
-@pytest.mark.parametrize("spec", ["terminal:3", "trees:3", "trees:4", "trees:5", "nat:3"])
-def test_check_json_matches_golden(capsys, spec):
+def operad_spec(tmp_path, spec):
+    """``spec`` itself for a builtin; a JSON operad named by ``spec`` is
+    written to ``tmp_path`` first, and its path returned."""
+    from test_integration import cyclic_json
+    made = {"nat-8.json": lambda: nat_json_without_mor_graph(8),
+            "cyclic-2-3.json": lambda: cyclic_json(2, 3)}
+    if spec not in made:
+        return spec
+    path = tmp_path / spec
+    path.write_text(json.dumps(made[spec]()))
+    return str(path)
+
+
+@pytest.mark.parametrize("spec", ["terminal:3", "trees:3", "trees:4", "trees:5", "nat:3",
+                                  "cyclic-2-3.json"])
+def test_check_json_matches_golden(tmp_path, capsys, spec):
     # the files hold the verbatim output of an earlier release; any change
-    # to a verdict, an instance count, a witness or the report order shows
-    code, out, _ = run(capsys, "check", "--operad", spec, "--json")
+    # to a verdict, an instance count, a witness or the report order shows.
+    # cyclic:2:3 has parallel arrows, so most of its categories are not thin
+    code, out, _ = run(capsys, "check", "--operad", operad_spec(tmp_path, spec), "--json")
     assert code == 0
-    assert out == (GOLDEN / ("check_%s.json" % spec.replace(":", ""))).read_text()
+    name = spec.removesuffix(".json").replace(":", "").replace("-", "")
+    assert out == (GOLDEN / ("check_%s.json" % name)).read_text()
 
 
 @pytest.mark.parametrize("spec", ["trees:3", "trees:4", "nat:3"])
@@ -238,14 +254,10 @@ def nat_json_without_mor_graph(M):
 
 @pytest.mark.parametrize("spec, golden", [
     ("nat:12", "validate_nat12.json"), ("trees:4", "validate_trees4.json"),
-    ("nat-8.json", "validate_nat8_json.json")])
+    ("nat-8.json", "validate_nat8_json.json"), ("cyclic-2-3.json", "validate_cyclic23.json")])
 def test_validate_json_matches_golden(tmp_path, capsys, spec, golden):
     # verbatim output of an earlier release, as for the check goldens
-    if spec.endswith(".json"):
-        path = tmp_path / spec
-        path.write_text(json.dumps(nat_json_without_mor_graph(8)))
-        spec = str(path)
-    code, out, _ = run(capsys, "validate", "--operad", spec, "--json")
+    code, out, _ = run(capsys, "validate", "--operad", operad_spec(tmp_path, spec), "--json")
     assert code == 0
     assert out == (GOLDEN / golden).read_text()
 
@@ -278,6 +290,7 @@ def test_underivable_morphism_graph_is_refused_at_load():
 
 
 LIFT = ("lift", "--operad", "nat:3", "--surjection", "1->1:[1]", "--dst", "1")
+DEEP = "[" * 3000 + "]" * 3000   # past the recursion limit of json.loads
 
 
 @pytest.mark.parametrize("argv", [
@@ -289,12 +302,18 @@ LIFT = ("lift", "--operad", "nat:3", "--surjection", "1->1:[1]", "--dst", "1")
     LIFT + ("--fibers", "[[1, 7]]"),
     ("lift", "--operad", "nat:3", "--surjection", "bad", "--dst", "1",
      "--fibers", "[[1, 1]]"),
+    ("hom", "--operad", "nat:3", "--src", DEEP, "--dst", "1"),
+    # json.loads reads 600 levels, but jsonio.freeze, two frames a level, cannot
+    ("hom", "--operad", "nat:3", "--src", "[" * 600 + "]" * 600, "--dst", "1"),
+    LIFT + ("--fibers", DEEP),
+    ("export-dot", "--entity", "tree", "--tree", DEEP),
 ], ids=["arity-0", "unhashable", "short-fiber", "bare-fiber", "fibers-not-list",
-        "fiber-not-an-object", "bad-surjection"])
+        "fiber-not-an-object", "bad-surjection", "src-too-deep", "src-too-deep-to-freeze",
+        "fibers-too-deep", "tree-too-deep"])
 def test_hostile_input_is_a_usage_error(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 2
-    assert err.startswith("error:") and "Traceback" not in err
+    assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
 
 
 @pytest.mark.parametrize("verb", ["check", "integrate", "extract", "roundtrip"])
@@ -332,9 +351,10 @@ def test_hostile_operad_files_exit_with_a_verdict(capsys, verb, name, problem):
 
 
 # a bound below 1, a JSON object as a value (unit or image), an incomplete
-# mor_graph and a graph with a gap where mor_graph is derived exit 2 at load
+# mor_graph, a graph with a gap where mor_graph is derived and JSON nested
+# past the recursion limit exit 2 at load
 REFUSED_AT_LOAD = {"bound0_no_components", "nat2_unit_unhashable", "nat2_value_unhashable",
-                   "nat2_mor_graph_incomplete", "nat3_graph_gap_derived"}
+                   "nat2_mor_graph_incomplete", "nat3_graph_gap_derived", "nested_too_deep"}
 
 
 @pytest.mark.parametrize("argv", [

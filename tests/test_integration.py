@@ -380,9 +380,9 @@ class MisroutedMap(IntegrationMap):
         return self.wrong.get(cell) or super().on1(cell)
 
 
-def cyclic_operad(N, k):
-    """One object ``*`` in each arity up to N whose morphisms form Z/k;
-    mu adds.  Parallel 1-cells differ only in their component morphism."""
+def cyclic_json(N, k):
+    """The JSON form of cyclic:N:k: one object ``*`` in each arity up to N
+    whose morphisms form Z/k; mu adds."""
     component = {"objects": ["*"],
                  "morphisms": [{"id": m, "src": "*", "dst": "*"} for m in range(k)],
                  "identities": {"*": 0},
@@ -392,8 +392,14 @@ def cyclic_operad(N, k):
            "mor_graph": [[list(ms), sum(ms) % k]
                          for ms in itertools.product(range(k), repeat=1 + g.cod)]}
           for g in all_surjections_up_to(N)]
-    return operad_from_json({"bound": N, "unit": "*", "name": "cyclic:%d:%d" % (N, k),
-                             "components": [component] * N, "mu": mu})
+    return {"bound": N, "unit": "*", "name": "cyclic:%d:%d" % (N, k),
+            "components": [component] * N, "mu": mu}
+
+
+def cyclic_operad(N, k):
+    """cyclic:N:k, loaded from its JSON form.  Parallel 1-cells differ only
+    in their component morphism."""
+    return operad_from_json(cyclic_json(N, k))
 
 
 def test_integrate_rejects_a_mu_table_that_breaks_composition():

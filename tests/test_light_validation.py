@@ -103,10 +103,18 @@ def test_reference_sweep_agrees_on_cyclic_and_chaotic_components():
     assert all(agrees(C).ok for C in cats)
 
 
-@pytest.mark.parametrize("spec", ["trees:4", "cyclic:2:3"])
+@pytest.mark.parametrize("spec", ["trees:4", "cyclic:2:3",
+                                  "cyclic:2:2", "cyclic:3:2", "cyclic:2:4"])
 def test_reference_sweep_agrees_on_every_hom(spec):
+    # cyclic:2:2, cyclic:3:2 and cyclic:2:4 bring their components too: 19
+    # categories, 12 of them not thin, so the per-instance sweep judges them
     from test_integration import cyclic_operad
-    cats = homs(tree_operad(4) if spec == "trees:4" else cyclic_operad(2, 3))
+    if spec == "trees:4":
+        cats = homs(tree_operad(4))
+    else:
+        N, k = map(int, spec.split(":")[1:])
+        P = cyclic_operad(N, k)
+        cats = homs(P) if spec == "cyclic:2:3" else components(P) + homs(P)
     assert cats and all(agrees(C).ok for C in cats)
 
 
