@@ -84,11 +84,12 @@ def hom_request(args):
 
 def parse_zero_cell(text: str, P: TruncatedOperad) -> ZeroCell:
     text = text.strip()
+    quoted = repr(text[:40]) + ("..." if len(text) > 40 else "")
     try:
         data = json.loads(text)
     except (json.JSONDecodeError, RecursionError):
-        raise UsageError("cannot parse 0-cell %r (want an object of the "
-                         "arity-1 component or [m, object])" % text)
+        raise UsageError("cannot parse 0-cell %s (want an object of the "
+                         "arity-1 component or [m, object])" % quoted)
     if isinstance(data, list) and len(data) == 2 and isinstance(data[0], int):
         arity, obj = data
     else:
@@ -100,7 +101,7 @@ def parse_zero_cell(text: str, P: TruncatedOperad) -> ZeroCell:
     except ValueError:  # a JSON object
         pass
     except RecursionError:
-        raise UsageError("cannot parse 0-cell %r: nested too deeply" % text)
+        raise UsageError("cannot parse 0-cell %s: nested too deeply" % quoted)
     raise UsageError("%s is not a 0-cell of the integration of %s"
                      % (json.dumps(data), P.name))
 
@@ -168,7 +169,7 @@ def cmd_factor(args) -> int:
     I, src, dst = hom_request(args)
     lines = []
     payload = []
-    for cell in I.hom(src, dst).objects:
+    for cell in I.sources(dst).get(src, ()):
         e_part, m_part = I.factorize(cell)
         ok = I.h_compose(m_part, e_part) == cell
         lines.append("%s" % cell)
@@ -278,9 +279,11 @@ def cmd_export_dot(args) -> int:
             raise UsageError("export-dot --entity %s needs --operad, --src, --dst"
                              % args.entity)
         I, src, dst = hom_request(args)
-        cells = I.hom(src, dst).objects
+        cells = I.sources(dst).get(src, ())
         if args.entity == "hom":
             text = dot.hom_to_dot(I, src, dst)
+        elif not cells:
+            raise UsageError("hom(%s, %s) has no 1-cells" % (src, dst))
         elif not 0 <= args.index < len(cells):
             raise UsageError("--index %d outside 0..%d"
                              % (args.index, len(cells) - 1))

@@ -9,9 +9,9 @@ delta_i: a'_i -> a''_i subject to  alpha'' o mu_f(1, delta) = alpha'.
 
 A 1-cell into [k, b] is fixed by f, the a_i and a morphism out of
 mu_f(b, a_1..a_k), so the 1-cells into each 0-cell are listed once, by
-source, and pair walks visit only non-empty homs.  A hom is materialized
-from that list on demand, and every empty hom is one shared empty category;
-the projection to the surjection calculus is carried on the cells (``f``).
+source (``sources``), for every walk of 1-cells; a hom adds its 2-cells on
+demand, and every empty hom is one shared empty category.  The projection
+to the surjection calculus is carried on the cells (``f``).
 
 Cells are hash-consed (see ``interning``): building a cell whose fields
 equal those of a live cell returns that very cell, so two cells are
@@ -208,9 +208,9 @@ class Integration:
         return out
 
     @memoized("into")
-    def _into(self, y: ZeroCell) -> dict:
-        """The 1-cells into y by source, in ``zero_cells()`` order, each hom by f,
-        args, then alpha, a morphism out of mu_f(y, args) into the source's object."""
+    def sources(self, y: ZeroCell) -> dict:
+        """The 1-cells into y by source, ``{x: hom(x, y).objects}`` in 0-cell order,
+        each hom by f, args, then alpha, a morphism out of mu_f(y, args) into x's object."""
         P = self.P
         by_src: dict = {}
         for f in (f for f in all_surjections_up_to(P.bound) if f.cod == y.arity):
@@ -220,18 +220,15 @@ class Integration:
                     by_src.setdefault(x, []).append(OneCell(f, args, alpha, x, y))
         return {x: tuple(by_src[x]) for x in sorted(by_src, key=self._rank.__getitem__)}
 
-    def sources(self, y: ZeroCell) -> tuple:
-        return tuple(self._into(y))
-
     @memoized("targets")
     def targets(self, x: ZeroCell) -> tuple:
-        return tuple(y for y in self._zero if x in self._into(y))
+        return tuple(y for y in self._zero if x in self.sources(y))
 
     @memoized("hom")
     def hom(self, x: ZeroCell, y: ZeroCell) -> FinCat:
         """The hom-category x -> y: objects 1-cells, morphisms 2-cells."""
         P = self.P
-        cells = self._into(y).get(x)
+        cells = self.sources(y).get(x)
         if cells is None:
             return _EMPTY_HOM
         twos = []
@@ -322,6 +319,11 @@ def group_by_card(zero_cells, card) -> dict:
     return groups
 
 
+def homs(tc):
+    """The non-empty homs (x, y, hom(x, y)): x in 0-cell order, then ``targets(x)``."""
+    return ((x, y, tc.hom(x, y)) for x in tc.zero_cells() for y in tc.targets(x))
+
+
 def lift_instances(by_card: dict):
     """Every lift problem (g, c, bs): a surjection g: k -> n, a 0-cell c of
     cardinality n and a tuple bs of 0-cells whose cardinalities are the fiber
@@ -352,18 +354,17 @@ def check_two_category_laws(I, cap: int | None = DEFAULT_CAP) -> list[Report]:
 
 def _cells_out(I) -> dict:
     """Per 0-cell x, each 1-cell out of x with its target y, y in ``targets(x)`` order."""
-    return {x: tuple((y, cell) for y in I.targets(x) for cell in I.hom(x, y).objects)
+    return {x: tuple((y, cell) for y in I.targets(x) for cell in I.sources(y)[x])
             for x in I.zero_cells()}
 
 
 def _check_hom_categories(I) -> Report:
     r = Report("hom categories")
-    for x in I.zero_cells():
-        for y in I.targets(x):
-            sub = validate_category(I.hom(x, y), show=str)
-            r.charge(sub.checked)
-            if not sub.ok:
-                return r.fail((str(x), str(y), sub.witness))
+    for x, y, H in homs(I):
+        sub = validate_category(H, show=str)
+        r.charge(sub.checked)
+        if not sub.ok:
+            return r.fail((str(x), str(y), sub.witness))
     return r
 
 
@@ -392,10 +393,9 @@ def _check_horizontal_associativity(I, r: Report) -> Report:
 
 
 def _check_interchange(I, r: Report) -> Report:
-    """(e2∘e1)*(d2∘d1) = (e2*d2)∘(e1*d1): homs x then y in 0-cell order, and
-    the pairs (t2, t1) of each non-empty hom as its ``composable_pairs``."""
-    twos_by_hom = {(x, y): list(I.hom(x, y).composable_pairs())
-                   for x in I.zero_cells() for y in I.targets(x)}
+    """(e2∘e1)*(d2∘d1) = (e2*d2)∘(e1*d1): homs in ``homs`` order, and the
+    pairs (t2, t1) of each as its ``composable_pairs``."""
+    twos_by_hom = {(x, y): list(H.composable_pairs()) for x, y, H in homs(I)}
     for (_, y), inner in twos_by_hom.items():
         for z in I.targets(y):
             for e2, e1 in twos_by_hom[(y, z)]:
@@ -426,13 +426,12 @@ def check_projection(I: Integration, cap: int | None = DEFAULT_CAP) -> Report:
                 return r
             if I.h_compose(g_cell, f_cell).f != compose(f_cell.f, g_cell.f):
                 return r.fail((str(f_cell), str(g_cell)))
-    for x in I.zero_cells():
-        for y in I.targets(x):
-            for t, _, _ in I.hom(x, y).morphisms():
-                if not r.charge():
-                    return r
-                if t.src.f != t.dst.f:
-                    return r.fail(str(t))
+    for _, _, H in homs(I):
+        for t, _, _ in H.morphisms():
+            if not r.charge():
+                return r
+            if t.src.f != t.dst.f:
+                return r.fail(str(t))
     return r
 
 
@@ -460,7 +459,7 @@ def check_factorization(I: Integration, cap: int | None = DEFAULT_CAP) -> Report
             for z, e_cand in cells:
                 if not component(e_cand):
                     continue
-                for m_cand in I.hom(z, y).objects:
+                for m_cand in I.sources(y).get(z, ()):
                     if not r.charge():
                         return r
                     if cut(m_cand) and I.h_compose(m_cand, e_cand) == phi:
@@ -478,15 +477,19 @@ def check_factorization(I: Integration, cap: int | None = DEFAULT_CAP) -> Report
 class IntegrationMap:
     """The 2-functor a morphism of operads induces between integrations.
     For any per-arity functors F these are the cell maps of ∫F, raising
-    ValueError where an image cell does not exist."""
+    ValueError where an image cell does not exist; ``on1`` is memoized."""
 
     F: OperadMorphism
     source: Integration
     target: Integration
 
+    def __post_init__(self):
+        self._memos, self._hits = memo_tables("on1")
+
     def on0(self, x: ZeroCell) -> ZeroCell:
         return ZeroCell(x.arity, self.F.on_obj(x.arity, x.obj))
 
+    @memoized("on1")
     def on1(self, cell: OneCell) -> OneCell:
         sizes = cell.f.fiber_sizes()
         args = tuple(self.F.on_obj(s, a) for s, a in zip(sizes, cell.args))

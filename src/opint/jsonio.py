@@ -14,7 +14,7 @@ import json
 import math
 
 from .fincat import FinCat, Functor, RuleMap, lookup, poset_category
-from .integration import OneCell, TwoCell, ZeroCell
+from .integration import OneCell, TwoCell, ZeroCell, homs
 from .operads import TruncatedOperad
 from .surjections import Surjection, all_surjections_up_to, parse_surjection
 
@@ -249,19 +249,16 @@ def two_cell_to_json(t: TwoCell) -> dict:
 
 def integration_to_json(I) -> dict:
     """The whole 2-category, hom by hom; meant for desk-scale instances."""
-    homs = {}
-    pi = {}
-    for x in I.zero_cells():
-        for y in I.targets(x):
-            H = I.hom(x, y)
-            key = "%s|%s" % (_key(zero_cell_to_json(x)), _key(zero_cell_to_json(y)))
-            cells = [one_cell_to_json(c) for c in H.objects]
-            twos = [two_cell_to_json(t) for t, _, _ in H.morphisms()]
-            homs[key] = {"one_cells": cells, "two_cells": twos}
-            pi.update((_key(j), str(c.f)) for j, c in zip(cells, H.objects))
+    by_key, pi = {}, {}
+    for x, y, H in homs(I):
+        key = "%s|%s" % (_key(zero_cell_to_json(x)), _key(zero_cell_to_json(y)))
+        cells = [one_cell_to_json(c) for c in H.objects]
+        twos = [two_cell_to_json(t) for t, _, _ in H.morphisms()]
+        by_key[key] = {"one_cells": cells, "two_cells": twos}
+        pi.update((_key(j), str(c.f)) for j, c in zip(cells, H.objects))
     return {
         "zero_cells": [zero_cell_to_json(x) for x in I.zero_cells()],
-        "homs": homs,
+        "homs": by_key,
         "pi": pi,
     }
 

@@ -20,7 +20,7 @@ from .fincat import FinCat, Functor, enumerate_functors, is_terminal, validate_f
 from .interning import memo_tables, memoized
 from .integration import (
     Integration, IntegrationMap, InvalidOperad, LaxTriangle, OneCell, ZeroCell, _cells_out,
-    group_by_card, integrate, lift_instances,
+    group_by_card, homs, integrate, lift_instances,
 )
 from .operads import OperadMorphism, TruncatedOperad, _check_mu_squares, _composable_pairs
 from .report import DEFAULT_CAP, FAIL, Report
@@ -39,8 +39,9 @@ class OperadicTwoCat:
     """A finite 2-category presentation with its operadic structure.
 
     The presentation ``tc`` must provide ``zero_cells()``, ``hom(x, y)``
-    (a FinCat of 1-cells and 2-cells), ``sources(y)`` and ``targets(x)``
-    (the 0-cells with a 1-cell into y, out of x, in 0-cell order),
+    (a FinCat of 1-cells and 2-cells), ``sources(y)`` (the 1-cells into y
+    by source, ``{x: hom(x, y).objects}`` over the non-empty homs),
+    ``targets(x)`` (the 0-cells with a 1-cell out of x), both in 0-cell order,
     ``h_compose(g, f)``, ``identity_one_cell(x)``, ``identity_two_cell(f)``,
     ``v_compose(t2, t1)`` and ``h_compose_2cells(e, d)``, named as on
     :class:`Integration`.  The remaining fields interpret its cells in the
@@ -78,8 +79,7 @@ class OperadicTwoCat:
         return group_by_card(self.tc.zero_cells(), self.card0)
 
     def one_cells_into(self, x):
-        for z in self.tc.sources(x):
-            yield from self.tc.hom(z, x).objects
+        return itertools.chain.from_iterable(self.tc.sources(x).values())
 
     @memoized("triangles")
     def triangles_from(self, phi, z) -> tuple:
@@ -89,7 +89,7 @@ class OperadicTwoCat:
         x = self.dst0(phi)
         hom_zx = self.tc.hom(z, x)
         out = []
-        for psi in self.tc.hom(z, self.src0(phi)).objects:
+        for psi in self.tc.sources(self.src0(phi)).get(z, ()):
             composite = self.tc.h_compose(phi, psi)
             for theta in hom_zx.objects:
                 for filler in hom_zx.hom(composite, theta):
@@ -151,24 +151,24 @@ class DeltaSTwoCat:
         if N < 1:
             raise ValueError("need N >= 1")
         self.N = N
-        self._memos, self._hits = memo_tables("hom")
+        self._memos, self._hits = memo_tables("into", "hom")
 
     def zero_cells(self):
         return tuple(range(1, self.N + 1))
 
-    def sources(self, k):
-        return tuple(range(k, self.N + 1))
+    @memoized("into")
+    def sources(self, k) -> dict:
+        return {m: tuple(enumerate_surjections(m, k)) for m in range(k, self.N + 1)}
 
     def targets(self, m):
         return tuple(range(1, m + 1))
 
     @memoized("hom")
     def hom(self, m, k) -> FinCat:
-        cells = enumerate_surjections(m, k)
-        morphisms = [(("id2", c), c, c) for c in cells]
+        cells = self.sources(k).get(m, ())
         identity = {c: ("id2", c) for c in cells}
-        comp = {((("id2", c)), ("id2", c)): ("id2", c) for c in cells}
-        return FinCat(cells, morphisms, identity, comp)
+        return FinCat(cells, [(t, c, c) for c, t in identity.items()], identity,
+                      {(t, t): t for t in identity.values()})
 
     def h_compose(self, g, f):
         return compose(f, g)
@@ -270,13 +270,12 @@ def _check_axiom_cardinality(O, r) -> Report:
                 for i, cell in enumerate(fib1s, start=1):
                     if O.card1(cell) != induced_map(f, g, i):
                         return r.fail(("triangle fiber map", i, str(phi)))
-    for x in O.tc.zero_cells():
-        for y in O.tc.targets(x):
-            for t, s, d in O.tc.hom(x, y).morphisms():
-                if not r.charge():
-                    return r
-                if O.card1(s) != O.card1(d):
-                    return r.fail(("2-cell over distinct maps", str(t)))
+    for _, _, H in homs(O.tc):
+        for t, s, d in H.morphisms():
+            if not r.charge():
+                return r
+            if O.card1(s) != O.card1(d):
+                return r.fail(("2-cell over distinct maps", str(t)))
     return r
 
 
@@ -463,7 +462,7 @@ def is_operadic_cartesian(O: OperadicTwoCat, phi,
     r = Report("operadic cartesian", cap=cap)
     for theta in O.one_cells_into(t):
         fibs_theta = O.fib0(theta)
-        slots = [O.tc.hom(a, b).objects for a, b in zip(fibs_theta, fibs_phi)]
+        slots = [O.tc.sources(b).get(a, ()) for a, b in zip(fibs_theta, fibs_phi)]
         for psis in itertools.product(*slots):
             if not r.charge():
                 return r
@@ -594,7 +593,7 @@ def trivial_subcategory(O: OperadicTwoCat, n: int) -> FinCat:
     a morphism  dst(t) -> src(t)."""
     objects = O.cells_by_card().get(n, ())
     morphisms = [(t, y, x) for x in objects for y in O.tc.targets(x) if O.card0(y) == n
-                 for t in O.tc.hom(x, y).objects if is_trivial(O, t)]
+                 for t in O.tc.sources(y)[x] if is_trivial(O, t)]
     identity = {x: O.tc.identity_one_cell(x) for x in objects}
 
     def comp(t2, t1):
@@ -882,16 +881,13 @@ def _integrates_to_2functor(F: OperadMorphism, IP: Integration,
     mapped components, where they form one.  By the unit law of Q's mu, each
     image is also the chosen lift after the image of the component part."""
     im = IntegrationMap(F, IP, SQ.operadic.tc)
-    out = _cells_out(IP)   # builds IP's homs outside the try
-    try:
-        images = {cell: im.on1(cell) for cells in out.values() for _, cell in cells}
-        for x in IP.zero_cells():
-            for y in IP.targets(x):
-                for t in IP.hom(x, y).morphism_ids():
-                    im.on2(t)
+    built = [H for _, _, H in homs(IP)]   # IP's homs, built outside the try
+    try:   # each 1-cell has its identity 2-cell, so on2 builds every on1 image
+        for t in itertools.chain.from_iterable(H.morphism_ids() for H in built):
+            im.on2(t)
     except ValueError:   # an image 1-cell or 2-cell that does not exist
         return False
-    return _check_cell_map(IP, SQ, im.on0, images.__getitem__, Report("2-functor")).ok
+    return _check_cell_map(IP, SQ, im.on0, im.on1, Report("2-functor")).ok
 
 
 def enumerate_operad_morphisms(P: TruncatedOperad, Q: TruncatedOperad) -> list:

@@ -224,7 +224,7 @@ def test_target_index_matches_brute_force(make):
     for (x, y), expected in cells.items():
         assert list(I.hom(x, y).objects) == expected, (str(x), str(y))
     for z in Z:
-        assert I.sources(z) == tuple(x for x in Z if cells[x, z])
+        assert tuple(I.sources(z)) == tuple(x for x in Z if cells[x, z])
         assert I.targets(z) == tuple(y for y in Z if cells[z, y])
         assert [c for y in I.targets(z) for c in I.hom(z, y).objects] == \
             [c for y in Z for c in cells[z, y]]

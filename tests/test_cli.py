@@ -314,6 +314,8 @@ def test_hostile_input_is_a_usage_error(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+    if "--src" in argv:   # a 0-cell that cannot be parsed is quoted by its first 40 characters
+        assert len(err) < 200, err
 
 
 @pytest.mark.parametrize("verb", ["check", "integrate", "extract", "roundtrip"])
@@ -529,6 +531,13 @@ def test_export_dot_hom_and_factorization(capsys, tmp_path):
                        "--index", "0")
     assert code == 0
     assert "digraph" in out and "dashed" in out
+
+
+def test_export_dot_factorization_of_an_empty_hom_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "export-dot", "--entity", "factorization",
+                         "--operad", "trees:3", "--src", '[1, "L"]', "--dst", '[2, ["L", "L"]]')
+    assert (code, out) == (2, "")
+    assert err == "error: hom([1,L], [2,('L', 'L')]) has no 1-cells\n"
 
 
 def test_export_dot_determinism(capsys):

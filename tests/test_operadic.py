@@ -9,8 +9,9 @@ import pytest
 from opint.cli import load_operad
 from opint.fincat import FinCat, Functor, poset_category, validate_functor
 from opint.integration import (
-    Integration, IntegrationMap, InvalidOperad, LaxTriangle, OneCell, ZeroCell,
-    check_two_category_laws, integrate, integrate_morphism, lift_instances,
+    Integration, IntegrationMap, InvalidOperad, LaxTriangle, OneCell, ZeroCell, _cells_out,
+    check_factorization, check_two_category_laws, homs, integrate, integrate_morphism,
+    lift_instances,
 )
 from opint.jsonio import operad_from_json
 from opint.operads import (
@@ -24,7 +25,7 @@ from opint.operadic import (
     enumerate_lift_preserving_2functors, enumerate_operad_morphisms, extract_operad,
     is_operadic_cartesian, is_trivial, roundtrip_2cat, roundtrip_operad,
     OperadicTwoCat, SplitFibrationData, _candidates, _check_fiber_axiom_one_cells,
-    _check_lali_choice, _fillers,
+    _check_lali_choice, _fillers, _integrates_to_2functor, trivial_subcategory,
 )
 from opint.operads import validate_operad_morphism
 from opint.report import Report
@@ -868,7 +869,7 @@ def test_delta_s_sources_and_targets_are_the_non_empty_homs():
     D = DeltaSTwoCat(4)
     Z = D.zero_cells()
     for n in Z:
-        assert D.sources(n) == tuple(m for m in Z if enumerate_surjections(m, n))
+        assert tuple(D.sources(n)) == tuple(m for m in Z if enumerate_surjections(m, n))
         assert D.targets(n) == tuple(k for k in Z if enumerate_surjections(n, k))
 
 
@@ -947,7 +948,7 @@ def test_delta_s_is_the_integration_of_the_terminal_operad(N):
 
     assert tuple(map(h0, D.zero_cells())) == I.zero_cells()
     for m in D.zero_cells():
-        assert tuple(map(h0, D.sources(m))) == I.sources(h0(m))
+        assert tuple(map(h0, D.sources(m))) == tuple(I.sources(h0(m)))
         assert tuple(map(h0, D.targets(m))) == I.targets(h0(m))
         for k in D.targets(m):
             HD, HI = D.hom(m, k), I.hom(h0(m), h0(k))
@@ -996,3 +997,60 @@ def test_integration_map_rejects_a_target_mu_that_is_not_a_functor(mu_not_functo
     assert validate_operad_morphism(F).ok
     with pytest.raises(InvalidOperad, match="is not a functor"):
         check_integration_map(integrate_morphism(F))
+
+
+@pytest.mark.parametrize("spec", ["trees:3", "nat:3", "cyclic:2:3", "DeltaSTwoCat(4)"])
+def test_sources_hold_the_very_objects_of_each_hom(spec):
+    # one route to a presentation's 1-cells: sources(y)[x] is hom(x, y).objects
+    tc = DeltaSTwoCat(4) if spec == "DeltaSTwoCat(4)" else integrate(operad(spec))
+    Z = tc.zero_cells()
+    for y in Z:
+        into = tc.sources(y)
+        assert list(into) == [x for x in Z if x in into]   # in 0-cell order
+        for x in Z:
+            if x in into:
+                assert into[x] and tc.hom(x, y).objects is into[x]
+            else:
+                assert tc.hom(x, y).objects == ()
+
+
+def test_walks_of_one_cells_build_no_hom(capsys, monkeypatch):
+    # walks that read only 1-cells read sources(y), not the hom categories
+    from opint import cli, jsonio
+    I = integrate(tree_operad(4))
+    O = canonical_fibration(I).operadic
+
+    def homs_built():
+        return I.stats()["memos"]["hom"]["size"]
+
+    assert sum(len(list(O.one_cells_into(x))) for x in I.zero_cells()) == 133
+    assert homs_built() == 0
+    assert sum(map(len, _cells_out(I).values())) == 133 and homs_built() == 0
+    assert check_factorization(I, cap=None).ok and homs_built() == 0
+    assert [len(trivial_subcategory(O, n).morphism_ids()) for n in O.cells_by_card()] == \
+        [1, 1, 5, 31]
+    assert homs_built() == 0
+    monkeypatch.setattr(cli, "integrate", lambda P: I)   # in-process queries on this I
+    Z = [json.dumps(jsonio.zero_cell_to_json(x)) for x in I.zero_cells()]
+    for src, dst in [(Z[-1], Z[0]), (Z[-1], Z[-1]), (Z[4], Z[2]), (Z[0], Z[-1])]:
+        assert cli.main(["factor", "--operad", "trees:4", "--src", src, "--dst", dst]) == 0
+        assert cli.main(["export-dot", "--entity", "factorization", "--operad", "trees:4",
+                         "--src", src, "--dst", dst]) == (0 if src != Z[0] else 2)
+    capsys.readouterr()
+    assert homs_built() == 0
+
+
+def test_each_image_of_a_candidate_is_built_once(monkeypatch):
+    # on2 reads the memoized on1 images: with the target's identities,
+    # composites and lifts already built, judging one candidate builds one
+    # target 1-cell per 1-cell of the source integration
+    P = nat_operad(3)
+    IP, SQ = integrate(P), fibration(P)
+    F = next(F for F in _candidates(P, P) if _integrates_to_2functor(F, IP, SQ))
+    target, built = SQ.operadic.tc, []
+    one_cell = target.one_cell
+    monkeypatch.setattr(target, "one_cell", lambda *args: built.append(args) or one_cell(*args))
+    assert _integrates_to_2functor(F, IP, SQ)
+    one_cells = sum(len(cells) for y in IP.zero_cells() for cells in IP.sources(y).values())
+    two_cells = sum(len(H.morphism_ids()) for _, _, H in homs(IP))
+    assert len(built) == one_cells < two_cells
