@@ -102,8 +102,7 @@ def parse_zero_cell(text: str, P: TruncatedOperad) -> ZeroCell:
         pass
     except RecursionError:
         raise UsageError("cannot parse 0-cell %s: nested too deeply" % quoted)
-    raise UsageError("%s is not a 0-cell of the integration of %s"
-                     % (json.dumps(data), P.name))
+    raise UsageError("%s is not a 0-cell of the integration of %s" % (quoted, P.name))
 
 
 def emit(args, text_lines, json_payload):

@@ -11,6 +11,8 @@ Morphism equality is id equality throughout.
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 
 from .report import FAIL, PASS, Report
 from .surjections import CompositionError
@@ -145,18 +147,20 @@ def product(cats) -> FinCat:
     cats = list(cats)
     if not cats:
         raise ValueError("product of an empty list of categories")
-    objects = list(itertools.product(*[c.objects for c in cats]))
-    morphisms = []
-    for mids in itertools.product(*[c.morphism_ids() for c in cats]):
-        src = tuple(c.src(m) for c, m in zip(cats, mids))
-        dst = tuple(c.dst(m) for c, m in zip(cats, mids))
-        morphisms.append((tuple(mids), src, dst))
+    objects, morphisms = _product_cells(cats)
     identity = {obj: tuple(c.id_of(x) for c, x in zip(cats, obj)) for obj in objects}
 
     def _compose(g, f):
         return tuple(c.compose(gi, fi) for c, gi, fi in zip(cats, g, f))
 
     return FinCat(objects, morphisms, identity, _compose)
+
+
+def _product_cells(cats):
+    """The objects and the morphism triples of the product of ``cats``, in order."""
+    return (list(itertools.product(*[C.objects for C in cats])),
+            [(m, tuple(map(FinCat.src, cats, m)), tuple(map(FinCat.dst, cats, m)))
+             for m in itertools.product(*[C.morphism_ids() for C in cats])])
 
 
 def validate_category(C: FinCat, name: str = "category", show=repr) -> Report:
@@ -230,20 +234,31 @@ def validate_category(C: FinCat, name: str = "category", show=repr) -> Report:
                   notes=["%d problem(s)" % len(problems)] if problems else [])
 
 
-class RuleMap(dict):
-    """A functor's table out of the product of ``factors``, filled on demand:
-    ``[]`` on a missing tuple of objects (of morphism ids, with ``mor``)
-    stores and returns ``rule(key)``; any other key raises KeyError.  So
-    ``in``, ``get`` and ``items`` see only the entries stored so far."""
+class LazyTable(dict):
+    """A table filled on demand: ``[]`` on a missing key stores and returns
+    ``rule(key)``, and stores nothing if the rule raises.  So ``in``, ``get``
+    and ``items`` see only the entries stored so far."""
 
-    def __init__(self, factors, rule, mor=False):
+    def __init__(self, rule):
         self.rule = rule   # dict.__new__ has made the empty table
-        self.member = [C.has_morphism if mor else C.__contains__ for C in factors]
 
     def __missing__(self, key):
-        if len(key) == len(self.member) and all(t(x) for t, x in zip(self.member, key)):
-            value = self[key] = self.rule(key)
-            return value
+        value = self[key] = self.rule(key)
+        return value
+
+
+class RuleMap(LazyTable):
+    """A functor's table out of the product of ``factors``: a LazyTable whose keys
+    are the tuples of objects (of morphism ids, with ``mor``), tested in C against
+    each factor's object set (morphism table); any other raises KeyError."""
+
+    def __init__(self, factors, rule, mor=False):
+        self.rule = rule
+        self.tables = [C._mor if mor else C._obj_set for C in factors]
+
+    def __missing__(self, key):
+        if len(key) == len(self.tables) and all(map(operator.contains, self.tables, key)):
+            return super().__missing__(key)
         raise KeyError(key)
 
 
@@ -278,18 +293,26 @@ def lookup(table: dict, key):
 def validate_functor(F: Functor) -> Report:
     """Check functoriality, one charge per object, morphism, identity and composable
     pair.  Into a thin target, once the rest holds, ``F(g∘f)`` and ``Fg∘Ff``
-    are parallel, hence equal: the pairs are charged, not composed."""
+    are parallel, hence equal: the pairs are charged, not composed.  A source
+    still given by its factors is walked in the order ``product`` lists it,
+    and its pairs counted as the product of the factors' counts; the product
+    is built only where the pairs are composed."""
     problems = []
     checked = 0
-    C, D = F.source, F.target
-    for x in C.objects:
+    D, cats = F.target, F._source
+    if isinstance(cats, FinCat):
+        objects, morphisms, id_of, cats = cats.objects, cats.morphisms(), cats.id_of, [cats]
+    else:
+        objects, morphisms = _product_cells(cats)
+        id_of = lambda x: tuple(map(FinCat.id_of, cats, x))
+    for x in objects:
         checked += 1
         fx = lookup(F.obj_map, x)
         if fx is None:
             problems.append("object %r has no image" % (x,))
         elif fx not in D:
             problems.append("image of object %r is not in the target" % (x,))
-    for m, src, dst in C.morphisms():
+    for m, src, dst in morphisms:
         checked += 1
         fm = lookup(F.mor_map, m)
         if fm is None:
@@ -300,12 +323,14 @@ def validate_functor(F: Functor) -> Report:
             continue
         if (D.src(fm), D.dst(fm)) != (lookup(F.obj_map, src), lookup(F.obj_map, dst)):
             problems.append("morphism %r is sent across wrong endpoints" % (m,))
-    for x in C.objects:
+    for x in objects:
         checked += 1
-        if lookup(F.mor_map, C.id_of(x)) != D.id_of(lookup(F.obj_map, x)):
+        if lookup(F.mor_map, id_of(x)) != D.id_of(lookup(F.obj_map, x)):
             problems.append("identity of %r is not preserved" % (x,))
     if not problems and D.is_thin():
-        return Report("functor", PASS, checked + sum(1 for _ in C.composable_pairs()))
+        return Report("functor", PASS, checked + math.prod(
+            sum(1 for _ in C.composable_pairs()) for C in cats))
+    C = F.source
     for g, f in C.composable_pairs():
         checked += 1
         lhs = lookup(F.mor_map, C.compose(g, f))

@@ -14,8 +14,8 @@ import itertools
 from dataclasses import dataclass
 
 from . import trees as T
-from .fincat import FinCat, Functor, RuleMap, identity_functor, lookup, poset_category, \
-    terminal_category, validate_category, validate_functor
+from .fincat import FinCat, Functor, LazyTable, RuleMap, identity_functor, lookup, \
+    poset_category, terminal_category, validate_category, validate_functor
 from .report import DEFAULT_CAP, FAIL, PASS, Report
 from .surjections import Surjection, all_surjections_up_to, bang, block_cut, compose, \
     enumerate_surjections, identity_surjection, induced_map
@@ -100,29 +100,27 @@ class TruncatedOperad:
 
 
 def check_unitality(P: TruncatedOperad) -> Report:
-    """Both unit laws, on every object and morphism of every component."""
+    """Both unit laws, on every object and morphism of every component, each mu
+    table looked up once per arity; a tuple it lacks raises as ``apply_obj`` does."""
     r = Report("unitality")
     for n in range(1, P.bound + 1):
-        C = P.component(n)
-        idn = identity_surjection(n)
-        bn = bang(n)
-        e_id = P.unit_morphism()
-        for a in C.objects:
-            r.charge(2)
-            lhs = P.apply_obj(idn, (a,) + (P.unit,) * n)
-            if lhs != a:
-                return r.fail(("identity law on object", n, a, lhs))
-            lhs = P.apply_obj(bn, (P.unit, a))
-            if lhs != a:
-                return r.fail(("bang law on object", n, a, lhs))
-        for m in C.morphism_ids():
-            r.charge(2)
-            lhs = P.apply_mor(idn, (m,) + (e_id,) * n)
-            if lhs != m:
-                return r.fail(("identity law on morphism", n, m, lhs))
-            lhs = P.apply_mor(bn, (e_id, m))
-            if lhs != m:
-                return r.fail(("bang law on morphism", n, m, lhs))
+        C, idn, bn, e_id = P.component(n), identity_surjection(n), bang(n), P.unit_morphism()
+        for kind, table, xs, e, apply in (
+                ("object", "obj_map", C.objects, P.unit, P.apply_obj),
+                ("morphism", "mor_map", C.morphism_ids(), e_id, P.apply_mor)):
+            id_map, bang_map = (getattr(P.mu_for(h), table) for h in (idn, bn))
+            for x in xs:
+                r.charge(2)
+                try:
+                    lhs = id_map[(x,) + (e,) * n]
+                    if lhs != x:
+                        return r.fail(("identity law on " + kind, n, x, lhs))
+                    lhs = bang_map[e, x]
+                    if lhs != x:
+                        return r.fail(("bang law on " + kind, n, x, lhs))
+                except KeyError:   # read again, to raise the lookup's ArityMismatch
+                    apply(idn, (x,) + (e,) * n), apply(bn, (e, x))
+                    raise
     return r
 
 
@@ -147,8 +145,12 @@ def _assoc_sweep(P, f, g, on_morphisms, r: Report) -> bool:
 
     A head with more than one tail is first checked as one row: the row of
     left sides, read once per value v of mu_g, is compared at once with the
-    head's row of right sides, read at the inner values: the product of one
-    row of mu_i values per fiber of g, read once per (b_1..b_n).  A row that
+    head's row of right sides, read at the inner values i: the product of
+    one row of mu_i values per fiber of g, read once per (b_1..b_n).  Each
+    right side mu_fg(c, i) is read once per outer object c and inner value
+    i, into one row per c filled on first read.  So on nat:M (n = M + 1) the
+    object sweep reads its one table 4n^2 times: n^2 for mu_g, n^2 each for
+    the inner, outer and right rows, against n^3 instances.  A row that
     holds and fits under the cap is charged whole; any other row (a
     mismatch, an exception, the cap inside it) goes to the per-instance loop,
     which finds the verdict, count and witness the row cannot locate."""
@@ -158,6 +160,7 @@ def _assoc_sweep(P, f, g, on_morphisms, r: Report) -> bool:
                                           else "obj_map") for h in hs]
     ar_v, ar_inner = (f.cod,), hs[2].fiber_sizes()
     check, known, outer, inner = (None if on_morphisms else P.check_objects), set(), {}, {}
+    right = LazyTable(lambda c: LazyTable(lambda i: mu_fg[c + i]))   # rows mu_fg(c, -)
     slots = [C.morphism_ids() if on_morphisms else C.objects
              for C in [P.component(a) for a in P.arg_arities(g) + f.fiber_sizes()]]
     tails = [(tail, block_cut(tail, g)) for tail in itertools.product(*slots[1 + nb:])]
@@ -175,7 +178,7 @@ def _assoc_sweep(P, f, g, on_morphisms, r: Report) -> bool:
                         known.update(check(ar_inner, i) for i in set(inners) - known)
                     inner[head[1:]] = inners
                 lhs = outer[v] = outer.get(v) or [mu_f[v + t] for t, _ in tails]
-                if lhs == [mu_fg[head[:1] + i] for i in inner[head[1:]]]:
+                if lhs == list(map(right[head[:1]].__getitem__, inner[head[1:]])):
                     r.charge(n)
                     continue
             except Exception:   # the loop raises it, or fails first, at its own instance
@@ -263,11 +266,12 @@ def _check_mu_typing(P: TruncatedOperad) -> Report:
     for g in all_surjections_up_to(P.bound):
         if g not in P.mu:
             continue
+        table, objects = P.mu[g].obj_map, P.component(g.dom)._obj_set
         slots = [P.component(a).objects for a in P.arg_arities(g)]
         for tup in itertools.product(*slots):
             r.charge()
-            value = lookup(P.mu[g].obj_map, tup)
-            if value is None or value not in P.component(g.dom):
+            value = lookup(table, tup)
+            if value is None or value not in objects:
                 return r.fail((str(g), tup, value))
     return r
 
@@ -381,9 +385,9 @@ def nat_operad(M: int) -> TruncatedOperad:
     def add(values):
         return min(sum(values), M)
 
-    g = identity_surjection(1)
-    mu = {g: _mu_functor(components, g, add,
-                         lambda ms: (add(m[0] for m in ms), add(m[1] for m in ms)))}
+    g = identity_surjection(1)   # an arrow a -> b of the poset is the pair (a, b)
+    mu = {g: _mu_functor(components, g, add, lambda ms: (min(ms[0][0] + ms[1][0], M),
+                                                         min(ms[0][1] + ms[1][1], M)))}
     return TruncatedOperad(1, components, 0, mu, name="nat:%d" % M)
 
 
@@ -393,7 +397,9 @@ def tree_operad(N: int) -> TruncatedOperad:
     Component n is the poset of trees with n leaves ordered by edge
     contraction (an arrow s -> t exists when t is obtained from s by
     contractions); mu_g grafts the argument trees onto the leaves of the
-    first one, block by block along g; the unit is the bare leaf.
+    first one, block by block along g; the unit is the bare leaf.  Each
+    operand tuple is grafted once, into a table private to this operad that
+    both rules read: not ``obj_map``, which a caller may overwrite.
     """
     if N < 1:
         raise ValueError("need N >= 1")
@@ -401,14 +407,13 @@ def tree_operad(N: int) -> TruncatedOperad:
     for n in range(1, N + 1):
         elems = T.enumerate_trees(n)
         components[n] = poset_category(elems, lambda t, s: t in T.contraction_closure(s))
-
-    def obj_rule(tup):
-        return T.graft(tup[0], tup[1:])
+    grafted = LazyTable(lambda tup: T.graft(tup[0], tup[1:]))   # for every g
 
     def mor_rule(mids):  # arrows s -> t of a poset are the pairs (s, t)
-        return (obj_rule(tuple(m[0] for m in mids)), obj_rule(tuple(m[1] for m in mids)))
+        src, dst = zip(*mids)
+        return grafted[src], grafted[dst]
 
-    mu = {g: _mu_functor(components, g, obj_rule, mor_rule)
+    mu = {g: _mu_functor(components, g, grafted.__getitem__, mor_rule)
           for g in all_surjections_up_to(N)}
     return TruncatedOperad(N, components, T.LEAF, mu, name="trees:%d" % N)
 

@@ -307,14 +307,17 @@ DEEP = "[" * 3000 + "]" * 3000   # past the recursion limit of json.loads
     ("hom", "--operad", "nat:3", "--src", "[" * 600 + "]" * 600, "--dst", "1"),
     LIFT + ("--fibers", DEEP),
     ("export-dot", "--entity", "tree", "--tree", DEEP),
+    # both parse and freeze, but are no 0-cell
+    ("hom", "--operad", "nat:3", "--src", json.dumps(list(range(1, 2001))), "--dst", "1"),
+    ("hom", "--operad", "nat:3", "--src", "[" * 450 + "]" * 450, "--dst", "1"),
 ], ids=["arity-0", "unhashable", "short-fiber", "bare-fiber", "fibers-not-list",
         "fiber-not-an-object", "bad-surjection", "src-too-deep", "src-too-deep-to-freeze",
-        "fibers-too-deep", "tree-too-deep"])
+        "fibers-too-deep", "tree-too-deep", "src-long-list", "src-deep-list"])
 def test_hostile_input_is_a_usage_error(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
-    if "--src" in argv:   # a 0-cell that cannot be parsed is quoted by its first 40 characters
+    if "--src" in argv:   # a 0-cell that is refused is quoted by its first 40 characters
         assert len(err) < 200, err
 
 

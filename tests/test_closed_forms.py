@@ -49,6 +49,19 @@ Each check then charges (with ``cap=None``):
   identity, one composable pair per cardinality, and the fiber matching of
   the identity of [n] against the Σ_{m=n..N} C(m-1, n-1) = C(N, n)
   1-cells into [n]: 2N + 2^N - 1.
+
+Two counts of cells come from outside the program too:
+
+- the 0-cells of ∫trees:N are the trees [n, t] with n <= N leaves.  The
+  reduced planar trees with n leaves are counted by the little Schroeder
+  numbers 1, 1, 3, 11, 45, 197 (OEIS A001003), so ∫trees:N has their
+  partial sums 1, 2, 5, 16, 61, 258 for N = 1..6;
+- the 1-cells [1, a] -> [1, b] of ∫nat:M are the p in 0..M with
+  min(b + p, M) >= a (the README's membership rule), that is b + p >= a,
+  as a <= M.  The (M+1)(M+2)/2 pairs a <= b have all M + 1 of them; a pair
+  with a - b = d > 0 has M + 1 - d, and there are M + 1 - d such pairs.  So
+  ∫nat:M has (M+1)^2 (M+2)/2 + Σ_{j=1..M} j^2
+  = (M+1)^2 (M+2)/2 + M(M+1)(2M+1)/6 1-cells: 54 at M = 3, 10,143 at M = 22.
 """
 
 from math import comb
@@ -62,7 +75,8 @@ from opint.operadic import (
     canonical_fibration, check_all_lifts_cartesian, check_operadic_axioms,
     check_splitting, check_trivial_subcategory,
 )
-from opint.operads import check_associativity, check_unitality, terminal_operad
+from opint.operads import check_associativity, check_unitality, nat_operad, \
+    terminal_operad, tree_operad
 
 
 def battery(I):
@@ -95,3 +109,29 @@ def test_terminal_battery_counts_are_the_derived_ones(N):
         2 ** N - 1
     assert [(r.name, r.status, r.checked) for r in battery(I)] == \
         [(name, "pass", n) for name, n in derived(N).items()]
+
+
+def cells_through_sources(I):
+    """The 0-cells that are the source of some 1-cell, and the 1-cells, read
+    from ``sources`` alone; no hom may be built on the way."""
+    zero = {x for y in I.zero_cells() for x in I.sources(y)}
+    one = sum(len(cells) for y in I.zero_cells() for cells in I.sources(y).values())
+    assert I.stats()["memos"]["hom"]["size"] == 0
+    return len(zero), one
+
+
+@pytest.mark.parametrize("N, count", enumerate([1, 2, 5, 16, 61, 258], start=1))
+def test_trees_zero_cells_are_partial_sums_of_little_schroeder_numbers(N, count):
+    # every 0-cell is the source of its identity 1-cell
+    I = integrate(tree_operad(N))
+    assert cells_through_sources(I)[0] == len(I.zero_cells()) == count
+
+
+def nat_one_cells(M):
+    return (M + 1) ** 2 * (M + 2) // 2 + M * (M + 1) * (2 * M + 1) // 6
+
+
+@pytest.mark.parametrize("M", range(23))
+def test_nat_one_cells_follow_the_membership_rule(M):
+    assert (nat_one_cells(3), nat_one_cells(22)) == (54, 10143)
+    assert cells_through_sources(integrate(nat_operad(M))) == (M + 1, nat_one_cells(M))

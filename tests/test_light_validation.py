@@ -5,14 +5,19 @@ sides of each unit and associativity law are parallel arrows, so equal.
 ``validate_category`` and ``validate_functor`` pass such cases without
 composing the laws; ``_assoc_sweep`` reads each row shared by several heads
 once.  The counts below come from a sweep written here, that composes every
-law by ``C.compose``, and from closed forms, not from the program.
+law by ``C.compose``, and from closed forms, not from the program.  The
+rule-backed tables refuse what is no operand tuple, and a functor whose
+source is still a list of factors is walked without building the product.
 """
 
 import math
 
 import pytest
 
-from opint.fincat import FinCat, Functor, poset_category, validate_category, validate_functor
+from opint import jsonio
+from opint import trees as T
+from opint.fincat import FinCat, Functor, poset_category, product, validate_category, \
+    validate_functor
 from opint.integration import integrate
 from opint.operadic import canonical_fibration, extract_operad
 from opint.operads import _assoc_sweep, nat_operad, terminal_operad, tree_operad, \
@@ -182,13 +187,28 @@ def nat_with_table(M, patch=()):
 def test_object_sweep_reads_each_shared_row_once(M):
     # f = g = id_1 on nat:M: heads (c, b), tails (a,); mu_g is read once per
     # head, the inner row mu(b, -) once per b, the outer row mu(v, -) once per
-    # value v = min(c + b, M) (each of 0..M), and the right row once per head
+    # value v = min(c + b, M) (each of 0..M), and the right row mu(c, -) once
+    # per c, at each inner value i (each of 0..M)
     n = M + 1
     P, g, table = nat_with_table(M)
     r = Report("associativity (objects)")
     assert _assoc_sweep(P, g, g, False, r)
     assert (r.status, r.checked) == (PASS, n ** 3)
-    assert table.reads == n * n + n * n + n * n + n ** 3
+    assert table.reads == 4 * n * n
+
+
+def test_object_sweep_reads_the_right_row_of_its_own_outer_object():
+    # mu(1, 0) = 0 instead of 1 on nat:6.  Heads (0, b) pass, reading row
+    # mu(0, -) at every inner value.  Head (1, 0) has v = 0, so its left row
+    # is mu(0, -) = (0..6), while its right row is mu(1, mu(0, a)) =
+    # (0, 2, 3, ...): the loop fails at a = 1, 0 + 1 = 1 against 1 + 1 = 2.
+    # Read from row mu(0, -), as by a row keyed on the inner value alone,
+    # the right row would be (0..6) too, and head (1, 0) would pass
+    P, g, _ = nat_with_table(6, {(1, 0): 0})
+    r = Report("associativity (objects)")
+    assert not _assoc_sweep(P, g, g, False, r)
+    assert (r.status, r.checked) == (FAIL, 7 * 7 + 2)
+    assert r.witness == ("1->1:[1]", "1->1:[1]", (1, 0, 1), 1, 2)
 
 
 def test_object_sweep_fails_where_a_head_reuses_its_outer_row():
@@ -201,6 +221,69 @@ def test_object_sweep_fails_where_a_head_reuses_its_outer_row():
     assert not _assoc_sweep(P, g, g, False, r)
     assert (r.status, r.checked) == (FAIL, 58)
     assert r.witness == ("1->1:[1]", "1->1:[1]", (1, 1, 1), 3, 4)
+
+
+def derived_nat(M):
+    """nat:M through JSON, its morphism tables derived by the loader: RuleMaps."""
+    from test_cli import nat_json_without_mor_graph
+    return jsonio.operad_from_json(nat_json_without_mor_graph(M))
+
+
+@pytest.mark.parametrize("build", [nat_operad, tree_operad, derived_nat],
+                         ids=["nat", "trees", "derived-json"])
+def test_rule_tables_refuse_what_is_no_operand_tuple(build):
+    # a key of the wrong length, an entry outside its factor, or an object
+    # where a morphism id belongs raises KeyError, and nothing is stored
+    P = build(3)
+    beyond = (4, T.corolla(4))   # neither an object nor a morphism id of P_1..P_3
+    for g, F in P.mu.items():
+        cats = [P.component(a) for a in P.arg_arities(g)]
+        objects = tuple(C.objects[0] for C in cats)
+        morphisms = tuple(C.id_of(x) for C, x in zip(cats, objects))
+        for table, good in ((F.obj_map, objects), (F.mor_map, morphisms)):
+            stored = dict(table)
+            bad = [good[:-1], good + good[-1:]] + [good[:-1] + (x,) for x in beyond]
+            for key in bad + [objects] * (table is F.mor_map):
+                with pytest.raises(KeyError):
+                    table[key]
+                assert key not in table
+            assert dict(table) == stored
+        assert F.mor_map[morphisms] == P.component(g.dom).id_of(F.obj_map[objects])
+
+
+def test_extracted_light_validation_walks_the_factors():
+    # the extracted mu tables are plain, so each is validated as a functor;
+    # its thin target lets the factors stand in for the product source
+    Q = extract_operad(canonical_fibration(integrate(tree_operad(4))))
+    assert all(type(mu._source) is list for mu in Q.mu.values())
+    reports = [(r.name, r.status, r.checked) for r in validate_operad(Q)]
+    assert all(type(mu._source) is list for mu in Q.mu.values())
+    assert reports == [
+        ("category P_1", PASS, 4), ("category P_2", PASS, 4), ("category P_3", PASS, 24),
+        ("category P_4", PASS, 204), ("mu coverage", PASS, 15), ("mu typing", PASS, 49),
+        ("unitality", PASS, 108), ("associativity (objects)", PASS, 106),
+        ("mu on morphisms", PASS, 378)]
+
+
+def test_factor_walk_reads_as_the_product():
+    # status, count and witnesses, in order, are those of the same tables
+    # over the product category, on sound and on corrupted tables
+    Q = extract_operad(canonical_fibration(integrate(tree_operad(4))))
+    seen = set()
+    for g, mu in Q.mu.items():
+        x, m = next(iter(mu.obj_map)), list(mu.mor_map)[-1]
+        for patch in ({}, {"obj": x}, {"mor": m}, {"mor": m, "obj": x}):
+            obj_map, mor_map = dict(mu.obj_map), dict(mu.mor_map)
+            if "obj" in patch:
+                obj_map[patch["obj"]] = mu.target.objects[-1]
+            if "mor" in patch:
+                mor_map[patch["mor"]] = mor_map[next(iter(mor_map))]
+            walked = validate_functor(Functor(list(mu._source), mu.target, obj_map, mor_map))
+            built = validate_functor(Functor(product(mu._source), mu.target, obj_map, mor_map))
+            assert (walked.status, walked.checked, walked.witness) == \
+                (built.status, built.checked, built.witness)
+            seen.add(walked.status)
+    assert seen == {PASS, FAIL}
 
 
 def counting_chain(n, calls):

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from opint.fincat import Functor, RuleMap, validate_functor
@@ -203,6 +205,21 @@ def test_wrong_unit_fails_unitality():
     P.unit = 1
     report = check_unitality(P)
     assert not report.ok
+
+
+@pytest.mark.parametrize("kind, key", [("objects", (2, 0)), ("morphisms", ((0, 0), (2, 1)))])
+def test_unitality_raises_where_a_table_lacks_a_tuple(kind, key):
+    # (2, 0) is read by the identity law at object 2, ((0, 0), (2, 1)) by
+    # the bang law at morphism (2, 1); the laws read before them hold
+    P, g = nat_operad(3), identity_surjection(1)
+    F, C = P.mu[g], P.component(1)
+    obj_map = {k: F.obj_map[k] for k in itertools.product(C.objects, repeat=2)}
+    mor_map = {k: F.mor_map[k] for k in itertools.product(C.morphism_ids(), repeat=2)}
+    del (obj_map if kind == "objects" else mor_map)[key]
+    P.mu[g] = Functor(F._source, F.target, obj_map, mor_map)
+    with pytest.raises(ArityMismatch) as info:
+        check_unitality(P)
+    assert str(info.value) == "mu_1->1:[1] has no value at %s %r" % (kind, key)
 
 
 @pytest.mark.parametrize("build", [nat_operad, terminal_operad, tree_operad],

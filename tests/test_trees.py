@@ -132,8 +132,10 @@ def test_grafting():
     assert graft(LEAF, [c2]) == c2
     assert graft(c2, [LEAF, LEAF]) == c2
     assert leaves(graft(corolla(3), [c2, LEAF, c2])) == 5
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^need 2 subtrees, got 1$"):
         graft(c2, [LEAF])
+    with pytest.raises(ValueError, match="^need 2 subtrees, got 3$"):
+        graft(c2, [LEAF] * 3)
 
 
 def test_grafting_preserves_contraction_order():
