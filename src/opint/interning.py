@@ -4,7 +4,8 @@ Records are hash-consed, after Filliâtre & Conchon, *Type-Safe Modular
 Hash-Consing* (ML Workshop 2006): building one whose fields equal those
 of a live one returns that very record, so equality and hashing are
 identity; the table files each live record under one weak entry, freed
-with it.  Methods are memoized per instance, with a hit count.
+with it.  Methods are memoized per instance, with a hit count; any other
+table filled on first read is a ``fincat.LazyTable``.
 """
 
 from __future__ import annotations

@@ -16,7 +16,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from .fincat import FinCat, Functor, enumerate_functors, is_terminal, validate_functor
+from .fincat import FinCat, Functor, LazyTable, enumerate_functors, is_terminal, \
+    validate_functor
 from .interning import memo_tables, memoized
 from .integration import (
     Integration, IntegrationMap, InvalidOperad, LaxTriangle, OneCell, ZeroCell, _cells_out,
@@ -343,19 +344,12 @@ def _check_fiber_axiom_one_cells(O, r) -> Report:
     an explicit verdict while small ones exhaust.
     """
     for x in O.tc.zero_cells():
-        onto = {}   # each 1-cell into x read so far: its triangles, with their fib1
+        # each 1-cell into x read so far: its triangles, with their fib1
+        onto = LazyTable(lambda phi: tuple(O.triangles_onto(phi)))
         for phi in O.one_cells_into(x):
             if not _fiber_axiom_on_one_cells(O, phi, r, onto):
                 return r
     return r
-
-
-def _kept(table, key, items):
-    """Yield ``items`` when a plain walk would, each kept in ``table[key]`` as read."""
-    table[key] = read = []
-    for item in items:
-        read.append(item)
-        yield item
 
 
 def _fiber_axiom_on_one_cells(O, phi, r, onto) -> bool:
@@ -364,50 +358,53 @@ def _fiber_axiom_on_one_cells(O, phi, r, onto) -> bool:
     A 1-cell from the triangle ``a1`` to the triangle ``a2`` is a
     connecting triangle ``sigma`` between their left faces plus a slice
     2-cell from ``a2 o sigma`` to ``a1``; both routes around the square
-    must then send it to the same blocks of fiber data; ``triangles``
-    pairs each triangle onto ``phi`` with its fibers, as ``onto`` keeps them
-    per 1-cell into ``phi``'s target (``_kept``).  Three tables are
-    local to ``phi`` and reused only for an identical key, never assumed:
-    the routes ``block_cut(fib1(tri_a), g)``, keyed on all of ``tri_a``;
-    the candidates, which depend only on ``sigma.d1`` and ``a2.d2 o
-    sigma.d2`` (``candidates``), each an entry ``[a1, gamma, fibers of a1,
-    filled, slice fibers]`` with ``filled = a1.filler o (1_phi * gamma)``;
-    and the squares that passed (``verified``).  An instance passes the
-    filler test when ``filled`` is the filler of the composite ``a2 o
-    sigma``; the composite slice is then ``(a2.d2 o sigma.d2, sigma.d1,
-    phi, filled)``, and ``fib2(composite slice, a1, gamma)``, asked at the
-    candidate's first passing instance, is kept in the entry.  Per ``(a2,
-    sigma)``: the composite's filler, and the composed fibers once a
-    square of the pair misses ``verified``.  Per instance: a charge, the
-    filler test, the route lookup and the square ``(sig_f, a1_f, a2_f,
-    xi_f, route_a)``, which fixes the fiber loop (the fibers of ``phi``
-    are fixed, ``composed_f`` follows from ``a2_f`` and ``sig_f``); the
-    loop runs unless an equal square passed before, and ``verified`` gains
-    a square only once it passes, so a failing one is evaluated at its
-    first instance.  Counts on ``r`` and returns False once ``r`` holds its
+    must then send it to the same blocks of fiber data.  ``onto`` is a
+    ``LazyTable`` of the 1-cells into ``phi``'s target, each with its
+    triangles paired with their fibers, built whole on first read.  Three
+    tables are local to ``phi`` and reused only for an identical key, never
+    assumed: the routes ``block_cut(fib1(tri_a), g)``, keyed on all of
+    ``tri_a``; the candidates, keyed on ``sigma.d1`` and ``a2.d2 o
+    sigma.d2``, on which alone they depend, each an entry ``[a1, gamma,
+    fibers of a1, filled, slice fibers]`` with ``filled = a1.filler o
+    (1_phi * gamma)``; and the squares that passed (``verified``).  The
+    first two are ``LazyTable``s.  An instance passes the filler test when
+    ``filled`` is the filler of the composite ``a2 o sigma``; the composite
+    slice is then ``(a2.d2 o sigma.d2, sigma.d1, phi, filled)``, and
+    ``fib2(composite slice, a1, gamma)``, asked at the candidate's first
+    passing instance, is kept in the entry.  Per ``(a2, sigma)``: the
+    composite's filler, and the composed fibers once a square of the pair
+    misses ``verified``.  Per instance: a charge, the filler test, the
+    route lookup and the square ``(sig_f, a1_f, a2_f, xi_f, route_a)``,
+    which fixes the fiber loop (the fibers of ``phi`` are fixed,
+    ``composed_f`` follows from ``a2_f`` and ``sig_f``); the loop runs
+    unless an equal square passed before, and ``verified`` gains a square
+    only once it passes, so a failing one is evaluated at its first
+    instance.  Counts on ``r`` and returns False once ``r`` holds its
     verdict (capped or failed).
     """
     tc, fib1, fib2, src2 = O.tc, O.fib1, O.fib2, O.src2
     y, g, n_fib = O.src0(phi), O.card1(phi), len(O.fib0(phi))
-    triangles = onto.get(phi) or tuple(_kept(onto, phi, O.triangles_onto(phi)))
+    triangles = onto[phi]
     by_d1: dict = {}
     for pair in triangles:
         by_d1.setdefault(pair[0].d1, []).append(pair)
     id2_phi = tc.identity_two_cell(phi)
-    routes, candidates, verified = {}, {}, set()   # local to phi
+
+    def candidates_for(key):
+        d1, d2comp = key
+        hom_up = tc.hom(O.src0(d1), y)
+        return [[a1, gamma, a1_f,
+                 tc.v_compose(a1.filler, tc.h_compose_2cells(id2_phi, gamma)), None]
+                for a1, a1_f in by_d1[d1] for gamma in hom_up.hom(d2comp, a1.d2)]
+
+    routes = LazyTable(lambda tri_a: block_cut(fib1(LaxTriangle(*tri_a)), g))
+    candidates, verified = LazyTable(candidates_for), set()   # local to phi
     for a2, a2_f in triangles:                 # target object of the 1-cell
-        for sigma, sig_f in onto.get(a2.d1) or _kept(onto, a2.d1, O.triangles_onto(a2.d1)):
-            sources = by_d1.get(sigma.d1)
-            if not sources:
+        for sigma, sig_f in onto[a2.d1]:
+            if sigma.d1 not in by_d1:
                 continue
             d2comp = tc.h_compose(a2.d2, sigma.d2)
-            entries = candidates.get((sigma.d1, d2comp))
-            if entries is None:
-                hom_up = tc.hom(O.src0(sigma.d1), y)
-                entries = candidates[sigma.d1, d2comp] = [
-                    [a1, gamma, a1_f,
-                     tc.v_compose(a1.filler, tc.h_compose_2cells(id2_phi, gamma)), None]
-                    for a1, a1_f in sources for gamma in hom_up.hom(d2comp, a1.d2)]
+            entries = candidates[sigma.d1, d2comp]
             if not entries:
                 continue
             comp_filler = tc.v_compose(
@@ -422,10 +419,7 @@ def _fiber_axiom_on_one_cells(O, phi, r, onto) -> bool:
                 if xi_f is None:
                     xi_f = entry[4] = fib2(
                         LaxTriangle(d2comp, sigma.d1, phi, filled), a1, gamma)
-                tri_a = (sigma.d2, a1.d2, a2.d2, gamma)
-                route_a = routes.get(tri_a)
-                if route_a is None:
-                    route_a = routes[tri_a] = block_cut(fib1(LaxTriangle(*tri_a)), g)
+                route_a = routes[sigma.d2, a1.d2, a2.d2, gamma]
                 square = (sig_f, a1_f, a2_f, xi_f, route_a)
                 if square in verified:
                     continue

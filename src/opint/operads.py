@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 
 from . import trees as T
 from .fincat import FinCat, Functor, LazyTable, RuleMap, identity_functor, lookup, \
@@ -140,15 +141,16 @@ def _assoc_sweep(P, f, g, on_morphisms, r: Report) -> bool:
     verdict (failed or capped).  Once per pair: the functors and arities of
     g, f, fg and the induced maps, and each tail a_1..a_m cut along g; once
     per head (c, b_1..b_n): mu_g's value.  Each instance reads as ``apply_obj``
-    or ``apply_mor`` would; on objects, each value mu returns is checked (once
-    per pair) to be an object before it is read further.
+    or ``apply_mor`` would; on objects, each value of mu_g and each inner value
+    is checked (once per pair) to be an object before it is read further.
 
     A head with more than one tail is first checked as one row: the row of
     left sides, read once per value v of mu_g, is compared at once with the
     head's row of right sides, read at the inner values i: the product of
     one row of mu_i values per fiber of g, read once per (b_1..b_n).  Each
     right side mu_fg(c, i) is read once per outer object c and inner value
-    i, into one row per c filled on first read.  So on nat:M (n = M + 1) the
+    i, into one row per c.  Each table read once per key is a ``LazyTable``,
+    which keeps no row whose reading raises.  So on nat:M (n = M + 1) the
     object sweep reads its one table 4n^2 times: n^2 for mu_g, n^2 each for
     the inner, outer and right rows, against n^3 instances.  A row that
     holds and fits under the cap is charged whole; any other row (a
@@ -159,26 +161,30 @@ def _assoc_sweep(P, f, g, on_morphisms, r: Report) -> bool:
     (mu_g, mu_f, mu_fg, *mu_i) = [getattr(P.mu_for(h), "mor_map" if on_morphisms
                                           else "obj_map") for h in hs]
     ar_v, ar_inner = (f.cod,), hs[2].fiber_sizes()
-    check, known, outer, inner = (None if on_morphisms else P.check_objects), set(), {}, {}
-    right = LazyTable(lambda c: LazyTable(lambda i: mu_fg[c + i]))   # rows mu_fg(c, -)
+    check = None if on_morphisms else P.check_objects
+    if check:   # each operand (v,) of mu_f and each inner value, checked once per pair
+        values, known = LazyTable(partial(check, ar_v)), LazyTable(partial(check, ar_inner))
     slots = [C.morphism_ids() if on_morphisms else C.objects
              for C in [P.component(a) for a in P.arg_arities(g) + f.fiber_sizes()]]
     tails = [(tail, block_cut(tail, g)) for tail in itertools.product(*slots[1 + nb:])]
-    # a row needs two tails; in product order, the tails are the product of their blocks
     n = len(tails)
-    cuts = n > 1 and [list(itertools.product(*s)) for s in block_cut(slots[1 + nb:], g)]
+    if n > 1:   # a row needs two tails; in product order, tails are the product of their blocks
+        cuts = [list(itertools.product(*s)) for s in block_cut(slots[1 + nb:], g)]
+
+        def inner_row(bs):
+            row = itertools.product(*[[mu[(b,) + a] for a in block]
+                                      for mu, b, block in zip(mu_i, bs, cuts)])
+            return list(map(known.__getitem__, row)) if check else list(row)
+
+        outer = LazyTable(lambda v: [mu_f[v + t] for t, _ in tails])
+        inner = LazyTable(inner_row)
+        right = LazyTable(lambda c: LazyTable(lambda i: mu_fg[c + i]))
     for head in itertools.product(*slots[:1 + nb]):
-        if cuts and (r.cap is None or r.checked + n <= r.cap):
+        if n > 1 and (r.cap is None or r.checked + n <= r.cap):
             try:
-                v = check(ar_v, (mu_g[head],)) if check else (mu_g[head],)
-                if head[1:] not in inner:   # the inner row, kept once its values are checked
-                    inners = list(itertools.product(*[[mu[(b,) + a] for a in block] for mu, b,
-                                                      block in zip(mu_i, head[1:], cuts)]))
-                    if check:
-                        known.update(check(ar_inner, i) for i in set(inners) - known)
-                    inner[head[1:]] = inners
-                lhs = outer[v] = outer.get(v) or [mu_f[v + t] for t, _ in tails]
-                if lhs == list(map(right[head[:1]].__getitem__, inner[head[1:]])):
+                v = (mu_g[head],)
+                if outer[values[v] if check else v] == list(map(right[head[:1]].__getitem__,
+                                                                inner[head[1:]])):
                     r.charge(n)
                     continue
             except Exception:   # the loop raises it, or fails first, at its own instance
@@ -187,12 +193,10 @@ def _assoc_sweep(P, f, g, on_morphisms, r: Report) -> bool:
         for tail, blocks in tails:
             if not r.charge():
                 return False
-            v = v or (check(ar_v, (mu_g[head],)) if check else (mu_g[head],))
+            v = v or (values[(mu_g[head],)] if check else (mu_g[head],))
             lhs = mu_f[v + tail]
-            inner = tuple(mu[(b,) + a] for mu, b, a in zip(mu_i, head[1:], blocks))
-            if check and inner not in known:
-                known.add(check(ar_inner, inner))
-            rhs = mu_fg[head[:1] + inner]
+            i = tuple(mu[(b,) + a] for mu, b, a in zip(mu_i, head[1:], blocks))
+            rhs = mu_fg[head[:1] + (known[i] if check else i)]
             if lhs != rhs:
                 r.fail((str(f), str(g), head + tail, lhs, rhs))
                 return False

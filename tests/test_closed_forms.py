@@ -102,7 +102,7 @@ def derived(N):
             "splitting": c2 + 2 * N, "cartesian lifts": c2, "trivial subcategory": 2 * N + c1}
 
 
-@pytest.mark.parametrize("N", range(1, 9))
+@pytest.mark.parametrize("N", range(1, 10))
 def test_terminal_battery_counts_are_the_derived_ones(N):
     I = integrate(terminal_operad(N))
     assert sum(len(cells) for y in I.zero_cells() for cells in I.sources(y).values()) == \

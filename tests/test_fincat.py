@@ -3,7 +3,7 @@ import math
 import pytest
 
 from opint.fincat import (
-    FinCat, Functor, enumerate_functors, poset_category, product,
+    FinCat, Functor, LazyTable, enumerate_functors, poset_category, product,
     terminal_category, terminal_object, validate_category, validate_functor,
 )
 from opint.integration import ZeroCell, integrate
@@ -272,3 +272,27 @@ def test_functor_enumeration_order_is_fixed():
     C, D = chain_ge(2), chain_ge(2)
     assert functor_maps(C, D) == functor_maps(C, D)
     assert functor_maps(C, D)[0][0] == {0: 0, 1: 0, 2: 0}
+
+
+def test_lazy_table_stores_each_value_once_and_nothing_when_its_rule_raises():
+    calls = []
+
+    def rule(key):
+        calls.append(key)
+        if key < 0:
+            raise ValueError(key)
+        return [] if key == 0 else [key]
+
+    table = LazyTable(rule)
+    assert (table[2], table[2], table[0], table[0]) == ([2], [2], [], [])
+    assert calls == [2, 0]   # the empty value is stored too
+    assert table[2] is table[2]
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            table[-1]
+    assert calls == [2, 0, -1, -1]   # a raising rule stores nothing, so runs again
+    # ``in`` and ``get`` see only the stored keys, and do not run the rule
+    assert (2 in table, 0 in table, -1 in table, 5 in table) == (True, True, False, False)
+    assert (table.get(5), table.get(0)) == (None, [])
+    assert dict(table) == {2: [2], 0: []}
+    assert calls == [2, 0, -1, -1]

@@ -6,22 +6,21 @@ sides of each unit and associativity law are parallel arrows, so equal.
 composing the laws; ``_assoc_sweep`` reads each row shared by several heads
 once.  The counts below come from a sweep written here, that composes every
 law by ``C.compose``, and from closed forms, not from the program.  The
-rule-backed tables refuse what is no operand tuple, and a functor whose
-source is still a list of factors is walked without building the product.
+rule-backed tables refuse what is no operand tuple.
 """
 
 import math
+from collections import Counter
 
 import pytest
 
 from opint import jsonio
 from opint import trees as T
-from opint.fincat import FinCat, Functor, poset_category, product, validate_category, \
-    validate_functor
+from opint.fincat import FinCat, Functor, poset_category, validate_category, validate_functor
 from opint.integration import integrate
 from opint.operadic import canonical_fibration, extract_operad
-from opint.operads import _assoc_sweep, nat_operad, terminal_operad, tree_operad, \
-    validate_operad
+from opint.operads import TruncatedOperad, _assoc_sweep, nat_operad, terminal_operad, \
+    tree_operad, validate_operad
 from opint.report import FAIL, PASS, Report
 from opint.surjections import identity_surjection
 
@@ -197,6 +196,22 @@ def test_object_sweep_reads_each_shared_row_once(M):
     assert table.reads == 4 * n * n
 
 
+def test_light_validation_checks_each_value_once(monkeypatch):
+    # nat:22 has one pair, f = g = id_1: each of its 23 values of mu_g and of
+    # its 23 inner values (the same 0..22) is checked once, not once per head
+    # (23 * 23 + 23 = 552 calls)
+    P, calls = nat_operad(22), []
+
+    def check_objects(arities, args):
+        calls.append(args)
+        return TruncatedOperad.check_objects(P, arities, args)
+
+    monkeypatch.setattr(P, "check_objects", check_objects, raising=False)
+    assert all(r.ok for r in validate_operad(P))
+    assert len(calls) == 46
+    assert Counter(calls) == {(v,): 2 for v in range(23)}
+
+
 def test_object_sweep_reads_the_right_row_of_its_own_outer_object():
     # mu(1, 0) = 0 instead of 1 on nat:6.  Heads (0, b) pass, reading row
     # mu(0, -) at every inner value.  Head (1, 0) has v = 0, so its left row
@@ -252,38 +267,15 @@ def test_rule_tables_refuse_what_is_no_operand_tuple(build):
 
 
 def test_extracted_light_validation_walks_the_factors():
-    # the extracted mu tables are plain, so each is validated as a functor;
-    # its thin target lets the factors stand in for the product source
+    # the extracted mu tables are plain, so each is validated as a functor
+    # over the product of its factors, its composable pairs charged, not composed
     Q = extract_operad(canonical_fibration(integrate(tree_operad(4))))
-    assert all(type(mu._source) is list for mu in Q.mu.values())
     reports = [(r.name, r.status, r.checked) for r in validate_operad(Q)]
-    assert all(type(mu._source) is list for mu in Q.mu.values())
     assert reports == [
         ("category P_1", PASS, 4), ("category P_2", PASS, 4), ("category P_3", PASS, 24),
         ("category P_4", PASS, 204), ("mu coverage", PASS, 15), ("mu typing", PASS, 49),
         ("unitality", PASS, 108), ("associativity (objects)", PASS, 106),
         ("mu on morphisms", PASS, 378)]
-
-
-def test_factor_walk_reads_as_the_product():
-    # status, count and witnesses, in order, are those of the same tables
-    # over the product category, on sound and on corrupted tables
-    Q = extract_operad(canonical_fibration(integrate(tree_operad(4))))
-    seen = set()
-    for g, mu in Q.mu.items():
-        x, m = next(iter(mu.obj_map)), list(mu.mor_map)[-1]
-        for patch in ({}, {"obj": x}, {"mor": m}, {"mor": m, "obj": x}):
-            obj_map, mor_map = dict(mu.obj_map), dict(mu.mor_map)
-            if "obj" in patch:
-                obj_map[patch["obj"]] = mu.target.objects[-1]
-            if "mor" in patch:
-                mor_map[patch["mor"]] = mor_map[next(iter(mor_map))]
-            walked = validate_functor(Functor(list(mu._source), mu.target, obj_map, mor_map))
-            built = validate_functor(Functor(product(mu._source), mu.target, obj_map, mor_map))
-            assert (walked.status, walked.checked, walked.witness) == \
-                (built.status, built.checked, built.witness)
-            seen.add(walked.status)
-    assert seen == {PASS, FAIL}
 
 
 def counting_chain(n, calls):

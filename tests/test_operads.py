@@ -276,6 +276,17 @@ def test_morphism_failing_a_component_names_its_arity():
                              "('component', 1, 'morphism (1, 0) is sent across wrong endpoints')")
 
 
+def test_morphism_with_an_object_left_unmapped_fails_on_that_object():
+    # the object 1 of nat:1's P_1 has no image; the identity check reads no
+    # identity of a missing image, so the component fails where it is missing
+    P = nat_operad(1)
+    F = identity_operad_morphism(P)
+    C = P.component(1)
+    F.functors[1] = Functor(C, C, {0: 0}, {m: m for m in C.morphism_ids()})
+    report = validate_operad_morphism(F)
+    assert (report.status, report.witness) == ("fail", ("component", 1, "object 1 has no image"))
+
+
 def test_bang_law_example():
     P = nat_operad(5)
     for a in range(6):
